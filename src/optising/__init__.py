@@ -24,6 +24,7 @@ from .spectral import (
     build_ensemble,
     eigendecompose,
     error_ratio,
+    splits_cluster,
     tail_frobenius,
 )
 from .optics import (

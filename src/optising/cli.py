@@ -5,7 +5,8 @@ Commands
 gen         write a random weighted graph (rudy + JSON) at a given degree
             or density
 decompose   eigenvalue table of an instance, sorted by |eigenvalue|, with
-            the truncation error ratio at every K
+            the truncation error ratio at every K; a note on stderr names
+            every K that splits a degenerate eigenvalue cluster
 solve       anneal one instance with a chosen truncation/backend/noise
 experiment  run a named study (rmse | prob | noise | trace) from a config
             file and/or flags, writing CSV + JSON reports
@@ -30,7 +31,7 @@ from .anneal import DEFAULT_ITERS, Schedule, anneal, dump_trace
 from .graph import GraphError, GraphFormatError, WeightedGraph, density, gen_density, gen_regular, read_graph, write_graph
 from .ising import MatrixFormatError, brute_force_maxcut, from_graph, read_matrix
 from .optics import HrvEvaluator, NoiseModel, estimate_span
-from .spectral import build_ensemble, eigendecompose, error_ratio, dump_bundle
+from .spectral import build_ensemble, dump_bundle, eigendecompose, error_ratio, splits_cluster
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -213,6 +214,11 @@ def _format_from_path(path: str) -> str:
     return "json" if path.endswith(".json") else "rudy"
 
 
+def _split_flags(bundle, ks) -> dict:
+    """Per K, 1 when keeping K components splits a degenerate eigenvalue cluster."""
+    return {K: int(splits_cluster(bundle, K)) for K in ks}
+
+
 def _schedule(cfg, g, bundle, rate, K_for_span=None) -> Schedule:
     """Schedule with t0 defaulting to the estimated readout span."""
     t0 = cfg.get("t0")
@@ -270,6 +276,10 @@ def cmd_decompose(args) -> int:
                      ["rank", "eigenvalue", "sign", "error_ratio_at_K"], rows)
     if args.dump_bundle:
         dump_bundle(b, args.dump_bundle)
+    split = [K for K in range(1, b.n) if splits_cluster(b, K)]
+    if split:
+        print(f"note: K in {split} splits a degenerate eigenvalue cluster; "
+              "truncated readouts there depend on the eigenbasis", file=sys.stderr)
     return EXIT_OK
 
 
@@ -298,6 +308,7 @@ def cmd_solve(args) -> int:
     print(f"final_cut={trace.final_cut!r}")
     print(f"final_hrv={trace.final_hrv!r}")
     print(f"state={bits}")
+    print(f"split_cluster={int(splits_cluster(b, K))}")
     if args.oracle:
         best, _ = brute_force_maxcut(g)
         print(f"optimal_cut={best!r}")
@@ -384,7 +395,8 @@ def _run_prob(cfg, out):
     results = {"optimum": table.optimum,
                "schedules": [{"t0": s.t0, "rate": s.rate, "iters": s.iters,
                               "flip_floor": s.flip_floor} for s in schedules],
-               "cells": [vars(c) for c in table.cells]}
+               "cells": [vars(c) for c in table.cells],
+               "split_cluster": _split_flags(b, sorted({c.K for c in table.cells}))}
     xp.write_json_summary(json_path, {"study": "prob", **cfg}, results)
     written.append(json_path)
     return written
@@ -409,7 +421,8 @@ def _run_noise(cfg, out):
     results = {"optimum": table.optimum, "span": table.span, "K": table.K,
                "schedule": {"t0": schedule.t0, "rate": schedule.rate,
                             "iters": schedule.iters, "flip_floor": schedule.flip_floor},
-               "cells": [vars(c) for c in table.cells]}
+               "cells": [vars(c) for c in table.cells],
+               "split_cluster": _split_flags(b, [K])}
     xp.write_json_summary(json_path, {"study": "noise", **cfg}, results)
     return [csv_path, plot_path, json_path]
 
@@ -434,7 +447,8 @@ def _run_trace(cfg, out):
                "final_hrv_mean": study.final_hrv_mean,
                "final_hrv_std": study.final_hrv_std,
                "final_cut_mean": study.final_cut_mean,
-               "final_cut_std": study.final_cut_std}
+               "final_cut_std": study.final_cut_std,
+               "split_cluster": _split_flags(b, study.ks)}
     xp.write_json_summary(json_path, {"study": "trace", **cfg}, results)
     written.append(json_path)
     return written

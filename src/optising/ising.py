@@ -50,6 +50,8 @@ class IsingModel:
         J = np.asarray(self.J, dtype=float)
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValueError(f"J must be square, got shape {J.shape}")
+        if not np.all(np.isfinite(J)):
+            raise ValueError("J must be finite")
         if not np.array_equal(J, J.T):
             raise ValueError("J must be exactly symmetric")
         if np.any(np.diag(J) != 0.0):
@@ -180,6 +182,9 @@ SYMMETRY_TOL = 1e-12
 def _to_model(J: np.ndarray) -> IsingModel:
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise MatrixFormatError(f"matrix must be square, got shape {J.shape}")
+    # Before the tolerance test, which inf/nan entries pass or fail by accident.
+    if not np.all(np.isfinite(J)):
+        raise ValueError("J must be finite")
     scale = max(1.0, float(np.max(np.abs(J)))) if J.size else 1.0
     if np.max(np.abs(J - J.T)) > SYMMETRY_TOL * scale:
         raise MatrixFormatError("matrix is asymmetric beyond tolerance 1e-12")

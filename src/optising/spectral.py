@@ -1,16 +1,17 @@
 """Symmetric eigendecomposition and truncated intensity-vector ensembles.
 
-The eigensolver is a cyclic Jacobi sweep over the dense matrix: rotations
-visit the upper triangle in fixed row-major order until the off-diagonal
-Frobenius norm falls below 1e-12 of the input norm (cap 100 sweeps).  The
-fixed order and a deterministic eigenvector sign convention make the output
-reproducible bit-for-bit across runs.
+The eigensolver is LAPACK's symmetric driver (`numpy.linalg.eigh`).  Its
+output is put in canonical form: each eigenvector's largest-magnitude entry
+is made positive, pairs are stored by descending signed eigenvalue, and the
+|eigenvalue| order is a stable sort, so |eigenvalue| ties are pinned.  The
+result is bit-reproducible for one machine, numpy/LAPACK build and BLAS
+thread count.  Inside a degenerate eigenvalue cluster the basis is whatever
+LAPACK returns; `splits_cluster` says when a truncation depends on it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +21,15 @@ from .ising import IsingModel
 __all__ = [
     "EigenBundle",
     "IntensityEnsemble",
-    "JacobiConvergenceError",
     "eigendecompose",
     "build_ensemble",
     "error_ratio",
     "tail_frobenius",
+    "splits_cluster",
     "dump_bundle",
 ]
 
-OFFDIAG_TOL = 1e-12
-MAX_SWEEPS = 100
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to shrink the off-diagonal norm below tolerance."""
+CLUSTER_RTOL = 1e-9    # eigenvalues closer than this times max|lam| form a cluster
 
 
 @dataclass(frozen=True)
@@ -76,71 +72,14 @@ class IntensityEnsemble:
         return self.xi.shape[1]
 
 
-def _jacobi(a: np.ndarray):
-    """Cyclic Jacobi on a symmetric matrix; returns (eigenvalues, columns)."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), v
-    thresh = OFFDIAG_TOL * norm
-
-    mask = ~np.eye(n, dtype=bool)
-    for _ in range(MAX_SWEEPS):
-        # Off-diagonal Frobenius norm, summed directly: subtracting the
-        # diagonal from the full norm cancels catastrophically near
-        # convergence and can stop sweeps orders of magnitude early.
-        off = math.sqrt(float(np.sum(a[mask] ** 2)))
-        if off <= thresh:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p - s * (col_q + tau * col_p)
-                a[:, q] = col_q + s * (col_p - tau * col_q)
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = vec_p - s * (vec_q + tau * vec_p)
-                v[:, q] = vec_q + s * (vec_p - tau * vec_q)
-
-    raise JacobiConvergenceError(
-        f"off-diagonal norm did not reach {OFFDIAG_TOL:g}*||J||_F in {MAX_SWEEPS} sweeps")
-
-
 def eigendecompose(m: IsingModel) -> EigenBundle:
     """Decompose m.J into real eigenpairs with deterministic ordering and signs."""
-    lam, vec = _jacobi(m.J)
+    lam, vec = np.linalg.eigh(m.J)
 
     # Canonical sign: make the largest-magnitude entry of each eigenvector
     # positive (first such entry on ties).
-    for i in range(lam.size):
-        col = vec[:, i]
-        j = int(np.argmax(np.abs(col)))
-        if col[j] < 0:
-            vec[:, i] = -col
+    flip = vec[np.argmax(np.abs(vec), axis=0), np.arange(lam.size)] < 0
+    vec[:, flip] = -vec[:, flip]
 
     # Storage order: signed eigenvalues descending, stable.
     perm = np.argsort(-lam, kind="stable")
@@ -171,16 +110,11 @@ def build_ensemble(b: EigenBundle, K: int, P: float = 1.0) -> IntensityEnsemble:
     return IntensityEnsemble(xi=xi, g=g, P=float(P))
 
 
-def error_ratio(b: EigenBundle, K: int, signed: bool = False) -> float:
-    """Spectral-mass truncation error: 1 - sum of K leading |lam| / sum of all |lam|.
-
-    `signed=True` switches to raw eigenvalue sums for comparison; that
-    variant can leave (0, 1) and is not used by the selection rule.
-    """
+def error_ratio(b: EigenBundle, K: int) -> float:
+    """Spectral-mass truncation error: 1 - sum of K leading |lam| / sum of all |lam|."""
     if not 0 <= K <= b.n:
         raise ValueError(f"K must lie in 0..{b.n}, got {K}")
-    lam = b.lam_by_magnitude()
-    vals = lam if signed else np.abs(lam)
+    vals = np.abs(b.lam_by_magnitude())
     total = float(np.sum(vals))
     if total == 0.0:
         return 0.0
@@ -193,6 +127,27 @@ def tail_frobenius(b: EigenBundle, K: int) -> float:
         raise ValueError(f"K must lie in 0..{b.n}, got {K}")
     lam = b.lam_by_magnitude()
     return float(np.sqrt(np.sum(lam[K:] ** 2)))
+
+
+def splits_cluster(b: EigenBundle, K: int) -> bool:
+    """True when keeping order[:K] cuts through a degenerate eigenvalue cluster.
+
+    A cluster is a run of signed eigenvalues within CLUSTER_RTOL*max|lam| of
+    each other.  LAPACK may return any basis of such an eigenspace, so a
+    truncation that keeps part of one gives basis-dependent readouts.  A +/-
+    pair tied only in |lam| is no cluster (the stable order pins which one is
+    kept), and neither is a cluster at zero, whose components carry no weight.
+    """
+    if not 0 <= K <= b.n:
+        raise ValueError(f"K must lie in 0..{b.n}, got {K}")
+    mag = np.abs(b.lam)
+    tol = CLUSTER_RTOL * float(mag.max(initial=0.0))
+    kept = np.zeros(b.n, dtype=bool)
+    kept[b.order[:K]] = True
+    # Storage is sorted by signed eigenvalue, so a cluster is a contiguous
+    # run and it is split exactly when two neighbours in it differ in `kept`.
+    same = (b.lam[:-1] - b.lam[1:] <= tol) & (np.minimum(mag[:-1], mag[1:]) > tol)
+    return bool(np.any(same & (kept[:-1] != kept[1:])))
 
 
 def dump_bundle(b: EigenBundle, path) -> None:

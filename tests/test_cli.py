@@ -89,6 +89,41 @@ def test_decompose_asymmetric_matrix(tmp_path):
     assert run(["decompose", "--matrix", p]) == EXIT_PARSE
 
 
+def test_decompose_non_finite_matrix_guard(tmp_path, capsys):
+    p = tmp_path / "m.csv"
+    p.write_text("0.0,inf\n0.5,0.0\n")
+    assert run(["decompose", "--matrix", p]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "J must be finite" in captured.err
+
+
+K4_RUDY = "4 6\n1 2 1.0\n1 3 1.0\n1 4 1.0\n2 3 1.0\n2 4 1.0\n3 4 1.0\n"
+
+
+def test_split_cluster_reported(tmp_path, capsys):
+    # K4's spectrum is {-1.5, 1/2, 1/2, 1/2}: K = 2, 3 split the 1/2 cluster
+    gpath = tmp_path / "k4.rud"
+    gpath.write_text(K4_RUDY)
+    assert run(["decompose", "--graph", gpath]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 5
+    assert "K in [2, 3] splits a degenerate eigenvalue cluster" in captured.err
+    for K, flag in ((1, 0), (2, 1), (4, 0)):
+        assert run(["solve", "--graph", gpath, "--k", K, "--iters", 20]) == EXIT_OK
+        assert f"split_cluster={flag}" in capsys.readouterr().out.splitlines()
+
+    common = ["--instance", gpath, "--iters", 20, "--runs", 2, "--seed", 1]
+    for study, extra, want in (("prob", ["--ks", "1,2", "--rates", "0.99"],
+                                {"1": 0, "2": 1, "4": 0}),
+                               ("noise", ["--k", 3, "--levels", "0"], {"3": 1}),
+                               ("trace", ["--ks", "3,4"], {"3": 1, "4": 0})):
+        out = tmp_path / study
+        assert run(["experiment", study, *common, *extra, "--out", out]) == EXIT_OK
+        payload = json.loads((out / f"{study}.json").read_text())
+        assert payload["results"]["split_cluster"] == want
+
+
 def test_solve_single_edge_optimal(tmp_path, capsys):
     gpath = tmp_path / "edge.rud"
     gpath.write_text("2 1\n1 2 1.0\n")

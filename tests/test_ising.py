@@ -51,6 +51,13 @@ def test_ising_model_validation():
         IsingModel(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_ising_model_rejects_non_finite(bad):
+    J = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="J must be finite"):
+        IsingModel(J)
+
+
 def test_fold_external_field_single_spin():
     m = IsingModel(np.zeros((1, 1)))
     folded = fold_external_field(m, [2.0])

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_model
-from optising.ising import IsingModel
+from optising.graph import WeightedGraph
+from optising.ising import IsingModel, from_graph
 from optising.spectral import (
-    JacobiConvergenceError,
-    _jacobi,
     build_ensemble,
     dump_bundle,
     eigendecompose,
     error_ratio,
+    splits_cluster,
     tail_frobenius,
 )
 
@@ -54,13 +54,35 @@ def test_eigen_residual(rng):
             assert np.linalg.norm(res, np.inf) <= bound
 
 
-def test_matches_numpy_eigh_oracle(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 20))
-        m = random_symmetric_model(n, rng)
-        ours = np.sort(eigendecompose(m).lam)
-        ref = np.sort(np.linalg.eigvalsh(m.J))
-        assert ours == pytest.approx(ref, abs=1e-10 * max(1.0, np.abs(ref).max()))
+def unweighted(n, pairs) -> IsingModel:
+    return from_graph(WeightedGraph(n, tuple((u, v, 1.0) for u, v in pairs)))
+
+
+def test_path_graph_closed_form_oracle():
+    # Path P_n: J = -A/2 has the non-degenerate eigenvalues -cos(pi k/(n+1))
+    # with eigenvectors proportional to sin(pi j k/(n+1)), j, k = 1..n.
+    for n in (2, 5, 17, 64):
+        b = eigendecompose(unweighted(n, [(i, i + 1) for i in range(n - 1)]))
+        j = np.arange(1, n + 1)
+        for i in range(n):
+            k = n - i  # storage is descending in -cos(pi k/(n+1))
+            assert b.lam[i] == pytest.approx(-np.cos(np.pi * k / (n + 1)), abs=1e-12)
+            ref = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * j * k / (n + 1))
+            col = b.vectors[:, i]
+            # |entries| tie in pairs, so align the oracle's sign on the entry
+            # the canonical rule picked, which must then be positive
+            top = int(np.argmax(np.abs(col)))
+            assert col[top] > 0
+            assert col == pytest.approx(np.sign(ref[top]) * ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_reconstruction_and_orthonormality_large_n(rng, n):
+    m = random_symmetric_model(n, rng)
+    b = eigendecompose(m)
+    rec = (b.vectors * b.lam) @ b.vectors.T
+    assert np.linalg.norm(rec - m.J) <= 1e-9 * np.linalg.norm(m.J)
+    assert np.max(np.abs(b.vectors.T @ b.vectors - np.eye(n))) <= 1e-10
 
 
 def test_sign_bookkeeping_lossless(rng):
@@ -95,12 +117,6 @@ def test_determinism(rng):
     assert np.array_equal(b1.lam, b2.lam)
     assert np.array_equal(b1.vectors, b2.vectors)
     assert np.array_equal(b1.order, b2.order)
-
-
-def test_jacobi_non_convergence_signal():
-    bad = np.full((3, 3), np.nan)
-    with pytest.raises(JacobiConvergenceError):
-        _jacobi(bad)
 
 
 def test_build_ensemble_full_reconstructs(rng):
@@ -156,14 +172,22 @@ def test_error_ratio_monotone(rng):
         assert all(a >= b_ - 1e-12 for a, b_ in zip(mus, mus[1:]))
 
 
-def test_error_ratio_signed_variant():
-    b = eigendecompose(TWO_SPIN)
-    # signed sums: (0.5)/(0.5 - 0.5) is degenerate, so use a lopsided model
-    m = IsingModel(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.25], [0.0, 0.25, 0.0]]))
-    b = eigendecompose(m)
-    mu_abs = error_ratio(b, 1)
-    mu_signed = error_ratio(b, 1, signed=True)
-    assert mu_abs != mu_signed
+def test_splits_cluster_complete_graph():
+    # K4: J = -A/2 has eigenvalues {-1.5, 1/2, 1/2, 1/2}; -1.5 is kept first
+    b = eigendecompose(unweighted(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
+    assert b.lam == pytest.approx([0.5, 0.5, 0.5, -1.5], abs=1e-12)
+    assert [splits_cluster(b, K) for K in range(5)] == [False, False, True, True, False]
+
+
+def test_splits_cluster_ignores_magnitude_ties_and_zero_cluster(rng):
+    b = eigendecompose(TWO_SPIN)  # +/-0.5 tie only in |lam|
+    assert not splits_cluster(b, 1)
+    b = eigendecompose(IsingModel(np.zeros((3, 3))))
+    assert not any(splits_cluster(b, K) for K in range(4))
+    b = eigendecompose(random_symmetric_model(10, rng))
+    assert not any(splits_cluster(b, K) for K in range(11))
+    with pytest.raises(ValueError):
+        splits_cluster(b, 11)
 
 
 def test_tail_frobenius_examples():
