@@ -34,6 +34,7 @@ from .optics import (
     analytic_intensity,
     estimate_span,
     field_intensity,
+    frames,
     hrv,
 )
 from .anneal import AnnealTrace, Schedule, anneal, default_schedules, estimate_optimal_probability

@@ -30,7 +30,7 @@ from . import experiments as xp
 from .anneal import DEFAULT_ITERS, Schedule, anneal, dump_trace
 from .graph import GraphError, GraphFormatError, WeightedGraph, density, gen_density, gen_regular, read_graph, write_graph
 from .ising import MatrixFormatError, brute_force_maxcut, from_graph, read_matrix
-from .optics import HrvEvaluator, NoiseModel, estimate_span
+from .optics import HrvEvaluator, NoiseModel
 from .spectral import build_ensemble, dump_bundle, eigendecompose, error_ratio, splits_cluster
 
 EXIT_OK = 0
@@ -214,20 +214,14 @@ def _format_from_path(path: str) -> str:
     return "json" if path.endswith(".json") else "rudy"
 
 
-def _split_flags(bundle, ks) -> dict:
-    """Per K, 1 when keeping K components splits a degenerate eigenvalue cluster."""
-    return {K: int(splits_cluster(bundle, K)) for K in ks}
-
-
-def _schedule(cfg, g, bundle, rate, K_for_span=None) -> Schedule:
-    """Schedule with t0 defaulting to the estimated readout span."""
-    t0 = cfg.get("t0")
+def _schedules(cfg, g, rates, K) -> list[Schedule]:
+    """One schedule per rate; t0 defaults to the K-truncated readout span."""
+    t0 = cfg["t0"]
     if t0 is None:
-        K = K_for_span if K_for_span is not None else g.n
-        ens = build_ensemble(bundle, K)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], xp.LBL_SPAN, K]))
-        t0 = estimate_span(ens, samples=cfg.get("span_samples", 1000), rng=rng)
-    return Schedule(t0=float(t0), rate=rate, iters=cfg["iters"], flip_floor=cfg["flip_floor"])
+        ens = build_ensemble(eigendecompose(from_graph(g)), K)
+        t0 = xp.readout_span(ens, cfg["seed"], cfg["span_samples"])
+    return [Schedule(t0=float(t0), rate=rate, iters=cfg["iters"], flip_floor=cfg["flip_floor"])
+            for rate in rates]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +278,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if not args.noise_level >= 0:
+        raise ValueError("noise level must be non-negative")
     fmt = args.format or _format_from_path(args.graph)
     g = read_graph(args.graph, fmt)
     m = from_graph(g)
@@ -293,8 +289,7 @@ def cmd_solve(args) -> int:
 
     span = None
     if args.t0 is None or args.noise_level > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, xp.LBL_SPAN, K]))
-        span = estimate_span(ens, samples=args.span_samples, rng=rng)
+        span = xp.readout_span(ens, args.seed, args.span_samples)
     noise = (NoiseModel(level=args.noise_level, sigma=args.noise_level * span,
                         span_samples=args.span_samples)
              if args.noise_level > 0 else None)
@@ -376,8 +371,7 @@ def _run_rmse(cfg, out):
 def _run_prob(cfg, out):
     g = _load_instance(cfg)
     ks = cfg["ks"] if cfg["ks"] is not None else list(range(1, g.n + 1))
-    b = eigendecompose(from_graph(g))
-    schedules = [_schedule(cfg, g, b, rate) for rate in cfg["rates"]]
+    schedules = _schedules(cfg, g, cfg["rates"], g.n)
     table = xp.probability_vs_k(g, ks, schedules, cfg["runs"], cfg["seed"], jobs=cfg["jobs"])
 
     rows = [(c.schedule_index, c.rate, c.K, c.runs, c.hits, c.probability,
@@ -396,7 +390,7 @@ def _run_prob(cfg, out):
                "schedules": [{"t0": s.t0, "rate": s.rate, "iters": s.iters,
                               "flip_floor": s.flip_floor} for s in schedules],
                "cells": [vars(c) for c in table.cells],
-               "split_cluster": _split_flags(b, sorted({c.K for c in table.cells}))}
+               "split_cluster": table.split_cluster}
     xp.write_json_summary(json_path, {"study": "prob", **cfg}, results)
     written.append(json_path)
     return written
@@ -405,8 +399,7 @@ def _run_prob(cfg, out):
 def _run_noise(cfg, out):
     g = _load_instance(cfg)
     K = cfg["k"] if cfg["k"] is not None else g.n
-    b = eigendecompose(from_graph(g))
-    schedule = _schedule(cfg, g, b, cfg["rate"], K_for_span=K)
+    (schedule,) = _schedules(cfg, g, [cfg["rate"]], K)
     table = xp.noise_sweep(g, K, cfg["levels"], schedule, cfg["runs"], cfg["seed"],
                            span_samples=cfg["span_samples"], jobs=cfg["jobs"])
     rows = [(c.level, c.sigma, c.K, c.runs, c.hits, c.probability,
@@ -422,7 +415,7 @@ def _run_noise(cfg, out):
                "schedule": {"t0": schedule.t0, "rate": schedule.rate,
                             "iters": schedule.iters, "flip_floor": schedule.flip_floor},
                "cells": [vars(c) for c in table.cells],
-               "split_cluster": _split_flags(b, [K])}
+               "split_cluster": table.split_cluster}
     xp.write_json_summary(json_path, {"study": "noise", **cfg}, results)
     return [csv_path, plot_path, json_path]
 
@@ -430,8 +423,7 @@ def _run_noise(cfg, out):
 def _run_trace(cfg, out):
     g = _load_instance(cfg)
     ks = cfg["ks"] if cfg["ks"] is not None else [g.n]
-    b = eigendecompose(from_graph(g))
-    schedule = _schedule(cfg, g, b, cfg["rate"])
+    (schedule,) = _schedules(cfg, g, [cfg["rate"]], g.n)
     study = xp.anneal_trace_study(g, ks, schedule, cfg["runs"], cfg["seed"])
     written = []
     for K in study.ks:
@@ -448,7 +440,7 @@ def _run_trace(cfg, out):
                "final_hrv_std": study.final_hrv_std,
                "final_cut_mean": study.final_cut_mean,
                "final_cut_std": study.final_cut_std,
-               "split_cluster": _split_flags(b, study.ks)}
+               "split_cluster": study.split_cluster}
     xp.write_json_summary(json_path, {"study": "trace", **cfg}, results)
     written.append(json_path)
     return written

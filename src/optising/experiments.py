@@ -8,7 +8,7 @@ Four studies mirror the evaluation workflow end to end:
 * Max-cut annealing traces averaged over runs for several K.
 * Optimal-solution probability vs K for a set of cooling schedules, with
   Wilson 95% intervals and the K=N reference row.
-* Probability degradation under calibrated Gaussian readout noise.
+* Probability degradation under span-scaled Gaussian readout noise.
 
 Every cell of every study owns an RNG stream derived from (master seed,
 fixed labels, cell coordinates), so reports are pure functions of their
@@ -29,8 +29,8 @@ import numpy as np
 from .anneal import AnnealTrace, Schedule, anneal, estimate_optimal_probability
 from .graph import WeightedGraph, gen_density, gen_regular
 from .ising import IsingModel, brute_force_maxcut, from_graph, random_states
-from .optics import HrvEvaluator, NoiseModel, estimate_span
-from .spectral import build_ensemble, eigendecompose
+from .optics import HrvEvaluator, NoiseModel, estimate_span, frames
+from .spectral import IntensityEnsemble, build_ensemble, eigendecompose, splits_cluster
 
 __all__ = [
     "KMatch",
@@ -41,6 +41,7 @@ __all__ = [
     "NoiseCell",
     "NoiseTable",
     "TraceStudy",
+    "readout_span",
     "rmse_vs_k",
     "rmse_curve_averaged",
     "fit_exponential",
@@ -73,6 +74,16 @@ _Z95 = 1.959963984540054
 def derive_seed(*parts: int) -> int:
     """Collapse (master seed, labels, cell coordinates) into one child seed."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+
+def readout_span(ensemble: IntensityEnsemble, seed: int, samples: int) -> float:
+    """Noiseless readout span of `ensemble` on the (seed, LBL_SPAN, K) stream.
+
+    The default annealing start temperature and the noise sigma
+    (level * span) both come from this one estimate.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_SPAN, ensemble.K]))
+    return estimate_span(ensemble, samples=samples, rng=rng)
 
 
 def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -156,11 +167,8 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
     rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_STATES]))
     X = random_states(n, samples, rng).astype(float)
 
-    b = eigendecompose(m)
-    lam_ord = b.lam[b.order]
-    basis = b.vectors[:, b.order] * np.sqrt(np.abs(lam_ord))  # column k: sqrt|lam|*v
-    signed = ((X @ basis) ** 2) * b.signs[b.order]            # per-component signed frames
-    cum = np.cumsum(signed, axis=1)
+    ens = build_ensemble(eigendecompose(m), n)
+    cum = np.cumsum(frames(ens, X) * ens.g, axis=1)  # column K-1: readout with K frames
 
     ham = -np.einsum("ij,ij->i", X @ m.J, X)
 
@@ -261,6 +269,7 @@ class ProbTable:
     optimum: float
     seed: int
     cells: list[ProbCell] = field(default_factory=list)
+    split_cluster: dict[int, int] = field(default_factory=dict)  # K -> splits_cluster
 
     def cell(self, schedule_index: int, K: int) -> ProbCell:
         for c in self.cells:
@@ -292,7 +301,8 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int,
 
     optimum, _ = brute_force_maxcut(g)
     b = eigendecompose(from_graph(g))
-    table = ProbTable(n=n, optimum=optimum, seed=seed)
+    table = ProbTable(n=n, optimum=optimum, seed=seed,
+                      split_cluster={K: int(splits_cluster(b, K)) for K in ks})
 
     for si, s in enumerate(schedules):
         for K in ks:
@@ -327,6 +337,7 @@ class NoiseTable:
     optimum: float
     seed: int
     cells: list[NoiseCell] = field(default_factory=list)
+    split_cluster: dict[int, int] = field(default_factory=dict)  # K -> splits_cluster
 
     def by_level(self, level: float) -> NoiseCell:
         for c in self.cells:
@@ -353,10 +364,10 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     b = eigendecompose(from_graph(g))
     ens = build_ensemble(b, K, P=P)
 
-    span_rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_SPAN, K]))
-    span = estimate_span(ens, samples=span_samples, rng=span_rng)
+    span = readout_span(ens, seed, span_samples)
 
-    table = NoiseTable(n=g.n, K=K, span=span, optimum=optimum, seed=seed)
+    table = NoiseTable(n=g.n, K=K, span=span, optimum=optimum, seed=seed,
+                       split_cluster={K: int(splits_cluster(b, K))})
     cell_seed = derive_seed(seed, LBL_PROB, 0, K)
     for lv in levels:
         noise = NoiseModel(level=lv, sigma=lv * span, span_samples=span_samples)
@@ -385,6 +396,7 @@ class TraceStudy:
     final_hrv_std: dict[int, float]
     final_cut_mean: dict[int, float]
     final_cut_std: dict[int, float]
+    split_cluster: dict[int, int]   # K -> splits_cluster
 
 
 def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
@@ -397,7 +409,7 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
 
     study = TraceStudy(n=g.n, runs=runs, seed=seed, ks=ks, mean_hrv={}, mean_cut={},
                        final_hrv_mean={}, final_hrv_std={}, final_cut_mean={},
-                       final_cut_std={})
+                       final_cut_std={}, split_cluster={})
     for K in ks:
         ev = HrvEvaluator(build_ensemble(b, K, P=P))
         base = derive_seed(seed, LBL_TRACE, K)
@@ -416,6 +428,7 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
         study.final_hrv_std[K] = float(np.std(finals_h))
         study.final_cut_mean[K] = float(np.mean(finals_c))
         study.final_cut_std[K] = float(np.std(finals_c))
+        study.split_cluster[K] = int(splits_cluster(b, K))
     return study
 
 

@@ -1,16 +1,21 @@
 """Simulated optical readout of the interference machine.
 
 One frame displays one amplitude pattern xi with the spin phases on top and
-reads the detector center point.  Two backends produce that reading:
+reads the detector center point.  All readouts go through one kernel,
+`frames(ensemble, X, backend)`, which returns the K frame intensities of a
+single state (n,) or of a block of states (..., n).  Two backends produce
+the reading:
 
-* analytic  -- closed form (sum_i xi_i * x_i)^2, exact.
-* field     -- builds the 2D macropixel plane, runs a discrete Fourier
-               transform, and reads the zero-frequency bin; calibrated to
-               match the analytic value.
+* analytic  -- closed form (X @ xi^T)^2, exact.
+* field     -- builds every 2D macropixel plane at once, runs one discrete
+               Fourier transform over the last two axes, and reads the
+               zero-frequency bin, rescaled to the analytic value.
 
-Accumulating the K frame intensities with their eigenvalue signs gives the
-Hamiltonian surrogate for the current spin state; detector noise is one
-Gaussian perturbation of that accumulated value.
+Accumulating the K frame intensities with their eigenvalue signs,
+`frames(...) @ g`, gives the Hamiltonian surrogate (`hrv`); detector noise
+is one Gaussian perturbation of that accumulated value, with sigma a fixed
+fraction of the readout span (`estimate_span`).  `analytic_intensity` and
+`field_intensity` compute one frame of one state and serve as references.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ __all__ = [
     "HrvEvaluator",
     "analytic_intensity",
     "field_intensity",
+    "frames",
     "hrv",
     "estimate_span",
-    "frame_trace",
 ]
 
 
@@ -72,7 +77,7 @@ class MacropixelConfig:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gaussian detector noise, calibrated as a fraction of the readout span."""
+    """Gaussian detector noise with sigma = level * readout span."""
 
     level: float
     sigma: float
@@ -83,18 +88,6 @@ class NoiseModel:
             raise ValueError("noise level and sigma must be non-negative")
         if self.level == 0 and self.sigma != 0:
             raise ValueError("level 0 requires sigma 0")
-
-    @classmethod
-    def calibrate(cls, ensemble: IntensityEnsemble, level: float, samples: int = 1000,
-                  rng: np.random.Generator | None = None, backend: str = "analytic",
-                  cfg: MacropixelConfig | None = None) -> "NoiseModel":
-        """sigma = level * (max - min of noiseless readouts over random states)."""
-        if level == 0:
-            return cls(level=0.0, sigma=0.0, span_samples=0)
-        if rng is None:
-            raise ValueError("calibration with level > 0 needs an rng")
-        span = estimate_span(ensemble, backend=backend, samples=samples, rng=rng, cfg=cfg)
-        return cls(level=float(level), sigma=float(level) * span, span_samples=samples)
 
 
 def analytic_intensity(xi, x) -> float:
@@ -136,73 +129,66 @@ def field_intensity(xi, x, cfg: MacropixelConfig) -> float:
     return float(np.abs(center) ** 2) / float(b * b) ** 2
 
 
-def _frame_intensities(ensemble: IntensityEnsemble, x, backend: str,
-                       cfg: MacropixelConfig | None) -> np.ndarray:
+def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic",
+           cfg: MacropixelConfig | None = None) -> np.ndarray:
+    """Frame intensities of one state (n,) or a block of states (..., n).
+
+    Returns shape (..., K): entry k is the center-point reading of frame k.
+    The readout of a state is `frames(...) @ ensemble.g`.
+    """
+    X = np.asarray(X, dtype=float)
     if backend == "analytic":
-        x = np.asarray(x, dtype=float)
-        if x.size != ensemble.n:
-            raise ValueError(f"state length {x.size} does not match n={ensemble.n}")
-        return (ensemble.xi @ x) ** 2
+        # matmul itself raises ValueError unless the last axis has length n,
+        # so the per-state annealing path pays for no separate check
+        return (X @ ensemble.xi.T) ** 2
     if backend == "field":
+        if X.shape[-1:] != (ensemble.n,):
+            raise ValueError(f"state shape {X.shape} does not end in n={ensemble.n}")
         if cfg is None:
             cfg = MacropixelConfig.for_spins(ensemble.n)
-        return np.array([field_intensity(row, x, cfg) for row in ensemble.xi])
+        if cfg.capacity < ensemble.n:
+            raise ValueError(f"layout holds {cfg.capacity} spins, need {ensemble.n}")
+        # One macropixel plane per (state, frame); spins fill the grid row-major.
+        amp = ensemble.xi * X[..., None, :]
+        grid = np.zeros(amp.shape[:-1] + (cfg.capacity,), dtype=complex)
+        grid[..., :ensemble.n] = amp
+        grid = grid.reshape(amp.shape[:-1] + (cfg.grid_rows, cfg.grid_cols))
+        b = cfg.block
+        plane = np.zeros(amp.shape[:-1] + (cfg.pad, cfg.pad), dtype=complex)
+        plane[..., :cfg.grid_rows * b, :cfg.grid_cols * b] = np.repeat(
+            np.repeat(grid, b, axis=-2), b, axis=-1)
+        center = np.fft.fft2(plane)[..., 0, 0]
+        return np.abs(center) ** 2 / float(b * b) ** 2
     raise ValueError(f"unknown backend {backend!r}")
 
 
 def hrv(ensemble: IntensityEnsemble, x, backend: str = "analytic",
         noise: NoiseModel | None = None, rng: np.random.Generator | None = None,
-        cfg: MacropixelConfig | None = None, noise_per_frame: bool = False) -> float:
+        cfg: MacropixelConfig | None = None) -> float:
     """Signed accumulation of the K frame intensities for one spin state.
 
     Frames are summed in component order.  With a noise model, one Gaussian
-    draw of std sigma perturbs the accumulated value (noise_per_frame=True
-    instead perturbs every frame; kept only for comparison studies).  A zero
-    noise level draws nothing, so results match the noiseless call.
+    draw of std sigma perturbs the accumulated value.  A zero noise level
+    draws nothing, so results match the noiseless call.
     """
-    intensities = _frame_intensities(ensemble, x, backend, cfg)
-    if noise is not None and noise.sigma > 0 and noise_per_frame:
-        if rng is None:
-            raise ValueError("noisy evaluation needs an rng")
-        intensities = intensities + rng.normal(0.0, noise.sigma, size=intensities.size)
-    value = float(ensemble.g @ intensities)
-    if noise is not None and noise.sigma > 0 and not noise_per_frame:
+    value = float(frames(ensemble, x, backend, cfg) @ ensemble.g)
+    if noise is not None and noise.sigma > 0:
         if rng is None:
             raise ValueError("noisy evaluation needs an rng")
         value += float(rng.normal(0.0, noise.sigma))
     return value
 
 
-def estimate_span(ensemble: IntensityEnsemble, backend: str = "analytic",
-                  samples: int = 1000, rng: np.random.Generator | None = None,
-                  cfg: MacropixelConfig | None = None) -> float:
+def estimate_span(ensemble: IntensityEnsemble, samples: int = 1000,
+                  rng: np.random.Generator | None = None) -> float:
     """max - min of the noiseless readout over `samples` uniform random states."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if rng is None:
         raise ValueError("span estimation needs an rng")
     states = rng.integers(0, 2, size=(samples, ensemble.n)) * 2 - 1
-    if backend == "analytic":
-        vals = ((states.astype(float) @ ensemble.xi.T) ** 2) @ ensemble.g
-    else:
-        vals = np.array([hrv(ensemble, s, backend=backend, cfg=cfg) for s in states])
+    vals = frames(ensemble, states) @ ensemble.g
     return float(np.max(vals) - np.min(vals))
-
-
-def frame_trace(ensemble: IntensityEnsemble, x, backend: str = "analytic",
-                cfg: MacropixelConfig | None = None):
-    """Per-frame debug records (frame index, sign, intensity)."""
-    intensities = _frame_intensities(ensemble, x, backend, cfg)
-    return [(k, int(ensemble.g[k]), float(intensities[k])) for k in range(ensemble.K)]
-
-
-def dump_frame_trace(ensemble: IntensityEnsemble, x, path, backend: str = "analytic",
-                     cfg: MacropixelConfig | None = None) -> None:
-    """CSV dump of the per-frame accumulation: frame, sign, intensity."""
-    with open(path, "w") as fh:
-        fh.write("frame,sign,intensity\n")
-        for k, g, i in frame_trace(ensemble, x, backend=backend, cfg=cfg):
-            fh.write(f"{k},{g},{i!r}\n")
 
 
 @dataclass(frozen=True)
@@ -213,7 +199,6 @@ class HrvEvaluator:
     backend: str = "analytic"
     noise: NoiseModel | None = None
     cfg: MacropixelConfig | None = None
-    noise_per_frame: bool = False
 
     @property
     def n(self) -> int:
@@ -225,4 +210,4 @@ class HrvEvaluator:
 
     def evaluate(self, x, rng: np.random.Generator | None = None) -> float:
         return hrv(self.ensemble, x, backend=self.backend, noise=self.noise,
-                   rng=rng, cfg=self.cfg, noise_per_frame=self.noise_per_frame)
+                   rng=rng, cfg=self.cfg)

@@ -153,6 +153,16 @@ def test_solve_oracle_guard_on_large_n(tmp_path):
     assert run(["solve", "--graph", gpath, "--iters", 10, "--oracle"]) == EXIT_GUARD
 
 
+@pytest.mark.parametrize("level", ["-0.5", "nan"])
+def test_solve_rejects_negative_noise_level(tmp_path, capsys, level):
+    gpath = tmp_path / "edge.rud"
+    gpath.write_text("2 1\n1 2 1.0\n")
+    assert run(["solve", "--graph", gpath, "--iters", 10, "--noise-level", level]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "noise level must be non-negative" in captured.err
+
+
 def test_solve_trace_out(tmp_path):
     gpath = tmp_path / "edge.rud"
     gpath.write_text("2 1\n1 2 1.0\n")

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_symmetric_model
 from optising.anneal import Schedule, anneal
 from optising.experiments import (
+    LBL_STATES,
     LBL_TRACE,
     anneal_trace_study,
     config_hash,
@@ -21,7 +22,7 @@ from optising.experiments import (
     write_json_summary,
 )
 from optising.graph import gen_regular
-from optising.ising import from_graph
+from optising.ising import from_graph, hamiltonian, random_states
 from optising.optics import HrvEvaluator, hrv
 from optising.spectral import build_ensemble, eigendecompose
 
@@ -88,24 +89,25 @@ def test_rmse_vs_k_shared_states_across_k(rng):
 
 
 def test_rmse_vs_k_matches_direct_readout(rng):
-    # cross-check the vectorized accumulation against the frame-level path
+    # the study's batched cumulative readout against the per-state path, on
+    # the states it sampled (rebuilt from the same stream)
     m = random_symmetric_model(6, rng)
     b = eigendecompose(m)
-    rep = rmse_vs_k(m, ks=[3], samples=50, seed=13)
-    rec = rep.by_k(3)
-    ens = build_ensemble(b, 3)
-    # reconstruct the sampled states from the readout/ham pair is not
-    # possible; instead verify rmse against a fresh evaluation over the
-    # stored scatter: readout column must be internally consistent
-    resid = (-rec.hrv) - rec.ham
-    assert rec.rmse == pytest.approx(float(np.sqrt(np.mean(resid ** 2))), rel=1e-12)
+    rep = rmse_vs_k(m, ks=[1, 3, 6], samples=50, seed=13)
+    X = random_states(6, 50, np.random.default_rng(np.random.SeedSequence([13, LBL_STATES])))
+    for rec in rep.records:
+        ens = build_ensemble(b, rec.K)
+        for i, x in enumerate(X):
+            assert abs(rec.hrv[i] - hrv(ens, x)) <= 1e-12 * rec.span
+            assert rec.ham[i] == pytest.approx(hamiltonian(m, x), rel=1e-12, abs=1e-12)
+        resid = (-rec.hrv) - rec.ham
+        assert rec.rmse == pytest.approx(float(np.sqrt(np.mean(resid ** 2))), rel=1e-12)
     # and spot-check one state by hand
     x = np.ones(6)
-    direct = hrv(ens, x)
     lam = b.lam[b.order[:3]]
     vec = b.vectors[:, b.order[:3]]
     manual = float(sum(l * (v @ x) ** 2 for l, v in zip(lam, vec.T)))
-    assert direct == pytest.approx(manual, rel=1e-9)
+    assert hrv(build_ensemble(b, 3), x) == pytest.approx(manual, rel=1e-9)
 
 
 def test_rmse_vs_k_validation(rng):
