@@ -3,38 +3,64 @@
 Energy is minus the accumulated readout, so larger readouts win.  The move
 size is coupled to temperature: a move flips max(flip_floor, round(n*T/t0))
 distinct spins, which decays from whole-state shakes at the start to
-single-spin refinement near the freeze.  Runs are Markov chains driven by
-two RNG streams split from the run seed (moves, detector noise), so a run
-is reproducible bit-for-bit and noise draws never disturb move selection.
+single-spin refinement near the freeze.
+
+One engine, `anneal`, steps every run of a batch in lock-step.  The flip
+count of an iteration comes from the schedule, so it is the same for every
+run; each iteration reads out the whole (R, n) block of candidate states
+with one `optics.frames` call and takes one vectorised Metropolis step.
+Callers that need many runs pass their seeds through `anneal_chunks`, which
+steps at most RUN_CHUNK runs at a time, so memory stays bounded whatever
+the run count.
+
+RNG contract (v2).  `SeedSequence(seed_r).spawn(3)` gives run r three
+streams:
+
+* moves: the start state, then one key per spin and iteration; iteration k
+  flips the `flip_counts[k]` spins with the smallest keys;
+* Metropolis: one uniform per iteration, recorded where the proposal was
+  uphill;
+* noise: one Gaussian per readout, the start state's first, drawn only when
+  the evaluator has a positive noise sigma.
+
+Every stream is drawn in fixed blocks of BLOCK iterations whether or not a
+draw is used, so run r depends only on seed_r, never on how many runs share
+its batch or on its position there.  A batched readout is one matrix
+product, whose rounding may differ from a single run's in the last bits;
+states, flips and acceptance decisions are the same.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import WeightedGraph
 from .ising import brute_force_maxcut, random_state
-from .optics import HrvEvaluator
+from .optics import HrvEvaluator, frames
 
 __all__ = [
     "Schedule",
     "AnnealTrace",
     "anneal",
+    "anneal_chunks",
+    "optimal_hits",
     "estimate_optimal_probability",
     "default_schedules",
     "dump_trace",
     "DEFAULT_RATES",
     "DEFAULT_ITERS",
     "CUT_MATCH_TOL",
+    "BLOCK",
+    "RUN_CHUNK",
 ]
 
 DEFAULT_RATES = (0.99, 0.995, 0.999)
 DEFAULT_ITERS = 3000
 CUT_MATCH_TOL = 1e-9
+BLOCK = 64       # iterations per RNG draw; part of the RNG contract
+RUN_CHUNK = 64   # most runs `anneal_chunks` steps together
 _EXP_ARG_MAX = 700.0
 
 
@@ -71,10 +97,14 @@ def default_schedules(t0: float, iters: int = DEFAULT_ITERS) -> list[Schedule]:
 
 @dataclass
 class AnnealTrace:
-    """Per-iteration history of one run plus the final state summary.
+    """Per-iteration history of one run, or of R runs, plus the final states.
 
-    `uniform` holds the Metropolis draw for uphill proposals and NaN where
-    no draw happened, so acceptance decisions can be audited after the fact.
+    `temperature` and `flips` follow the schedule and are shared by every
+    run.  For one run the histories have shape (iters,), `final_state` (n,)
+    and `final_hrv`/`final_cut` are floats; for R runs every one of them
+    gains a leading run axis.  `uniform` holds the Metropolis draw for
+    uphill proposals and NaN where the proposal was not uphill, so
+    acceptance decisions can be audited after the fact.
     """
 
     temperature: np.ndarray
@@ -85,62 +115,107 @@ class AnnealTrace:
     delta_e: np.ndarray
     uniform: np.ndarray
     final_state: np.ndarray
-    final_hrv: float
-    final_cut: float
+    final_hrv: float | np.ndarray
+    final_cut: float | np.ndarray
 
     @property
     def iters(self) -> int:
-        return self.hrv.size
+        return self.hrv.shape[-1]
 
 
-def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed: int) -> AnnealTrace:
-    """One annealing run from a uniform random start; deterministic per seed."""
+def _flip_signs(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """+-1 factors of shape keys.shape (B, R, n): at iteration b, every run
+    flips the m[b] spins with the smallest keys."""
+    R = keys.shape[1]
+    flip = np.zeros(keys.shape, dtype=bool)
+    # single-spin moves, most of a cool schedule, need no sort
+    one = np.flatnonzero(m == 1)
+    flip[one[:, None], np.arange(R), keys[one].argmin(axis=-1)] = True
+    many = m > 1
+    flip[many] = keys[many].argsort(axis=-1).argsort(axis=-1) < m[many, None, None]
+    return np.where(flip, -1.0, 1.0)
+
+
+def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> AnnealTrace:
+    """Anneal from uniform random starts, every run stepped in lock-step.
+
+    `seed` is one int, giving one run with 1-D histories, or a sequence of
+    R ints, giving R runs whose arrays gain a leading run axis.  Run r is
+    the same whatever the other seeds are (RNG contract v2).
+    """
     n = g.n
     if evaluator.n != n:
         raise ValueError(f"evaluator dimension {evaluator.n} does not match graph n={n}")
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    R = len(seeds)
+    streams = [[np.random.default_rng(ss) for ss in np.random.SeedSequence(sd).spawn(3)]
+               for sd in seeds]
+    move_rngs, unif_rngs, noise_rngs = zip(*streams)
 
-    move_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    move_rng = np.random.default_rng(move_ss)
-    noise_rng = np.random.default_rng(noise_ss)
-
+    ens, backend, cfg = evaluator.ensemble, evaluator.backend, evaluator.cfg
+    sigma = evaluator.noise.sigma if evaluator.noise is not None else 0.0
     temps = s.temperatures()
     flip_counts = s.flip_counts(n)
     eu, ev, ew = g.edge_arrays()
     half_total = g.total_weight() / 2.0
 
-    x = random_state(n, move_rng).astype(float)
-    cur_hrv = evaluator.evaluate(x, noise_rng)
+    x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
+    cur = frames(ens, x, backend, cfg) @ ens.g
+    if sigma > 0:
+        cur += [rng.normal(0.0, sigma) for rng in noise_rngs]
 
-    hrv_hist = np.empty(s.iters)
-    cut_hist = np.empty(s.iters)
-    accepted = np.zeros(s.iters, dtype=bool)
-    delta_e = np.empty(s.iters)
-    uniform = np.full(s.iters, np.nan)
+    # histories are filled iteration-major, (iters, R), and transposed at the end
+    hrv_hist = np.empty((s.iters, R))
+    cut_hist = np.empty((s.iters, R))
+    accepted = np.empty((s.iters, R), dtype=bool)
+    delta_e = np.empty((s.iters, R))
+    uniform = np.empty((s.iters, R))
+    states = np.empty((BLOCK, R, n))
+    arg = np.zeros(R)
 
-    for k in range(s.iters):
-        t = temps[k]
-        m = flip_counts[k]
-        idx = move_rng.choice(n, size=m, replace=False)
-        x[idx] = -x[idx]
-        cand_hrv = evaluator.evaluate(x, noise_rng)
-        d_e = cur_hrv - cand_hrv  # energy = -readout
-        if d_e <= 0.0:
-            ok = True
-        else:
-            u = move_rng.random()
-            uniform[k] = u
-            # guard keeps exp() in range and avoids dividing by an
-            # underflowed temperature
-            ok = d_e <= _EXP_ARG_MAX * t and u < math.exp(-d_e / t)
-        if ok:
-            cur_hrv = cand_hrv
-            accepted[k] = True
-        else:
-            x[idx] = -x[idx]
-        delta_e[k] = d_e
-        hrv_hist[k] = cur_hrv
-        cut_hist[k] = half_total - float(ew @ (x[eu] * x[ev])) / 2.0 if ew.size else 0.0
+    for b0 in range(0, s.iters, BLOCK):
+        nb = min(BLOCK, s.iters - b0)
+        keys = np.stack([rng.random((BLOCK, n)) for rng in move_rngs], axis=1)[:nb]
+        u = np.stack([rng.random(BLOCK) for rng in unif_rngs], axis=1)[:nb]
+        z = (np.stack([rng.normal(0.0, sigma, BLOCK) for rng in noise_rngs], axis=1)
+             if sigma > 0 else None)
+        signs = _flip_signs(keys, flip_counts[b0:b0 + nb])
+        for j in range(nb):
+            k = b0 + j
+            t = temps[k]
+            cand = x * signs[j]
+            cand_hrv = frames(ens, cand, backend, cfg) @ ens.g
+            if z is not None:
+                cand_hrv += z[j]
+            d_e = cur - cand_hrv  # energy = -readout
+            ok = d_e <= 0.0
+            # Uphill moves within the bound get a Metropolis test.  The bound
+            # keeps exp() in range and never divides by an underflowed
+            # temperature; `arg` keeps values in [-bound, 0] elsewhere.
+            trial = ~ok & (d_e <= _EXP_ARG_MAX * t)
+            np.divide(d_e, -t, out=arg, where=trial)
+            np.less(u[j], np.exp(arg), out=ok, where=trial)
+            np.copyto(x, cand, where=ok[:, None])
+            np.copyto(cur, cand_hrv, where=ok)
+            accepted[k] = ok
+            delta_e[k] = d_e
+            hrv_hist[k] = cur
+            states[j] = x
+        blk = slice(b0, b0 + nb)
+        uniform[blk] = np.where(delta_e[blk] > 0.0, u, np.nan)
+        xs = states[:nb]
+        cut_hist[blk] = (half_total - (xs[..., eu] * xs[..., ev]) @ ew / 2.0
+                         if ew.size else 0.0)
 
+    hist = [a.T.copy() for a in (hrv_hist, cut_hist, accepted, delta_e, uniform)]
+    final_state = x.astype(np.int8)
+    if single:
+        hist = [a[0] for a in hist]
+        final_state = final_state[0]
+    hrv_hist, cut_hist, accepted, delta_e, uniform = hist
     return AnnealTrace(
         temperature=temps,
         flips=flip_counts,
@@ -149,14 +224,28 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed: int) ->
         accepted=accepted,
         delta_e=delta_e,
         uniform=uniform,
-        final_state=x.astype(np.int8),
-        final_hrv=float(cur_hrv),
-        final_cut=float(cut_hist[-1]),
+        final_state=final_state,
+        final_hrv=float(cur[0]) if single else cur,
+        final_cut=float(cut_hist[-1]) if single else cut_hist[:, -1].copy(),
     )
 
 
+def anneal_chunks(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seeds):
+    """Yield the batched trace of `seeds`, RUN_CHUNK runs per `anneal` call."""
+    seeds = list(seeds)
+    for i in range(0, len(seeds), RUN_CHUNK):
+        yield anneal(evaluator, g, s, seeds[i:i + RUN_CHUNK])
+
+
+def optimal_hits(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seeds,
+                 optimum: float) -> int:
+    """Number of runs, one per seed, whose final cut is `optimum`."""
+    return sum(int(np.count_nonzero(np.abs(tr.final_cut - optimum) <= CUT_MATCH_TOL))
+               for tr in anneal_chunks(evaluator, g, s, seeds))
+
+
 def dump_trace(trace: AnnealTrace, path) -> None:
-    """CSV dump: iter, temperature, flips, hrv, cut, accepted."""
+    """CSV dump of a one-run trace: iter, temperature, flips, hrv, cut, accepted."""
     with open(path, "w") as fh:
         fh.write("iter,temperature,flips,hrv,cut,accepted\n")
         for k in range(trace.iters):
@@ -165,37 +254,16 @@ def dump_trace(trace: AnnealTrace, path) -> None:
                      f"{int(trace.accepted[k])}\n")
 
 
-def _final_cut(args):
-    evaluator, g, s, seed = args
-    return anneal(evaluator, g, s, seed).final_cut
-
-
-def estimate_optimal_probability(evaluator_factory, g: WeightedGraph, s: Schedule,
+def estimate_optimal_probability(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule,
                                  runs: int, master_seed: int,
-                                 optimum: float | None = None,
-                                 jobs: int = 1) -> float:
+                                 optimum: float | None = None) -> float:
     """Fraction of independent runs whose final cut hits the brute-force optimum.
 
-    Run r uses seed master_seed + r.  `evaluator_factory` may be a zero-arg
-    callable (invoked once per run) or an evaluator instance.  Passing a
-    precomputed `optimum` skips the enumeration; results are independent of
-    `jobs` because every run owns its seed.
+    Run r uses seed master_seed + r.  Passing a precomputed `optimum` skips
+    the enumeration.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if optimum is None:
         optimum, _ = brute_force_maxcut(g)
-
-    tasks = []
-    for r in range(runs):
-        ev = evaluator_factory() if callable(evaluator_factory) else evaluator_factory
-        tasks.append((ev, g, s, master_seed + r))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            finals = list(pool.map(_final_cut, tasks, chunksize=max(1, runs // (4 * jobs))))
-    else:
-        finals = [_final_cut(t) for t in tasks]
-
-    hits = sum(1 for c in finals if abs(c - optimum) <= CUT_MATCH_TOL)
-    return hits / runs
+    return optimal_hits(evaluator, g, s, range(master_seed, master_seed + runs), optimum) / runs

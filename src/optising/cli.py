@@ -107,7 +107,6 @@ def _parse_float_list(s):
 
 _COMMON_SCHEMA = {
     "seed": (_parse_int, 0),
-    "jobs": (_parse_int, 1),
     "n": (_parse_int, 20),
     "degree": (_parse_int, None),
     "density": (_parse_float, None),
@@ -315,7 +314,7 @@ def cmd_solve(args) -> int:
 
 
 def _experiment_overrides(args) -> dict:
-    keys = ("seed", "jobs", "n", "degree", "density", "wlow", "whigh", "instance",
+    keys = ("seed", "n", "degree", "density", "wlow", "whigh", "instance",
             "instance_format", "ks", "samples", "graph_seeds", "rates", "iters",
             "runs", "flip_floor", "t0", "span_samples", "k", "levels", "rate")
     return {k: getattr(args, k, None) for k in keys}
@@ -372,7 +371,7 @@ def _run_prob(cfg, out):
     g = _load_instance(cfg)
     ks = cfg["ks"] if cfg["ks"] is not None else list(range(1, g.n + 1))
     schedules = _schedules(cfg, g, cfg["rates"], g.n)
-    table = xp.probability_vs_k(g, ks, schedules, cfg["runs"], cfg["seed"], jobs=cfg["jobs"])
+    table = xp.probability_vs_k(g, ks, schedules, cfg["runs"], cfg["seed"])
 
     rows = [(c.schedule_index, c.rate, c.K, c.runs, c.hits, c.probability,
              c.wilson_low, c.wilson_high, c.is_reference) for c in table.cells]
@@ -401,7 +400,7 @@ def _run_noise(cfg, out):
     K = cfg["k"] if cfg["k"] is not None else g.n
     (schedule,) = _schedules(cfg, g, [cfg["rate"]], K)
     table = xp.noise_sweep(g, K, cfg["levels"], schedule, cfg["runs"], cfg["seed"],
-                           span_samples=cfg["span_samples"], jobs=cfg["jobs"])
+                           span_samples=cfg["span_samples"])
     rows = [(c.level, c.sigma, c.K, c.runs, c.hits, c.probability,
              c.wilson_low, c.wilson_high) for c in table.cells]
     csv_path = os.path.join(out, "noise.csv")
@@ -496,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", default="reports")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--degree", type=int)
     p.add_argument("--density", type=float)

@@ -11,10 +11,11 @@ Four studies mirror the evaluation workflow end to end:
 * Probability degradation under span-scaled Gaussian readout noise.
 
 Every cell of every study owns an RNG stream derived from (master seed,
-fixed labels, cell coordinates), so reports are pure functions of their
-inputs and parallel execution cannot change them.  The noise study reuses
-the probability study's per-cell seeds, which makes its level-0 column
-reproduce the noiseless probabilities bit for bit.
+fixed labels, cell coordinates), and every annealing run owns its seed, so
+reports are pure functions of their inputs whatever number of runs the
+engine steps together.  The noise study reuses the probability study's
+per-cell seeds, which makes its level-0 column reproduce the noiseless
+probabilities bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anneal import AnnealTrace, Schedule, anneal, estimate_optimal_probability
+from .anneal import Schedule, anneal_chunks, optimal_hits
 from .graph import WeightedGraph, gen_density, gen_regular
 from .ising import IsingModel, brute_force_maxcut, from_graph, random_states
 from .optics import HrvEvaluator, NoiseModel, estimate_span, frames
@@ -278,15 +279,8 @@ class ProbTable:
         raise KeyError(f"no cell for schedule {schedule_index}, K={K}")
 
 
-def _cell_probability(evaluator, g, s, runs, cell_seed, optimum, jobs):
-    p = estimate_optimal_probability(evaluator, g, s, runs, cell_seed,
-                                     optimum=optimum, jobs=jobs)
-    return int(round(p * runs))
-
-
 def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int,
-                     P: float = 1.0, jobs: int = 1,
-                     include_reference: bool = True) -> ProbTable:
+                     P: float = 1.0, include_reference: bool = True) -> ProbTable:
     """Optimal-solution probability per (schedule, K) cell with Wilson bands.
 
     The K=N reference row is appended when absent so every schedule carries
@@ -308,7 +302,7 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int,
         for K in ks:
             ev = HrvEvaluator(build_ensemble(b, K, P=P))
             cell_seed = derive_seed(seed, LBL_PROB, si, K)
-            hits = _cell_probability(ev, g, s, runs, cell_seed, optimum, jobs)
+            hits = optimal_hits(ev, g, s, range(cell_seed, cell_seed + runs), optimum)
             lo, hi = wilson_interval(hits, runs)
             table.cells.append(ProbCell(schedule_index=si, rate=s.rate, K=K, runs=runs,
                                         hits=hits, probability=hits / runs,
@@ -347,8 +341,7 @@ class NoiseTable:
 
 
 def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
-                seed: int, span_samples: int = 1000, P: float = 1.0,
-                jobs: int = 1) -> NoiseTable:
+                seed: int, span_samples: int = 1000, P: float = 1.0) -> NoiseTable:
     """Optimal-solution probability vs readout noise at a fixed truncation K.
 
     Noise sigma is level * span, with the span estimated once from the
@@ -357,7 +350,7 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     probability exactly.
     """
     levels = [float(lv) for lv in levels]
-    if any(lv < 0 for lv in levels):
+    if any(not lv >= 0 for lv in levels):
         raise ValueError("noise levels must be non-negative")
 
     optimum, _ = brute_force_maxcut(g)
@@ -372,7 +365,7 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     for lv in levels:
         noise = NoiseModel(level=lv, sigma=lv * span, span_samples=span_samples)
         ev = HrvEvaluator(ens, noise=noise)
-        hits = _cell_probability(ev, g, schedule, runs, cell_seed, optimum, jobs)
+        hits = optimal_hits(ev, g, schedule, range(cell_seed, cell_seed + runs), optimum)
         lo, hi = wilson_interval(hits, runs)
         table.cells.append(NoiseCell(level=lv, sigma=noise.sigma, K=K, runs=runs,
                                      hits=hits, probability=hits / runs,
@@ -416,12 +409,13 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
         hrv_sum = np.zeros(schedule.iters)
         cut_sum = np.zeros(schedule.iters)
         finals_h, finals_c = [], []
-        for r in range(runs):
-            trace: AnnealTrace = anneal(ev, g, schedule, base + r)
-            hrv_sum += trace.hrv
-            cut_sum += trace.cut
+        for trace in anneal_chunks(ev, g, schedule, range(base, base + runs)):
+            hrv_sum += trace.hrv.sum(axis=0)
+            cut_sum += trace.cut.sum(axis=0)
             finals_h.append(trace.final_hrv)
             finals_c.append(trace.final_cut)
+        finals_h = np.concatenate(finals_h)
+        finals_c = np.concatenate(finals_c)
         study.mean_hrv[K] = hrv_sum / runs
         study.mean_cut[K] = cut_sum / runs
         study.final_hrv_mean[K] = float(np.mean(finals_h))

@@ -84,7 +84,7 @@ class NoiseModel:
     span_samples: int = 0
 
     def __post_init__(self):
-        if self.level < 0 or self.sigma < 0:
+        if not (self.level >= 0 and self.sigma >= 0):
             raise ValueError("noise level and sigma must be non-negative")
         if self.level == 0 and self.sigma != 0:
             raise ValueError("level 0 requires sigma 0")

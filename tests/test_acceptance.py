@@ -37,8 +37,6 @@ from optising.optics import MacropixelConfig, analytic_intensity, estimate_span,
 from optising.spectral import build_ensemble, eigendecompose, error_ratio, tail_frobenius
 from optising.experiments import LBL_SPAN
 
-JOBS = 2 if (os.cpu_count() or 1) >= 2 else 1
-
 
 def report(num, ok, detail):
     print(f"\n[acceptance {num}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -149,7 +147,7 @@ def test_criterion_5_exponential_decay_and_collapse():
 def test_criterion_6_probability_plateau_full(instance):
     g, optimum, bf_seconds, schedule = instance
     ks = [2, 3, 4, 5] + list(range(13, 21))
-    table = probability_vs_k(g, ks, [schedule], runs=200, seed=0, jobs=JOBS)
+    table = probability_vs_k(g, ks, [schedule], runs=200, seed=0)
     ref = table.cell(0, 20)
     plateau_ok = True
     for K in range(13, 21):
@@ -169,7 +167,7 @@ def test_criterion_6_probability_plateau_full(instance):
 def test_criterion_6_smoke_variant(instance):
     g, optimum, _, schedule = instance
     t = time.perf_counter()
-    table = probability_vs_k(g, [2, 5, 13, 20], [schedule], runs=50, seed=0, jobs=JOBS)
+    table = probability_vs_k(g, [2, 5, 13, 20], [schedule], runs=50, seed=0)
     elapsed = time.perf_counter() - t
     ref = table.cell(0, 20)
     c13 = table.cell(0, 13)
@@ -183,7 +181,7 @@ def test_criterion_6_smoke_variant(instance):
 def test_criterion_7_noise_degradation(instance):
     g, optimum, _, schedule = instance
     table = noise_sweep(g, K=20, levels=[0.0, 0.01, 0.05], schedule=schedule,
-                        runs=200, seed=0, span_samples=1000, jobs=JOBS)
+                        runs=200, seed=0, span_samples=1000)
     p0 = table.by_level(0.0).probability
     p1 = table.by_level(0.01).probability
     p5 = table.by_level(0.05).probability

@@ -5,22 +5,46 @@ import pytest
 
 from optising.anneal import (
     CUT_MATCH_TOL,
+    RUN_CHUNK,
     Schedule,
     anneal,
+    anneal_chunks,
     default_schedules,
     dump_trace,
     estimate_optimal_probability,
+    optimal_hits,
 )
 from optising.graph import WeightedGraph, gen_regular
 from optising.ising import brute_force_maxcut, cut_value, from_graph
-from optising.optics import HrvEvaluator, NoiseModel
+from optising.optics import HrvEvaluator, NoiseModel, estimate_span
 from optising.spectral import build_ensemble, eigendecompose
 
 
-def make_evaluator(g, K=None, noise=None):
+def make_evaluator(g, K=None, noise=None, backend="analytic"):
     b = eigendecompose(from_graph(g))
     ens = build_ensemble(b, K if K is not None else g.n)
-    return HrvEvaluator(ens, noise=noise)
+    return HrvEvaluator(ens, backend=backend, noise=noise)
+
+
+def assert_rows_match_single_runs(ev, g, s, seeds, traces):
+    """Row r of the batched traces is the run anneal(ev, g, s, seeds[r]).
+
+    Moves, decisions and draws match bit for bit; readouts (and so cuts and
+    energy steps) only to rounding, since a block readout is one matrix
+    product and a single readout another.
+    """
+    tol = 1e-12 * estimate_span(ev.ensemble, samples=200, rng=np.random.default_rng(0))
+    rows = [(tr, r) for tr in traces for r in range(tr.final_state.shape[0])]
+    assert len(rows) == len(seeds)
+    for (tr, r), seed in zip(rows, seeds):
+        one = anneal(ev, g, s, seed)
+        assert np.array_equal(tr.final_state[r], one.final_state)
+        assert np.array_equal(tr.accepted[r], one.accepted)
+        assert np.array_equal(tr.flips, one.flips)
+        assert np.array_equal(tr.uniform[r], one.uniform, equal_nan=True)
+        for name in ("hrv", "cut", "delta_e"):
+            assert np.max(np.abs(getattr(tr, name)[r] - getattr(one, name))) <= tol, name
+        assert abs(tr.final_cut[r] - one.final_cut) <= tol
 
 
 @pytest.fixture(scope="module")
@@ -185,23 +209,61 @@ def test_estimate_optimal_probability_trivial_edge():
     assert p == 1.0
 
 
-def test_estimate_optimal_probability_factory_and_precomputed(small_graph):
+def test_estimate_optimal_probability_precomputed_optimum(small_graph):
     best, _ = brute_force_maxcut(small_graph)
     s = Schedule(t0=5.0, rate=0.99, iters=300)
-    direct = estimate_optimal_probability(make_evaluator(small_graph), small_graph,
-                                          s, runs=8, master_seed=5)
-    via_factory = estimate_optimal_probability(lambda: make_evaluator(small_graph),
-                                               small_graph, s, runs=8, master_seed=5,
-                                               optimum=best)
-    assert direct == via_factory
-
-
-def test_estimate_optimal_probability_jobs_invariant(small_graph):
-    s = Schedule(t0=5.0, rate=0.99, iters=200)
     ev = make_evaluator(small_graph)
-    p1 = estimate_optimal_probability(ev, small_graph, s, runs=6, master_seed=11, jobs=1)
-    p2 = estimate_optimal_probability(ev, small_graph, s, runs=6, master_seed=11, jobs=2)
-    assert p1 == p2
+    direct = estimate_optimal_probability(ev, small_graph, s, runs=8, master_seed=5)
+    given = estimate_optimal_probability(ev, small_graph, s, runs=8, master_seed=5,
+                                         optimum=best)
+    assert direct == given
+
+
+@pytest.mark.parametrize("K", [3, 13, 20])
+@pytest.mark.parametrize("level", [0.0, 0.02])
+def test_batch_size_invariance(K, level):
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    span = estimate_span(make_evaluator(g, K).ensemble, samples=1000,
+                         rng=np.random.default_rng(1))
+    noise = NoiseModel(level=level, sigma=level * span) if level else None
+    ev = make_evaluator(g, K, noise=noise)
+    s = Schedule(t0=span, rate=0.99, iters=400)
+    seeds = [31, 7, 2 ** 40, 31 + 1, 5]
+    batch = anneal(ev, g, s, seeds)
+    assert batch.hrv.shape == batch.cut.shape == batch.uniform.shape == (5, 400)
+    assert batch.final_state.shape == (5, 20)
+    assert batch.final_hrv.shape == batch.final_cut.shape == (5,)
+    assert np.array_equal(batch.final_hrv, batch.hrv[:, -1])
+    assert_rows_match_single_runs(ev, g, s, seeds, [batch])
+
+
+def test_batch_size_invariance_field_backend(small_graph):
+    ev = make_evaluator(small_graph, 5, backend="field")
+    s = Schedule(t0=5.0, rate=0.97, iters=80)
+    seeds = [4, 9, 12]
+    assert_rows_match_single_runs(ev, small_graph, s, seeds, [anneal(ev, small_graph, s, seeds)])
+
+
+def test_chunked_runs_cross_the_chunk_boundary(small_graph):
+    ev = make_evaluator(small_graph)
+    s = Schedule(t0=5.0, rate=0.9, iters=60)
+    seeds = range(100, 100 + RUN_CHUNK + 2)
+    traces = list(anneal_chunks(ev, small_graph, s, seeds))
+    assert [tr.final_state.shape[0] for tr in traces] == [RUN_CHUNK, 2]
+    assert_rows_match_single_runs(ev, small_graph, s, list(seeds), traces)
+    best, _ = brute_force_maxcut(small_graph)
+    singles = [abs(anneal(ev, small_graph, s, sd).final_cut - best) <= CUT_MATCH_TOL
+               for sd in seeds]
+    hits = optimal_hits(ev, small_graph, s, seeds, best)
+    assert hits == sum(singles)
+    assert 0 < hits < len(singles)  # the check sees both outcomes
+    p = estimate_optimal_probability(ev, small_graph, s, len(singles), 100, optimum=best)
+    assert p == hits / len(singles)
+
+
+def test_anneal_needs_a_seed(small_graph):
+    with pytest.raises(ValueError):
+        anneal(make_evaluator(small_graph), small_graph, Schedule(t0=1.0, rate=0.9, iters=5), [])
 
 
 def test_estimate_optimal_probability_guards(small_graph):

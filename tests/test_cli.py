@@ -232,6 +232,25 @@ def test_experiment_noise_reports(tmp_path):
     assert payload["results"]["span"] > 0
 
 
+def test_experiment_noise_rejects_nan_level(tmp_path, capsys):
+    code = run(["experiment", "noise", "--n", 8, "--degree", 3, "--k", 8,
+                "--levels", "nan,0", "--runs", 4, "--iters", 50, "--out", tmp_path / "noise"])
+    assert code == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "noise levels must be non-negative" in captured.err
+
+
+def test_jobs_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("n = 6\ndegree = 3\njobs = 2\n")
+    assert run(["experiment", "prob", "--config", cfg, "--out", tmp_path / "p"]) == EXIT_PARSE
+    assert "config error: unknown config key 'jobs'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["experiment", "prob", "--n", 6, "--degree", 3, "--jobs", 2])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_experiment_trace_reports(tmp_path):
     out = tmp_path / "trace"
     code = run(["experiment", "trace", "--n", 6, "--degree", 3, "--ks", "3,6",

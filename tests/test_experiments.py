@@ -190,6 +190,8 @@ def test_noise_sweep_validation(small_instance):
     s = Schedule(t0=4.0, rate=0.99, iters=50)
     with pytest.raises(ValueError):
         noise_sweep(small_instance, K=6, levels=[-0.1], schedule=s, runs=2, seed=0)
+    with pytest.raises(ValueError):
+        noise_sweep(small_instance, K=6, levels=[float("nan")], schedule=s, runs=2, seed=0)
 
 
 def test_anneal_trace_study_single_run_equals_anneal(small_instance):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,9 @@ def test_noise_model_validation():
         NoiseModel(level=-0.1, sigma=0.0)
     with pytest.raises(ValueError):
         NoiseModel(level=0.0, sigma=1.0)
+    for level, sigma in [(math.nan, math.nan), (math.nan, 0.0), (0.01, math.nan)]:
+        with pytest.raises(ValueError):
+            NoiseModel(level=level, sigma=sigma)
 
 
 def test_estimate_span_zero_ensemble():
