@@ -30,14 +30,13 @@ from .spectral import (
 from .optics import (
     HrvEvaluator,
     MacropixelConfig,
-    NoiseModel,
     analytic_intensity,
     estimate_span,
     field_intensity,
     frames,
     hrv,
 )
-from .anneal import AnnealTrace, Schedule, anneal, default_schedules, estimate_optimal_probability
+from .anneal import AnnealTrace, Schedule, anneal
 from .experiments import (
     ExpFit,
     MatchReport,

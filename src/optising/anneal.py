@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph
-from .ising import brute_force_maxcut, random_state
+from .ising import random_state
 from .optics import HrvEvaluator, frames
 
 __all__ = [
@@ -46,17 +46,13 @@ __all__ = [
     "anneal",
     "anneal_chunks",
     "optimal_hits",
-    "estimate_optimal_probability",
-    "default_schedules",
     "dump_trace",
-    "DEFAULT_RATES",
     "DEFAULT_ITERS",
     "CUT_MATCH_TOL",
     "BLOCK",
     "RUN_CHUNK",
 ]
 
-DEFAULT_RATES = (0.99, 0.995, 0.999)
 DEFAULT_ITERS = 3000
 CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
@@ -89,10 +85,6 @@ class Schedule:
     def flip_counts(self, n: int) -> np.ndarray:
         m = np.rint(n * self.rate ** np.arange(self.iters)).astype(np.int64)
         return np.clip(m, self.flip_floor, n)
-
-
-def default_schedules(t0: float, iters: int = DEFAULT_ITERS) -> list[Schedule]:
-    return [Schedule(t0=t0, rate=r, iters=iters) for r in DEFAULT_RATES]
 
 
 @dataclass
@@ -155,15 +147,14 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
                for sd in seeds]
     move_rngs, unif_rngs, noise_rngs = zip(*streams)
 
-    ens, backend, cfg = evaluator.ensemble, evaluator.backend, evaluator.cfg
-    sigma = evaluator.noise.sigma if evaluator.noise is not None else 0.0
+    ens, backend, sigma = evaluator.ensemble, evaluator.backend, evaluator.sigma
     temps = s.temperatures()
     flip_counts = s.flip_counts(n)
     eu, ev, ew = g.edge_arrays()
     half_total = g.total_weight() / 2.0
 
     x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
-    cur = frames(ens, x, backend, cfg) @ ens.g
+    cur = frames(ens, x, backend) @ ens.g
     if sigma > 0:
         cur += [rng.normal(0.0, sigma) for rng in noise_rngs]
 
@@ -187,7 +178,7 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
             k = b0 + j
             t = temps[k]
             cand = x * signs[j]
-            cand_hrv = frames(ens, cand, backend, cfg) @ ens.g
+            cand_hrv = frames(ens, cand, backend) @ ens.g
             if z is not None:
                 cand_hrv += z[j]
             d_e = cur - cand_hrv  # energy = -readout
@@ -253,17 +244,3 @@ def dump_trace(trace: AnnealTrace, path) -> None:
                      f"{float(trace.hrv[k])!r},{float(trace.cut[k])!r},"
                      f"{int(trace.accepted[k])}\n")
 
-
-def estimate_optimal_probability(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule,
-                                 runs: int, master_seed: int,
-                                 optimum: float | None = None) -> float:
-    """Fraction of independent runs whose final cut hits the brute-force optimum.
-
-    Run r uses seed master_seed + r.  Passing a precomputed `optimum` skips
-    the enumeration.
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if optimum is None:
-        optimum, _ = brute_force_maxcut(g)
-    return optimal_hits(evaluator, g, s, range(master_seed, master_seed + runs), optimum) / runs

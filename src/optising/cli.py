@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,7 +31,7 @@ from . import experiments as xp
 from .anneal import DEFAULT_ITERS, Schedule, anneal, dump_trace
 from .graph import GraphError, GraphFormatError, WeightedGraph, density, gen_density, gen_regular, read_graph, write_graph
 from .ising import MatrixFormatError, brute_force_maxcut, from_graph, read_matrix
-from .optics import HrvEvaluator, NoiseModel
+from .optics import HrvEvaluator
 from .spectral import build_ensemble, dump_bundle, eigendecompose, error_ratio, splits_cluster
 
 EXIT_OK = 0
@@ -72,18 +73,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_str(s):
-    return s
-
-
 def _parse_int_list(s):
     """Comma list of ints; 'a..b' expands to an inclusive range."""
     if isinstance(s, (list, tuple)):
@@ -106,53 +95,53 @@ def _parse_float_list(s):
 
 
 _COMMON_SCHEMA = {
-    "seed": (_parse_int, 0),
-    "n": (_parse_int, 20),
-    "degree": (_parse_int, None),
-    "density": (_parse_float, None),
-    "wlow": (_parse_float, 0.0),
-    "whigh": (_parse_float, 1.0),
-    "instance": (_parse_str, None),
-    "instance_format": (_parse_str, None),
+    "seed": (int, 0),
+    "n": (int, 20),
+    "degree": (int, None),
+    "density": (float, None),
+    "wlow": (float, 0.0),
+    "whigh": (float, 1.0),
+    "instance": (str, None),
+    "instance_format": (str, None),
 }
 
 _STUDY_SCHEMA = {
     "rmse": {
         **_COMMON_SCHEMA,
         "ks": (_parse_int_list, None),
-        "samples": (_parse_int, 1000),
-        "graph_seeds": (_parse_int, 20),
+        "samples": (int, 1000),
+        "graph_seeds": (int, 20),
     },
     "prob": {
         **_COMMON_SCHEMA,
         "ks": (_parse_int_list, None),
         "rates": (_parse_float_list, [0.99, 0.995, 0.999]),
-        "iters": (_parse_int, DEFAULT_ITERS),
-        "runs": (_parse_int, 200),
-        "flip_floor": (_parse_int, 1),
-        "t0": (_parse_float, None),
-        "span_samples": (_parse_int, 1000),
+        "iters": (int, DEFAULT_ITERS),
+        "runs": (int, 200),
+        "flip_floor": (int, 1),
+        "t0": (float, None),
+        "span_samples": (int, 1000),
     },
     "noise": {
         **_COMMON_SCHEMA,
-        "k": (_parse_int, None),
+        "k": (int, None),
         "levels": (_parse_float_list, [0.0, 0.01, 0.02, 0.05]),
-        "rate": (_parse_float, 0.995),
-        "iters": (_parse_int, DEFAULT_ITERS),
-        "runs": (_parse_int, 200),
-        "flip_floor": (_parse_int, 1),
-        "t0": (_parse_float, None),
-        "span_samples": (_parse_int, 1000),
+        "rate": (float, 0.995),
+        "iters": (int, DEFAULT_ITERS),
+        "runs": (int, 200),
+        "flip_floor": (int, 1),
+        "t0": (float, None),
+        "span_samples": (int, 1000),
     },
     "trace": {
         **_COMMON_SCHEMA,
         "ks": (_parse_int_list, None),
-        "rate": (_parse_float, 0.995),
-        "iters": (_parse_int, DEFAULT_ITERS),
-        "runs": (_parse_int, 20),
-        "flip_floor": (_parse_int, 1),
-        "t0": (_parse_float, None),
-        "span_samples": (_parse_int, 1000),
+        "rate": (float, 0.995),
+        "iters": (int, DEFAULT_ITERS),
+        "runs": (int, 20),
+        "flip_floor": (int, 1),
+        "t0": (float, None),
+        "span_samples": (int, 1000),
     },
 }
 
@@ -277,8 +266,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if not args.noise_level >= 0:
-        raise ValueError("noise level must be non-negative")
+    if not (args.noise_level >= 0 and math.isfinite(args.noise_level)):
+        raise ValueError("noise level must be finite and non-negative")
     fmt = args.format or _format_from_path(args.graph)
     g = read_graph(args.graph, fmt)
     m = from_graph(g)
@@ -289,10 +278,8 @@ def cmd_solve(args) -> int:
     span = None
     if args.t0 is None or args.noise_level > 0:
         span = xp.readout_span(ens, args.seed, args.span_samples)
-    noise = (NoiseModel(level=args.noise_level, sigma=args.noise_level * span,
-                        span_samples=args.span_samples)
-             if args.noise_level > 0 else None)
-    evaluator = HrvEvaluator(ens, backend=args.backend, noise=noise)
+    sigma = args.noise_level * span if args.noise_level > 0 else 0.0
+    evaluator = HrvEvaluator(ens, backend=args.backend, sigma=sigma)
     t0 = args.t0 if args.t0 is not None else span
     schedule = Schedule(t0=float(t0), rate=args.rate, iters=args.iters,
                         flip_floor=args.flip_floor)

@@ -30,7 +30,7 @@ import numpy as np
 from .anneal import Schedule, anneal_chunks, optimal_hits
 from .graph import WeightedGraph, gen_density, gen_regular
 from .ising import IsingModel, brute_force_maxcut, from_graph, random_states
-from .optics import HrvEvaluator, NoiseModel, estimate_span, frames
+from .optics import HrvEvaluator, estimate_span, frames
 from .spectral import IntensityEnsemble, build_ensemble, eigendecompose, splits_cluster
 
 __all__ = [
@@ -279,17 +279,14 @@ class ProbTable:
         raise KeyError(f"no cell for schedule {schedule_index}, K={K}")
 
 
-def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int,
-                     P: float = 1.0, include_reference: bool = True) -> ProbTable:
+def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int) -> ProbTable:
     """Optimal-solution probability per (schedule, K) cell with Wilson bands.
 
     The K=N reference row is appended when absent so every schedule carries
     its own zero-truncation baseline.
     """
     n = g.n
-    ks = sorted({int(k) for k in ks})
-    if include_reference and n not in ks:
-        ks.append(n)
+    ks = sorted({int(k) for k in ks} | {n})
     if any(k < 1 or k > n for k in ks):
         raise ValueError(f"ks must lie in 1..{n}")
 
@@ -300,7 +297,7 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int,
 
     for si, s in enumerate(schedules):
         for K in ks:
-            ev = HrvEvaluator(build_ensemble(b, K, P=P))
+            ev = HrvEvaluator(build_ensemble(b, K))
             cell_seed = derive_seed(seed, LBL_PROB, si, K)
             hits = optimal_hits(ev, g, s, range(cell_seed, cell_seed + runs), optimum)
             lo, hi = wilson_interval(hits, runs)
@@ -341,7 +338,7 @@ class NoiseTable:
 
 
 def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
-                seed: int, span_samples: int = 1000, P: float = 1.0) -> NoiseTable:
+                seed: int, span_samples: int = 1000) -> NoiseTable:
     """Optimal-solution probability vs readout noise at a fixed truncation K.
 
     Noise sigma is level * span, with the span estimated once from the
@@ -350,12 +347,12 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     probability exactly.
     """
     levels = [float(lv) for lv in levels]
-    if any(not lv >= 0 for lv in levels):
-        raise ValueError("noise levels must be non-negative")
+    if any(not (lv >= 0 and math.isfinite(lv)) for lv in levels):
+        raise ValueError("noise levels must be finite and non-negative")
 
     optimum, _ = brute_force_maxcut(g)
     b = eigendecompose(from_graph(g))
-    ens = build_ensemble(b, K, P=P)
+    ens = build_ensemble(b, K)
 
     span = readout_span(ens, seed, span_samples)
 
@@ -363,11 +360,10 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
                        split_cluster={K: int(splits_cluster(b, K))})
     cell_seed = derive_seed(seed, LBL_PROB, 0, K)
     for lv in levels:
-        noise = NoiseModel(level=lv, sigma=lv * span, span_samples=span_samples)
-        ev = HrvEvaluator(ens, noise=noise)
+        ev = HrvEvaluator(ens, sigma=lv * span)
         hits = optimal_hits(ev, g, schedule, range(cell_seed, cell_seed + runs), optimum)
         lo, hi = wilson_interval(hits, runs)
-        table.cells.append(NoiseCell(level=lv, sigma=noise.sigma, K=K, runs=runs,
+        table.cells.append(NoiseCell(level=lv, sigma=ev.sigma, K=K, runs=runs,
                                      hits=hits, probability=hits / runs,
                                      wilson_low=lo, wilson_high=hi))
     return table
@@ -393,7 +389,7 @@ class TraceStudy:
 
 
 def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
-                       seed: int, P: float = 1.0) -> TraceStudy:
+                       seed: int) -> TraceStudy:
     """Average per-iteration readout and cut value across runs for each K."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -404,7 +400,7 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
                        final_hrv_mean={}, final_hrv_std={}, final_cut_mean={},
                        final_cut_std={}, split_cluster={})
     for K in ks:
-        ev = HrvEvaluator(build_ensemble(b, K, P=P))
+        ev = HrvEvaluator(build_ensemble(b, K))
         base = derive_seed(seed, LBL_TRACE, K)
         hrv_sum = np.zeros(schedule.iters)
         cut_sum = np.zeros(schedule.iters)

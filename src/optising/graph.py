@@ -8,6 +8,7 @@ exact.  Generators are deterministic functions of their parameters and seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,13 @@ def density(g: WeightedGraph) -> float:
     return 2.0 * g.num_edges / (g.n * (g.n - 1))
 
 
+def _check_weight_bounds(weight_low, weight_high):
+    # numpy's uniform draw overflows unless high - low is finite, which also
+    # excludes every non-finite bound
+    if not math.isfinite(weight_high - weight_low):
+        raise GraphError(f"weight range [{weight_low}, {weight_high}) must be finite")
+
+
 def _assign_weights(pairs, weight_low, weight_high, rng):
     # Weights are drawn in canonical (sorted) edge order so the result does
     # not depend on the path the edge set was built by.
@@ -117,6 +125,7 @@ def gen_regular(n: int, degree: int, weight_low: float = 0.0, weight_high: float
         raise GraphError(f"no regular graph exists: n*degree={n * degree} is odd")
     if not weight_low < weight_high:
         raise GraphError("weight_low must be < weight_high")
+    _check_weight_bounds(weight_low, weight_high)
 
     rng = np.random.default_rng(seed)
     pairs = _pair_stubs(n, degree, rng)
@@ -176,6 +185,7 @@ def gen_density(n: int, d: float, weight_low: float = 0.0, weight_high: float = 
     n_edges = int(round(d * m_all))
     if n_edges < 1:
         raise GraphError(f"density {d} on n={n} rounds to zero edges")
+    _check_weight_bounds(weight_low, weight_high)
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(m_all, size=n_edges, replace=False)

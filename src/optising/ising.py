@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_N = 28
+_BRUTE_FORCE_CHUNK = 1 << 16  # states enumerated per block
 
 
 class MatrixFormatError(ValueError):
@@ -139,7 +140,7 @@ def _states_for_indices(idx: np.ndarray, n: int) -> np.ndarray:
     return states
 
 
-def brute_force_maxcut(g: WeightedGraph, chunk: int = 1 << 16):
+def brute_force_maxcut(g: WeightedGraph):
     """Exhaustive Max-cut oracle over 2^(n-1) states (global flip fixed out).
 
     Returns (best_cut, best_state); ties resolve to the lowest enumeration
@@ -155,8 +156,8 @@ def brute_force_maxcut(g: WeightedGraph, chunk: int = 1 << 16):
     total_states = 1 << (n - 1)
     best_val = -np.inf
     best_idx = 0
-    for start in range(0, total_states, chunk):
-        idx = np.arange(start, min(start + chunk, total_states), dtype=np.int64)
+    for start in range(0, total_states, _BRUTE_FORCE_CHUNK):
+        idx = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total_states), dtype=np.int64)
         X = _states_for_indices(idx, n).astype(float)
         # W = total/2 + (x^T J x)/2 since H = -x^T J x
         quad = np.einsum("ij,ij->i", X @ J, X)

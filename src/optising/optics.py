@@ -12,23 +12,26 @@ the reading:
                zero-frequency bin, rescaled to the analytic value.
 
 Accumulating the K frame intensities with their eigenvalue signs,
-`frames(...) @ g`, gives the Hamiltonian surrogate (`hrv`); detector noise
-is one Gaussian perturbation of that accumulated value, with sigma a fixed
-fraction of the readout span (`estimate_span`).  `analytic_intensity` and
-`field_intensity` compute one frame of one state and serve as references.
+`frames(...) @ g`, gives the Hamiltonian surrogate (`hrv`).  Detector noise
+is one Gaussian draw that the annealing engine adds to that accumulated
+value; its std is the evaluator's `sigma`, which the studies and the CLI
+set to a fixed fraction of the readout span (`estimate_span`).
+`analytic_intensity` and `field_intensity` compute one frame of one state
+and serve as references.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ising import random_states
 from .spectral import IntensityEnsemble
 
 __all__ = [
     "MacropixelConfig",
-    "NoiseModel",
     "HrvEvaluator",
     "analytic_intensity",
     "field_intensity",
@@ -75,21 +78,6 @@ class MacropixelConfig:
         return cls(block=block, grid_rows=side, grid_cols=side, pad=pad)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Gaussian detector noise with sigma = level * readout span."""
-
-    level: float
-    sigma: float
-    span_samples: int = 0
-
-    def __post_init__(self):
-        if not (self.level >= 0 and self.sigma >= 0):
-            raise ValueError("noise level and sigma must be non-negative")
-        if self.level == 0 and self.sigma != 0:
-            raise ValueError("level 0 requires sigma 0")
-
-
 def analytic_intensity(xi, x) -> float:
     """Center-point intensity of one frame: (sum_i xi_i * x_i)^2.
 
@@ -129,12 +117,12 @@ def field_intensity(xi, x, cfg: MacropixelConfig) -> float:
     return float(np.abs(center) ** 2) / float(b * b) ** 2
 
 
-def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic",
-           cfg: MacropixelConfig | None = None) -> np.ndarray:
+def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic") -> np.ndarray:
     """Frame intensities of one state (n,) or a block of states (..., n).
 
     Returns shape (..., K): entry k is the center-point reading of frame k.
-    The readout of a state is `frames(...) @ ensemble.g`.
+    The readout of a state is `frames(...) @ ensemble.g`.  The field backend
+    lays the spins out with `MacropixelConfig.for_spins(n)`.
     """
     X = np.asarray(X, dtype=float)
     if backend == "analytic":
@@ -144,10 +132,7 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic",
     if backend == "field":
         if X.shape[-1:] != (ensemble.n,):
             raise ValueError(f"state shape {X.shape} does not end in n={ensemble.n}")
-        if cfg is None:
-            cfg = MacropixelConfig.for_spins(ensemble.n)
-        if cfg.capacity < ensemble.n:
-            raise ValueError(f"layout holds {cfg.capacity} spins, need {ensemble.n}")
+        cfg = MacropixelConfig.for_spins(ensemble.n)
         # One macropixel plane per (state, frame); spins fill the grid row-major.
         amp = ensemble.xi * X[..., None, :]
         grid = np.zeros(amp.shape[:-1] + (cfg.capacity,), dtype=complex)
@@ -162,43 +147,32 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic",
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def hrv(ensemble: IntensityEnsemble, x, backend: str = "analytic",
-        noise: NoiseModel | None = None, rng: np.random.Generator | None = None,
-        cfg: MacropixelConfig | None = None) -> float:
-    """Signed accumulation of the K frame intensities for one spin state.
-
-    Frames are summed in component order.  With a noise model, one Gaussian
-    draw of std sigma perturbs the accumulated value.  A zero noise level
-    draws nothing, so results match the noiseless call.
-    """
-    value = float(frames(ensemble, x, backend, cfg) @ ensemble.g)
-    if noise is not None and noise.sigma > 0:
-        if rng is None:
-            raise ValueError("noisy evaluation needs an rng")
-        value += float(rng.normal(0.0, noise.sigma))
-    return value
+def hrv(ensemble: IntensityEnsemble, x, backend: str = "analytic") -> float:
+    """Signed accumulation of the K frame intensities of one spin state,
+    summed in component order."""
+    return float(frames(ensemble, x, backend) @ ensemble.g)
 
 
-def estimate_span(ensemble: IntensityEnsemble, samples: int = 1000,
-                  rng: np.random.Generator | None = None) -> float:
+def estimate_span(ensemble: IntensityEnsemble, samples: int,
+                  rng: np.random.Generator) -> float:
     """max - min of the noiseless readout over `samples` uniform random states."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if rng is None:
-        raise ValueError("span estimation needs an rng")
-    states = rng.integers(0, 2, size=(samples, ensemble.n)) * 2 - 1
-    vals = frames(ensemble, states) @ ensemble.g
+    vals = frames(ensemble, random_states(ensemble.n, samples, rng)) @ ensemble.g
     return float(np.max(vals) - np.min(vals))
 
 
 @dataclass(frozen=True)
 class HrvEvaluator:
-    """Bound readout: truncated ensemble + backend + noise channel."""
+    """Bound readout: truncated ensemble + backend + detector noise std."""
 
     ensemble: IntensityEnsemble
     backend: str = "analytic"
-    noise: NoiseModel | None = None
-    cfg: MacropixelConfig | None = None
+    sigma: float = 0.0
+
+    def __post_init__(self):
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma}")
 
     @property
     def n(self) -> int:
@@ -208,6 +182,7 @@ class HrvEvaluator:
     def K(self) -> int:
         return self.ensemble.K
 
-    def evaluate(self, x, rng: np.random.Generator | None = None) -> float:
-        return hrv(self.ensemble, x, backend=self.backend, noise=self.noise,
-                   rng=rng, cfg=self.cfg)
+    def evaluate(self, x) -> float:
+        """Noiseless readout of one state; the annealing engine adds one
+        N(0, sigma) draw per readout itself."""
+        return hrv(self.ensemble, x, backend=self.backend)

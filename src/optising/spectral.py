@@ -12,6 +12,7 @@ LAPACK returns; `splits_cluster` says when a truncation depends on it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,8 @@ def build_ensemble(b: EigenBundle, K: int, P: float = 1.0) -> IntensityEnsemble:
     """Keep the K largest-|eigenvalue| components as scaled amplitude patterns."""
     if not 1 <= K <= b.n:
         raise ValueError(f"K must lie in 1..{b.n}, got {K}")
-    if not P > 0:
-        raise ValueError(f"P must be positive, got {P}")
+    if not (P > 0 and math.isfinite(P)):
+        raise ValueError(f"P must be finite and positive, got {P}")
     picked = b.order[:K]
     lam = b.lam[picked]
     xi = (P * np.sqrt(np.abs(lam))[:, None]) * b.vectors[:, picked].T

@@ -51,8 +51,13 @@ def test_gen_requires_exactly_one_generator(tmp_path):
                 "--out", tmp_path]) == EXIT_USAGE
 
 
-def test_gen_bad_params_guard(tmp_path):
+def test_gen_bad_params_guard(tmp_path, capsys):
     assert run(["gen", "--n", 5, "--degree", 3, "--out", tmp_path]) == EXIT_GUARD
+    for gen in (["--degree", 3], ["--density", 0.5]):
+        for bounds in (["--whigh=inf"], ["--wlow=-inf"], ["--wlow=-1e308", "--whigh=1e308"]):
+            assert run(["gen", "--n", 6, *gen, *bounds, "--out", tmp_path / "w"]) == EXIT_GUARD
+            assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_gen_deterministic(tmp_path):
@@ -153,14 +158,23 @@ def test_solve_oracle_guard_on_large_n(tmp_path):
     assert run(["solve", "--graph", gpath, "--iters", 10, "--oracle"]) == EXIT_GUARD
 
 
-@pytest.mark.parametrize("level", ["-0.5", "nan"])
+@pytest.mark.parametrize("level", ["-0.5", "nan", "inf"])
 def test_solve_rejects_negative_noise_level(tmp_path, capsys, level):
     gpath = tmp_path / "edge.rud"
     gpath.write_text("2 1\n1 2 1.0\n")
     assert run(["solve", "--graph", gpath, "--iters", 10, "--noise-level", level]) == EXIT_GUARD
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "noise level must be non-negative" in captured.err
+    assert "noise level must be finite and non-negative" in captured.err
+
+
+def test_solve_rejects_non_finite_p(tmp_path, capsys):
+    gpath = tmp_path / "edge.rud"
+    gpath.write_text("2 1\n1 2 1.0\n")
+    assert run(["solve", "--graph", gpath, "--iters", 10, "--p", "inf"]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "P must be finite and positive" in captured.err
 
 
 def test_solve_trace_out(tmp_path):
@@ -233,12 +247,13 @@ def test_experiment_noise_reports(tmp_path):
 
 
 def test_experiment_noise_rejects_nan_level(tmp_path, capsys):
-    code = run(["experiment", "noise", "--n", 8, "--degree", 3, "--k", 8,
-                "--levels", "nan,0", "--runs", 4, "--iters", 50, "--out", tmp_path / "noise"])
-    assert code == EXIT_GUARD
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "noise levels must be non-negative" in captured.err
+    for levels in ("nan,0", "inf,0"):
+        code = run(["experiment", "noise", "--n", 8, "--degree", 3, "--k", 8, "--levels", levels,
+                    "--runs", 4, "--iters", 50, "--out", tmp_path / "noise"])
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise levels must be finite and non-negative" in captured.err
 
 
 def test_jobs_is_gone(tmp_path, capsys):

@@ -178,8 +178,7 @@ def test_noise_sweep_level_zero_reproduces_noiseless(small_instance):
     s = Schedule(t0=4.0, rate=0.99, iters=150)
     noisy = noise_sweep(small_instance, K=6, levels=[0.0, 0.05], schedule=s,
                         runs=6, seed=3, span_samples=100)
-    clean = probability_vs_k(small_instance, [6], [s], runs=6, seed=3,
-                             include_reference=False)
+    clean = probability_vs_k(small_instance, [6], [s], runs=6, seed=3)
     assert noisy.by_level(0.0).hits == clean.cell(0, 6).hits
     assert noisy.by_level(0.0).probability == clean.cell(0, 6).probability
     assert noisy.by_level(0.0).sigma == 0.0
@@ -188,10 +187,9 @@ def test_noise_sweep_level_zero_reproduces_noiseless(small_instance):
 
 def test_noise_sweep_validation(small_instance):
     s = Schedule(t0=4.0, rate=0.99, iters=50)
-    with pytest.raises(ValueError):
-        noise_sweep(small_instance, K=6, levels=[-0.1], schedule=s, runs=2, seed=0)
-    with pytest.raises(ValueError):
-        noise_sweep(small_instance, K=6, levels=[float("nan")], schedule=s, runs=2, seed=0)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise levels must be finite and non-negative"):
+            noise_sweep(small_instance, K=6, levels=[bad], schedule=s, runs=2, seed=0)
 
 
 def test_anneal_trace_study_single_run_equals_anneal(small_instance):

@@ -49,6 +49,22 @@ def test_gen_regular_rejects_degree_out_of_range():
         gen_regular(4, 0, 0.0, 1.0, seed=0)
 
 
+NON_FINITE_BOUNDS = [(0.0, float("inf")), (float("-inf"), 1.0), (-1e308, 1e308),
+                     (0.0, float("nan"))]
+
+
+@pytest.mark.parametrize("low,high", NON_FINITE_BOUNDS)
+def test_gen_regular_rejects_non_finite_weights(low, high):
+    with pytest.raises(GraphError):
+        gen_regular(6, 3, low, high, seed=0)
+
+
+@pytest.mark.parametrize("low,high", NON_FINITE_BOUNDS)
+def test_gen_density_rejects_non_finite_weights(low, high):
+    with pytest.raises(GraphError, match="must be finite"):
+        gen_density(6, 0.5, low, high, seed=0)
+
+
 def test_gen_regular_degrees_exact_over_seeds():
     for seed in range(12):
         g = gen_regular(12, 5, 0.0, 1.0, seed=seed)

@@ -9,7 +9,6 @@ from optising.ising import from_graph, hamiltonian, random_state
 from optising.optics import (
     HrvEvaluator,
     MacropixelConfig,
-    NoiseModel,
     analytic_intensity,
     estimate_span,
     field_intensity,
@@ -132,37 +131,13 @@ def test_hrv_unknown_backend():
         hrv(ens, [1, 1], backend="quantum")
 
 
-def test_noise_level_zero_is_noiseless():
-    ens = build_ensemble(eigendecompose(TWO_SPIN), 2)
-    quiet = NoiseModel(level=0.0, sigma=0.0)
-    rng = np.random.default_rng(3)
-    assert hrv(ens, [1, -1], noise=quiet, rng=rng) == hrv(ens, [1, -1])
-    # and the rng is untouched: the next draw matches a fresh generator
-    assert rng.random() == np.random.default_rng(3).random()
-
-
-def test_noise_perturbs_and_is_seeded():
-    ens = build_ensemble(eigendecompose(TWO_SPIN), 2)
-    noise = NoiseModel(level=0.1, sigma=0.2, span_samples=100)
-    a = hrv(ens, [1, 1], noise=noise, rng=np.random.default_rng(7))
-    b = hrv(ens, [1, 1], noise=noise, rng=np.random.default_rng(7))
-    c = hrv(ens, [1, 1], noise=noise, rng=np.random.default_rng(8))
-    assert a == b
-    assert a != c
-    assert a != hrv(ens, [1, 1])
-    # draw is the scaled standard normal of that stream
-    expect = hrv(ens, [1, 1]) + 0.2 * np.random.default_rng(7).normal()
-    assert a == pytest.approx(expect, rel=1e-12)
-
-
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(level=-0.1, sigma=0.0)
-    with pytest.raises(ValueError):
-        NoiseModel(level=0.0, sigma=1.0)
-    for level, sigma in [(math.nan, math.nan), (math.nan, 0.0), (0.01, math.nan)]:
-        with pytest.raises(ValueError):
-            NoiseModel(level=level, sigma=sigma)
+    ens = build_ensemble(eigendecompose(TWO_SPIN), 2)
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise sigma must be finite and non-negative"):
+            HrvEvaluator(ens, sigma=sigma)
+    assert HrvEvaluator(ens, sigma=0.2).sigma == 0.2
+    assert HrvEvaluator(ens).sigma == 0.0
 
 
 def test_estimate_span_zero_ensemble():
@@ -216,7 +191,7 @@ def test_frames_field_matches_per_frame_reference(rng):
             ens = build_ensemble(eigendecompose(random_symmetric_model(n, rng)), K)
             x = random_state(n, rng)
             ref = [field_intensity(row, x, cfg) for row in ens.xi]
-            np.testing.assert_allclose(frames(ens, x, "field", cfg), ref, rtol=1e-12,
+            np.testing.assert_allclose(frames(ens, x, "field"), ref, rtol=1e-12,
                                        atol=1e-12 * _frame_scale(ens))
 
 
@@ -231,18 +206,13 @@ def test_frames_shapes(rng, backend):
             frames(ens, bad, backend)
 
 
-def test_frames_field_capacity_guard(rng):
-    ens = build_ensemble(eigendecompose(random_symmetric_model(3, rng)), 3)
-    cfg = MacropixelConfig(block=2, grid_rows=1, grid_cols=2, pad=4)
-    with pytest.raises(ValueError):
-        frames(ens, [1, 1, 1], "field", cfg)
-
-
 def test_evaluator_wraps_hrv(rng):
     m = random_symmetric_model(6, rng)
     ens = build_ensemble(eigendecompose(m), 3)
     ev = HrvEvaluator(ens)
     x = random_state(6, rng)
     assert ev.evaluate(x) == hrv(ens, x)
+    # the engine draws the noise, so a noisy evaluator still reads noiselessly
+    assert HrvEvaluator(ens, sigma=1.0).evaluate(x) == hrv(ens, x)
     assert ev.n == 6
     assert ev.K == 3

@@ -147,8 +147,9 @@ def test_build_ensemble_guards():
         build_ensemble(b, 0)
     with pytest.raises(ValueError):
         build_ensemble(b, 3)
-    with pytest.raises(ValueError):
-        build_ensemble(b, 1, P=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="P must be finite and positive"):
+            build_ensemble(b, 1, P=bad)
 
 
 def test_error_ratio_examples():
