@@ -12,7 +12,6 @@ from .ising import (
     brute_force_maxcut,
     cut_value,
     delta_hamiltonian,
-    fold_external_field,
     from_graph,
     hamiltonian,
     random_state,

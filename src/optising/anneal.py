@@ -70,8 +70,8 @@ class Schedule:
     flip_floor: int = 1
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError("t0 must be positive")
+        if not (self.t0 > 0 and np.isfinite(self.t0)):
+            raise ValueError("t0 must be finite and positive")
         if not 0.0 < self.rate < 1.0:
             raise ValueError("rate must lie in (0, 1)")
         if self.iters < 1:

@@ -105,6 +105,14 @@ _COMMON_SCHEMA = {
     "instance_format": (str, None),
 }
 
+_ANNEAL_SCHEMA = {
+    "iters": (int, DEFAULT_ITERS),
+    "runs": (int, 200),
+    "flip_floor": (int, 1),
+    "t0": (float, None),
+    "span_samples": (int, 1000),
+}
+
 _STUDY_SCHEMA = {
     "rmse": {
         **_COMMON_SCHEMA,
@@ -116,34 +124,28 @@ _STUDY_SCHEMA = {
         **_COMMON_SCHEMA,
         "ks": (_parse_int_list, None),
         "rates": (_parse_float_list, [0.99, 0.995, 0.999]),
-        "iters": (int, DEFAULT_ITERS),
-        "runs": (int, 200),
-        "flip_floor": (int, 1),
-        "t0": (float, None),
-        "span_samples": (int, 1000),
+        **_ANNEAL_SCHEMA,
     },
     "noise": {
         **_COMMON_SCHEMA,
         "k": (int, None),
         "levels": (_parse_float_list, [0.0, 0.01, 0.02, 0.05]),
         "rate": (float, 0.995),
-        "iters": (int, DEFAULT_ITERS),
-        "runs": (int, 200),
-        "flip_floor": (int, 1),
-        "t0": (float, None),
-        "span_samples": (int, 1000),
+        **_ANNEAL_SCHEMA,
     },
     "trace": {
         **_COMMON_SCHEMA,
         "ks": (_parse_int_list, None),
         "rate": (float, 0.995),
-        "iters": (int, DEFAULT_ITERS),
+        **_ANNEAL_SCHEMA,
         "runs": (int, 20),
-        "flip_floor": (int, 1),
-        "t0": (float, None),
-        "span_samples": (int, 1000),
     },
 }
+
+# Every study key with its parser, in first-declared order; the `experiment`
+# flags are generated from it.
+_EXPERIMENT_KEYS = {key: parser for schema in _STUDY_SCHEMA.values()
+                    for key, (parser, _) in schema.items()}
 
 
 def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict:
@@ -300,15 +302,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _experiment_overrides(args) -> dict:
-    keys = ("seed", "n", "degree", "density", "wlow", "whigh", "instance",
-            "instance_format", "ks", "samples", "graph_seeds", "rates", "iters",
-            "runs", "flip_floor", "t0", "span_samples", "k", "levels", "rate")
-    return {k: getattr(args, k, None) for k in keys}
-
-
 def cmd_experiment(args) -> int:
-    cfg = resolve_config(args.study, args.config, _experiment_overrides(args))
+    overrides = {key: getattr(args, key) for key in _EXPERIMENT_KEYS}
+    cfg = resolve_config(args.study, args.config, overrides)
     os.makedirs(args.out, exist_ok=True)
     runner = {"rmse": _run_rmse, "prob": _run_prob, "noise": _run_noise,
               "trace": _run_trace}[args.study]
@@ -319,10 +315,10 @@ def cmd_experiment(args) -> int:
 
 
 def _run_rmse(cfg, out):
-    n = cfg["n"]
+    g = _load_instance(cfg) if cfg.get("instance") else None
+    n = g.n if g is not None else cfg["n"]
     ks = cfg["ks"] if cfg["ks"] is not None else list(range(1, n + 1))
-    if cfg.get("instance"):
-        g = _load_instance(cfg)
+    if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
         mean_rmse = np.array([rep.by_k(k).rmse for k in ks])
         mean_rel = np.array([rep.by_k(k).rmse_relative for k in ks])
@@ -373,8 +369,7 @@ def _run_prob(cfg, out):
         written.append(plot)
     json_path = os.path.join(out, "prob.json")
     results = {"optimum": table.optimum,
-               "schedules": [{"t0": s.t0, "rate": s.rate, "iters": s.iters,
-                              "flip_floor": s.flip_floor} for s in schedules],
+               "schedules": [vars(s) for s in schedules],
                "cells": [vars(c) for c in table.cells],
                "split_cluster": table.split_cluster}
     xp.write_json_summary(json_path, {"study": "prob", **cfg}, results)
@@ -398,8 +393,7 @@ def _run_noise(cfg, out):
                  [(c.level, c.probability) for c in table.cells])
     json_path = os.path.join(out, "noise.json")
     results = {"optimum": table.optimum, "span": table.span, "K": table.K,
-               "schedule": {"t0": schedule.t0, "rate": schedule.rate,
-                            "iters": schedule.iters, "flip_floor": schedule.flip_floor},
+               "schedule": vars(schedule),
                "cells": [vars(c) for c in table.cells],
                "split_cluster": table.split_cluster}
     xp.write_json_summary(json_path, {"study": "noise", **cfg}, results)
@@ -420,8 +414,7 @@ def _run_trace(cfg, out):
         written.append(path)
     json_path = os.path.join(out, "trace.json")
     results = {"ks": study.ks,
-               "schedule": {"t0": schedule.t0, "rate": schedule.rate,
-                            "iters": schedule.iters, "flip_floor": schedule.flip_floor},
+               "schedule": vars(schedule),
                "final_hrv_mean": study.final_hrv_mean,
                "final_hrv_std": study.final_hrv_std,
                "final_cut_mean": study.final_cut_mean,
@@ -478,29 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("experiment", help="run a study and write reports")
-    p.add_argument("study", choices=["rmse", "prob", "noise", "trace"])
+    p.add_argument("study", choices=list(_STUDY_SCHEMA))
     p.add_argument("--config")
     p.add_argument("--out", default="reports")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--density", type=float)
-    p.add_argument("--wlow", type=float)
-    p.add_argument("--whigh", type=float)
-    p.add_argument("--instance")
-    p.add_argument("--instance-format", dest="instance_format", choices=["rudy", "json"])
-    p.add_argument("--ks")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--graph-seeds", dest="graph_seeds", type=int)
-    p.add_argument("--rates")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--flip-floor", dest="flip_floor", type=int)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--span-samples", dest="span_samples", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--levels")
-    p.add_argument("--rate", type=float)
+    for key, parse in _EXPERIMENT_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=parse if parse in (int, float) else None,
+                       choices=["rudy", "json"] if key == "instance_format" else None)
     p.set_defaults(func=cmd_experiment)
 
     return parser

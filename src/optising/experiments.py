@@ -198,6 +198,8 @@ def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
     """
     if (degree is None) == (density is None):
         raise ValueError("specify exactly one of degree or density")
+    if graph_seeds < 1:
+        raise ValueError("graph_seeds must be >= 1")
     ks = [int(k) for k in ks]
     rmse = np.zeros((graph_seeds, len(ks)))
     rel = np.zeros_like(rmse)

@@ -21,7 +21,6 @@ __all__ = [
     "IsingModel",
     "MatrixFormatError",
     "from_graph",
-    "fold_external_field",
     "hamiltonian",
     "delta_hamiltonian",
     "cut_value",
@@ -86,23 +85,6 @@ def from_graph(g: WeightedGraph) -> IsingModel:
     J = np.zeros((g.n, g.n))
     for u, v, w in g.edges:
         J[u, v] = J[v, u] = -w / 2.0
-    return IsingModel(J)
-
-
-def fold_external_field(m: IsingModel, h) -> IsingModel:
-    """Absorb a linear field into one extra always-up spin.
-
-    The returned (n+1)-spin model couples the new last spin to spin i with
-    strength h_i/2, so with the extra spin pinned to +1 the quadratic form
-    x'^T J' x' equals x^T J x + h^T x.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (m.n,):
-        raise ValueError(f"field length {h.shape} does not match n={m.n}")
-    J = np.zeros((m.n + 1, m.n + 1))
-    J[: m.n, : m.n] = m.J
-    J[: m.n, m.n] = h / 2.0
-    J[m.n, : m.n] = h / 2.0
     return IsingModel(J)
 
 

@@ -62,7 +62,6 @@ class IntensityEnsemble:
 
     xi: np.ndarray     # (K, n), row k is intensity vector k
     g: np.ndarray      # (K,) accumulation signs
-    P: float
 
     @property
     def K(self) -> int:
@@ -108,7 +107,7 @@ def build_ensemble(b: EigenBundle, K: int, P: float = 1.0) -> IntensityEnsemble:
     g = b.signs[picked].astype(float)
     xi.flags.writeable = False
     g.flags.writeable = False
-    return IntensityEnsemble(xi=xi, g=g, P=float(P))
+    return IntensityEnsemble(xi=xi, g=g)
 
 
 def error_ratio(b: EigenBundle, K: int) -> float:

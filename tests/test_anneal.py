@@ -51,8 +51,9 @@ def small_graph():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(t0=0.0, rate=0.5)
+    for t0 in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="t0 must be finite and positive"):
+            Schedule(t0=t0, rate=0.5)
     with pytest.raises(ValueError):
         Schedule(t0=1.0, rate=1.0)
     with pytest.raises(ValueError):

@@ -4,7 +4,18 @@ import os
 import numpy as np
 import pytest
 
-from optising.cli import EXIT_GUARD, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main, parse_config_text, ConfigError
+from optising.cli import (
+    _STUDY_SCHEMA,
+    EXIT_GUARD,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    ConfigError,
+    build_parser,
+    main,
+    parse_config_text,
+    resolve_config,
+)
 from optising.graph import read_graph
 
 
@@ -177,6 +188,15 @@ def test_solve_rejects_non_finite_p(tmp_path, capsys):
     assert "P must be finite and positive" in captured.err
 
 
+def test_solve_rejects_infinite_t0(tmp_path, capsys):
+    gpath = tmp_path / "edge.rud"
+    gpath.write_text("2 1\n1 2 1.0\n")
+    assert run(["solve", "--graph", gpath, "--iters", 10, "--t0", "inf"]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t0 must be finite and positive" in captured.err
+
+
 def test_solve_trace_out(tmp_path):
     gpath = tmp_path / "edge.rud"
     gpath.write_text("2 1\n1 2 1.0\n")
@@ -220,6 +240,58 @@ def test_experiment_rmse_reports(tmp_path):
     assert "config_hash" in payload
     last = lines[-1].split(",")
     assert float(last[1]) <= 1e-9  # K=N row is numerically exact
+
+
+def test_experiment_rmse_instance_uses_its_size(tmp_path):
+    run(["gen", "--n", 10, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
+    out = tmp_path / "rmse"
+    code = run(["experiment", "rmse", "--instance", tmp_path / "g.rud", "--samples", 40,
+                "--out", out])
+    assert code == EXIT_OK
+    assert len((out / "rmse.csv").read_text().splitlines()) == 1 + 10
+    last = (out / "rmse_vs_k_over_n.dat").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 1.0
+
+
+@pytest.mark.parametrize("graph_seeds", ["0", "-2"])
+def test_experiment_rmse_rejects_no_graph_seeds(tmp_path, capsys, graph_seeds):
+    code = run(["experiment", "rmse", "--n", 6, "--degree", 3, "--graph-seeds", graph_seeds,
+                "--out", tmp_path / "rmse"])
+    assert code == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "graph_seeds must be >= 1" in captured.err
+
+
+# One flag value per study key, with the value the key's parser gives for it.
+_FLAG_VALUES = {
+    "seed": ("5", 5), "n": ("9", 9), "degree": ("4", 4), "density": ("0.5", 0.5),
+    "wlow": ("0.25", 0.25), "whigh": ("2.5", 2.5), "instance": ("g.rud", "g.rud"),
+    "instance_format": ("json", "json"), "ks": ("1..3", [1, 2, 3]), "samples": ("7", 7),
+    "graph_seeds": ("2", 2), "rates": ("0.9,0.95", [0.9, 0.95]), "iters": ("11", 11),
+    "runs": ("4", 4), "flip_floor": ("2", 2), "t0": ("1.5", 1.5),
+    "span_samples": ("13", 13), "k": ("3", 3), "levels": ("0,0.1", [0.0, 0.1]),
+    "rate": ("0.98", 0.98),
+}
+
+
+@pytest.mark.parametrize("study", list(_STUDY_SCHEMA))
+def test_experiment_flags_follow_the_study_schema(study, capsys):
+    keys = {key for schema in _STUDY_SCHEMA.values() for key in schema}
+    assert keys == set(_FLAG_VALUES)
+    parser = build_parser()
+    for key, (text, value) in _FLAG_VALUES.items():
+        argv = ["experiment", study, "--instance", "base.rud", "--" + key.replace("_", "-"), text]
+        args = parser.parse_args(argv)
+        overrides = {k: getattr(args, k) for k in keys}
+        if key in _STUDY_SCHEMA[study]:
+            assert resolve_config(study, None, overrides)[key] == value
+        else:
+            with pytest.raises(ConfigError, match="does not apply to study") as exc:
+                resolve_config(study, None, overrides)
+            assert exc.value.messages == [f"option {key!r} does not apply to study {study!r}"]
+            assert main(argv) == EXIT_PARSE
+            assert "does not apply to study" in capsys.readouterr().err
 
 
 def test_experiment_prob_reports(tmp_path):

@@ -9,7 +9,6 @@ from optising.ising import (
     brute_force_maxcut,
     cut_value,
     delta_hamiltonian,
-    fold_external_field,
     from_graph,
     hamiltonian,
     random_state,
@@ -56,47 +55,6 @@ def test_ising_model_rejects_non_finite(bad):
     J = np.array([[0.0, bad], [bad, 0.0]])
     with pytest.raises(ValueError, match="J must be finite"):
         IsingModel(J)
-
-
-def test_fold_external_field_single_spin():
-    m = IsingModel(np.zeros((1, 1)))
-    folded = fold_external_field(m, [2.0])
-    assert np.array_equal(folded.J, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    # with the extra spin up, H == -x^T J x - h^T x
-    assert hamiltonian(folded, [1, 1]) == -2.0
-
-
-def test_fold_external_field_zero_pads():
-    m = IsingModel(np.array([[0.0, 0.25], [0.25, 0.0]]))
-    folded = fold_external_field(m, [0.0, 0.0])
-    assert folded.n == 3
-    assert np.array_equal(folded.J[:2, :2], m.J)
-    assert np.all(folded.J[2, :] == 0.0)
-    assert np.all(folded.J[:, 2] == 0.0)
-
-
-def test_fold_external_field_halving():
-    m = IsingModel(np.array([[0.0, 0.5], [0.5, 0.0]]))
-    folded = fold_external_field(m, [1.0, -1.0])
-    assert folded.J[0, 2] == 0.5
-    assert folded.J[1, 2] == -0.5
-
-
-def test_fold_external_field_matches_linear_term(rng):
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        m = random_symmetric_model(n, rng)
-        h = rng.uniform(-2, 2, size=n)
-        folded = fold_external_field(m, h)
-        x = random_state(n, rng)
-        xx = np.concatenate([x, [1]])
-        target = -(x @ m.J @ x) - h @ x  # H with the field kept explicit
-        assert hamiltonian(folded, xx) == pytest.approx(target, rel=1e-12, abs=1e-12)
-
-
-def test_fold_external_field_dimension_mismatch():
-    with pytest.raises(ValueError):
-        fold_external_field(IsingModel(np.zeros((2, 2))), [1.0])
 
 
 def test_hamiltonian_examples():
