@@ -305,13 +305,19 @@ def cmd_solve(args) -> int:
 def cmd_experiment(args) -> int:
     overrides = {key: getattr(args, key) for key in _EXPERIMENT_KEYS}
     cfg = resolve_config(args.study, args.config, overrides)
-    os.makedirs(args.out, exist_ok=True)
     runner = {"rmse": _run_rmse, "prob": _run_prob, "noise": _run_noise,
               "trace": _run_trace}[args.study]
     written = runner(cfg, args.out)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
+
+
+def _report_path(out, name):
+    # the report directory is made at the first write, so a study that
+    # fails its checks leaves nothing behind
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 def _run_rmse(cfg, out):
@@ -330,10 +336,10 @@ def _run_rmse(cfg, out):
             weight_low=cfg["wlow"], weight_high=cfg["whigh"])
 
     rows = [(k, r, rel, r2) for k, r, rel, r2 in zip(ks, mean_rmse, mean_rel, mean_r2)]
-    csv_path = os.path.join(out, "rmse.csv")
+    csv_path = _report_path(out, "rmse.csv")
     xp.write_csv(csv_path, ["K", "rmse", "rmse_relative", "fit_r2"], rows)
 
-    plot_path = os.path.join(out, "rmse_vs_k_over_n.dat")
+    plot_path = _report_path(out, "rmse_vs_k_over_n.dat")
     xp.write_csv(plot_path, ["k_over_n", "rmse"],
                  [(k / n, r) for k, r in zip(ks, mean_rmse)])
 
@@ -345,7 +351,7 @@ def _run_rmse(cfg, out):
                               "decaying": fit.decaying}
     except ValueError:
         results["exp_fit"] = None
-    json_path = os.path.join(out, "rmse.json")
+    json_path = _report_path(out, "rmse.json")
     xp.write_json_summary(json_path, {"study": "rmse", **cfg}, results)
     return [csv_path, plot_path, json_path]
 
@@ -358,16 +364,16 @@ def _run_prob(cfg, out):
 
     rows = [(c.schedule_index, c.rate, c.K, c.runs, c.hits, c.probability,
              c.wilson_low, c.wilson_high, c.is_reference) for c in table.cells]
-    csv_path = os.path.join(out, "prob.csv")
+    csv_path = _report_path(out, "prob.csv")
     xp.write_csv(csv_path, ["schedule", "rate", "K", "runs", "hits", "probability",
                             "wilson_low", "wilson_high", "is_reference"], rows)
     written = [csv_path]
     for si, s in enumerate(schedules):
-        plot = os.path.join(out, f"prob_schedule{si}.dat")
+        plot = _report_path(out, f"prob_schedule{si}.dat")
         xp.write_csv(plot, ["K", "probability"],
                      [(c.K, c.probability) for c in table.cells if c.schedule_index == si])
         written.append(plot)
-    json_path = os.path.join(out, "prob.json")
+    json_path = _report_path(out, "prob.json")
     results = {"optimum": table.optimum,
                "schedules": [vars(s) for s in schedules],
                "cells": [vars(c) for c in table.cells],
@@ -385,13 +391,13 @@ def _run_noise(cfg, out):
                            span_samples=cfg["span_samples"])
     rows = [(c.level, c.sigma, c.K, c.runs, c.hits, c.probability,
              c.wilson_low, c.wilson_high) for c in table.cells]
-    csv_path = os.path.join(out, "noise.csv")
+    csv_path = _report_path(out, "noise.csv")
     xp.write_csv(csv_path, ["level", "sigma", "K", "runs", "hits", "probability",
                             "wilson_low", "wilson_high"], rows)
-    plot_path = os.path.join(out, "prob_vs_noise.dat")
+    plot_path = _report_path(out, "prob_vs_noise.dat")
     xp.write_csv(plot_path, ["level", "probability"],
                  [(c.level, c.probability) for c in table.cells])
-    json_path = os.path.join(out, "noise.json")
+    json_path = _report_path(out, "noise.json")
     results = {"optimum": table.optimum, "span": table.span, "K": table.K,
                "schedule": vars(schedule),
                "cells": [vars(c) for c in table.cells],
@@ -407,12 +413,12 @@ def _run_trace(cfg, out):
     study = xp.anneal_trace_study(g, ks, schedule, cfg["runs"], cfg["seed"])
     written = []
     for K in study.ks:
-        path = os.path.join(out, f"trace_k{K}.csv")
+        path = _report_path(out, f"trace_k{K}.csv")
         xp.write_csv(path, ["iter", "mean_hrv", "mean_cut"],
                      [(i, study.mean_hrv[K][i], study.mean_cut[K][i])
                       for i in range(schedule.iters)])
         written.append(path)
-    json_path = os.path.join(out, "trace.json")
+    json_path = _report_path(out, "trace.json")
     results = {"ks": study.ks,
                "schedule": vars(schedule),
                "final_hrv_mean": study.final_hrv_mean,

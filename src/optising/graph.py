@@ -24,6 +24,9 @@ __all__ = [
     "write_graph",
 ]
 
+_MAX_RESTARTS = 200  # reshuffles before the pairing model gives up
+_MAX_SWAPS = 10000  # swap attempts per repair pass
+
 
 class GraphError(ValueError):
     """Invalid graph construction parameters."""
@@ -116,8 +119,10 @@ def gen_regular(n: int, degree: int, weight_low: float = 0.0, weight_high: float
 
     Pairing (configuration) model: vertex stubs are shuffled and paired;
     self-loops and duplicate edges are repaired by random edge swaps,
-    reshuffling from scratch if a repair pass stalls.  Deterministic for a
-    fixed seed.
+    reshuffling from scratch if a repair pass stalls.  Dense degrees
+    (2 * degree > n - 1) pair the sparse complement of degree n - 1 - degree
+    and return its complement, which has the same distribution and needs
+    few swaps.  Deterministic for a fixed seed.
     """
     if not 0 < degree < n:
         raise GraphError(f"degree must satisfy 0 < degree < n, got degree={degree}, n={n}")
@@ -128,32 +133,41 @@ def gen_regular(n: int, degree: int, weight_low: float = 0.0, weight_high: float
     _check_weight_bounds(weight_low, weight_high)
 
     rng = np.random.default_rng(seed)
-    pairs = _pair_stubs(n, degree, rng)
+    if 2 * degree > n - 1:
+        # n(n-1) is even, so the complement degree has the parity of degree
+        absent = _pair_stubs(n, n - 1 - degree, rng)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in absent]
+    else:
+        pairs = _pair_stubs(n, degree, rng)
     return WeightedGraph(n, _assign_weights(pairs, weight_low, weight_high, rng))
 
 
-def _pair_stubs(n, degree, rng, max_restarts=200):
+def _pair_stubs(n, degree, rng):
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         perm = rng.permutation(stubs)
-        pairs = _repair_pairing(n, perm.reshape(-1, 2), rng)
+        pairs = _repair_pairing(perm.reshape(-1, 2), rng)
         if pairs is not None:
             return pairs
     raise GraphError("pairing model failed to produce a simple graph")
 
 
-def _repair_pairing(n, mat, rng, max_swaps=10000):
-    """Edge-swap repair of self-loops/multi-edges; None if it stalls."""
+def _repair_pairing(mat, rng):
+    """Edge-swap repair of self-loops/multi-edges; None if it stalls.
+
+    An index is bad while its edge is a self-loop or a key another index
+    also holds.  The lowest bad index is repaired first, and a swap
+    re-examines only the keys it removes and adds.
+    """
     edges = [tuple(sorted((int(a), int(b)))) for a, b in mat]
-    counts = {}
-    for e in edges:
-        counts[e] = counts.get(e, 0) + 1
-    for _ in range(max_swaps):
-        bad = [i for i, (a, b) in enumerate(edges)
-               if a == b or counts[(a, b)] > 1]
+    holders = {}
+    for i, e in enumerate(edges):
+        holders.setdefault(e, set()).add(i)
+    bad = {i for i, (a, b) in enumerate(edges) if a == b or len(holders[(a, b)]) > 1}
+    for _ in range(_MAX_SWAPS):
         if not bad:
             return set(edges)
-        i = bad[0]
+        i = min(bad)
         j = int(rng.integers(len(edges)))
         if i == j:
             continue
@@ -162,15 +176,19 @@ def _repair_pairing(n, mat, rng, max_swaps=10000):
         # Swap partners: (a,b),(c,d) -> (a,c),(b,d); keep only if both new
         # edges are simple and currently absent.
         e1, e2 = tuple(sorted((a, c))), tuple(sorted((b, d)))
-        if a == c or b == d or e1 == e2 or counts.get(e1, 0) or counts.get(e2, 0):
+        if a == c or b == d or e1 == e2 or e1 in holders or e2 in holders:
             continue
-        for old in (edges[i], edges[j]):
-            counts[old] -= 1
-            if counts[old] == 0:
-                del counts[old]
+        for k in (i, j):
+            old = edges[k]
+            held = holders[old]
+            held.discard(k)
+            bad.discard(k)
+            if not held:
+                del holders[old]
+            elif len(held) == 1 and old[0] != old[1]:
+                bad -= held
         edges[i], edges[j] = e1, e2
-        for new in (e1, e2):
-            counts[new] = counts.get(new, 0) + 1
+        holders[e1], holders[e2] = {i}, {j}
     return None
 
 

@@ -147,8 +147,8 @@ def test_tiny_graph_finds_optimum_reliably():
     best, _ = brute_force_maxcut(g)
     ev = make_evaluator(g)
     s = Schedule(t0=3.0, rate=0.995, iters=3000)
-    hits = sum(abs(anneal(ev, g, s, seed=100 + r).final_cut - best) <= CUT_MATCH_TOL
-               for r in range(100))
+    trace = anneal(ev, g, s, [100 + r for r in range(100)])
+    hits = int(np.sum(np.abs(trace.final_cut - best) <= CUT_MATCH_TOL))
     assert hits >= 95
 
 

@@ -328,6 +328,19 @@ def test_experiment_noise_rejects_nan_level(tmp_path, capsys):
         assert "noise levels must be finite and non-negative" in captured.err
 
 
+def test_experiment_guard_failure_leaves_no_report_dir(tmp_path, capsys):
+    out = tmp_path / "pi"
+    code = run(["experiment", "prob", "--n", 8, "--degree", 3, "--t0", "inf", "--out", out])
+    assert code == EXIT_GUARD
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+    nested = tmp_path / "a" / "b"
+    code = run(["experiment", "prob", "--n", 6, "--degree", 3, "--ks", "2", "--rates", "0.99",
+                "--iters", 50, "--runs", 2, "--out", nested])
+    assert code == EXIT_OK
+    assert (nested / "prob.json").exists()
+
+
 def test_jobs_is_gone(tmp_path, capsys):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("n = 6\ndegree = 3\njobs = 2\n")

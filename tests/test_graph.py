@@ -1,6 +1,10 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from optising import graph as graph_module
 from optising.graph import (
     GraphError,
     GraphFormatError,
@@ -77,6 +81,66 @@ def test_gen_regular_deterministic():
     c = gen_regular(16, 3, 0.0, 1.0, seed=43)
     assert a == b
     assert a != c
+
+
+# sha256 of repr(g.edges) for sparse degrees (2 * degree <= n - 1).  These
+# graphs feed the paper instance and the rmse studies, so a faster repair must
+# reproduce them bit for bit.
+SPARSE_GOLDEN = {
+    (20, 5, 0): "c0169ec85424ae5394d57203195f386b8d56a92b6366b765878588d028179fd3",
+    (20, 5, 7): "078ab097c8092710a2bfaac78e79f837944ac16319625207957fa7e424723984",
+    (12, 5, 0): "34d5f21784d5b68396a05dc147ad49b940d4a0bc00bd5e6ed96cf90a190b3685",
+    (12, 5, 1): "029e97bfbc09e606a6429c99b931d77a058084f77a5fc8730202152d9ee9469a",
+    (12, 5, 2): "d8935ddc1e577f5db05e4c55dfddfc76016bb20de57ca414b27e67d2cda16e68",
+    (12, 5, 3): "a6907acf331113ddd04d5fa7357678051d9f20c115f7f0a86cfefc32e8b86556",
+    (12, 5, 4): "559712287d6409c3a0069b89a187085100fc4c59de18248df5b1a7c15ea53bcb",
+    (12, 5, 5): "cd0a5c1c307fa2dfa27df587e5f1a1cea056d4eab021acba38685cc29ae0b97b",
+    (12, 5, 6): "4b8540e2d430440e9fd5872d290398cb3bafaac9c5f0f4baed52e79ce1858b9e",
+    (12, 5, 7): "b31a034368b5057502124cc5a97249375f3e693bfcce9de9d28b5211b94a1f44",
+    (12, 5, 8): "51f59b3039e5171a1898070d9f1e658a3efd33dcff2e46ce451daaa707f83793",
+    (12, 5, 9): "724399d5a3ff74c7e37b31125b8526925aa67dd3a9b9cac3644b7aff2be3a891",
+    (12, 5, 10): "81c3e19af692325c472488d11727a02b7543464a98882fb1b92cc610534326f6",
+    (12, 5, 11): "8440190abf0424d41a89cc0bff4587889b4ac6c38b5d85bb2740be79c3dc788e",
+    (128, 3, 0): "4b7fd6fa16a41dfbf7c2e286a0149410f74ae01f18bf3cd9ca982cebf14d9b52",
+    (128, 3, 1): "ed3e4e85b3b4eb1a24cae38dbbba75817e57bce651cddc581a11865fed9e9d31",
+    (128, 3, 2): "7f766a1e18d8de23469bae7d9ac4562640527629d9f8e2d24940f7b32a8f4315",
+    (128, 3, 3): "c63e336a27b0c58dff9c1c3da597888f800af75a6f42b30583a8df263f581e6d",
+    (64, 31, 0): "a2b0f98c3d841a933f96b3a684fa19ecb003eae2e5f73bf5227ac467c1fc8663",
+    (100, 49, 0): "4b09da78b73559de7d08ed83a7bb82c02d88d738c1e78004306b0a9026175bf5",
+}
+
+
+@pytest.mark.parametrize("n,degree,seed", list(SPARSE_GOLDEN))
+def test_gen_regular_sparse_outputs_golden(n, degree, seed):
+    g = gen_regular(n, degree, 0.0, 1.0, seed=seed)
+    digest = hashlib.sha256(repr(g.edges).encode()).hexdigest()
+    assert digest == SPARSE_GOLDEN[(n, degree, seed)]
+
+
+@pytest.mark.parametrize("n,degree", [(10, 9), (20, 17)])
+def test_gen_regular_dense_needs_one_repair_pass(monkeypatch, n, degree):
+    calls = []
+    real = graph_module._repair_pairing
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graph_module, "_repair_pairing", counting)
+    for seed in range(5):
+        calls.clear()
+        g = gen_regular(n, degree, 0.0, 1.0, seed=seed)
+        assert len(calls) == 1
+        assert list(g.degrees()) == [degree] * n
+
+
+def test_gen_regular_complement_spreads_over_labelled_cycles():
+    # K4 holds three labelled 4-cycles; pairing the complement (a perfect
+    # matching) must reach each of them about equally often.
+    counts = Counter(tuple((u, v) for u, v, _ in gen_regular(4, 2, seed=s).edges)
+                     for s in range(300))
+    assert len(counts) == 3
+    assert min(counts.values()) >= 60
 
 
 def test_gen_regular_weights_in_range():
