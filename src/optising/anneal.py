@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph
-from .ising import random_state
+from .ising import from_graph, hamiltonian, random_state
 from .optics import HrvEvaluator, frames
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "anneal",
     "anneal_chunks",
     "optimal_hits",
-    "dump_trace",
     "DEFAULT_ITERS",
     "CUT_MATCH_TOL",
     "BLOCK",
@@ -150,7 +149,7 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
     ens, backend, sigma = evaluator.ensemble, evaluator.backend, evaluator.sigma
     temps = s.temperatures()
     flip_counts = s.flip_counts(n)
-    eu, ev, ew = g.edge_arrays()
+    model = from_graph(g)
     half_total = g.total_weight() / 2.0
 
     x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
@@ -197,9 +196,7 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
             states[j] = x
         blk = slice(b0, b0 + nb)
         uniform[blk] = np.where(delta_e[blk] > 0.0, u, np.nan)
-        xs = states[:nb]
-        cut_hist[blk] = (half_total - (xs[..., eu] * xs[..., ev]) @ ew / 2.0
-                         if ew.size else 0.0)
+        cut_hist[blk] = half_total - hamiltonian(model, states[:nb]) / 2.0
 
     hist = [a.T.copy() for a in (hrv_hist, cut_hist, accepted, delta_e, uniform)]
     final_state = x.astype(np.int8)
@@ -233,14 +230,4 @@ def optimal_hits(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seeds,
     """Number of runs, one per seed, whose final cut is `optimum`."""
     return sum(int(np.count_nonzero(np.abs(tr.final_cut - optimum) <= CUT_MATCH_TOL))
                for tr in anneal_chunks(evaluator, g, s, seeds))
-
-
-def dump_trace(trace: AnnealTrace, path) -> None:
-    """CSV dump of a one-run trace: iter, temperature, flips, hrv, cut, accepted."""
-    with open(path, "w") as fh:
-        fh.write("iter,temperature,flips,hrv,cut,accepted\n")
-        for k in range(trace.iters):
-            fh.write(f"{k},{float(trace.temperature[k])!r},{int(trace.flips[k])},"
-                     f"{float(trace.hrv[k])!r},{float(trace.cut[k])!r},"
-                     f"{int(trace.accepted[k])}\n")
 

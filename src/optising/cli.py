@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import experiments as xp
-from .anneal import DEFAULT_ITERS, Schedule, anneal, dump_trace
+from .anneal import CUT_MATCH_TOL, DEFAULT_ITERS, Schedule, anneal
 from .graph import GraphError, GraphFormatError, WeightedGraph, density, gen_density, gen_regular, read_graph, write_graph
 from .ising import MatrixFormatError, brute_force_maxcut, from_graph, read_matrix
 from .optics import HrvEvaluator
@@ -191,9 +191,16 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
 
 
 def _load_instance(cfg) -> WeightedGraph:
+    """The study's graph.  An instance file sets the echoed `n` and admits no
+    generator setting."""
     if cfg.get("instance"):
+        given = [key for key in ("degree", "density") if cfg[key] is not None]
+        if given:
+            raise ConfigError([f"{key!r} does not apply next to an instance" for key in given])
         fmt = cfg.get("instance_format") or _format_from_path(cfg["instance"])
-        return read_graph(cfg["instance"], fmt)
+        g = read_graph(cfg["instance"], fmt)
+        cfg["n"] = g.n
+        return g
     seed = xp.derive_seed(cfg["seed"], xp.LBL_GRAPH, 0)
     if cfg.get("degree") is not None:
         return gen_regular(cfg["n"], cfg["degree"], cfg["wlow"], cfg["whigh"], seed=seed)
@@ -295,9 +302,11 @@ def cmd_solve(args) -> int:
     if args.oracle:
         best, _ = brute_force_maxcut(g)
         print(f"optimal_cut={best!r}")
-        print(f"optimal_match={int(abs(trace.final_cut - best) <= 1e-9)}")
+        print(f"optimal_match={int(abs(trace.final_cut - best) <= CUT_MATCH_TOL)}")
     if args.trace_out:
-        dump_trace(trace, args.trace_out)
+        xp.write_csv(args.trace_out, ["iter", "temperature", "flips", "hrv", "cut", "accepted"],
+                     zip(range(trace.iters), trace.temperature, trace.flips, trace.hrv,
+                         trace.cut, trace.accepted))
         print(f"wrote {args.trace_out}")
     return EXIT_OK
 

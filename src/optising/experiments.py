@@ -29,7 +29,7 @@ import numpy as np
 
 from .anneal import Schedule, anneal_chunks, optimal_hits
 from .graph import WeightedGraph, gen_density, gen_regular
-from .ising import IsingModel, brute_force_maxcut, from_graph, random_states
+from .ising import IsingModel, brute_force_maxcut, from_graph, hamiltonian, random_states
 from .optics import HrvEvaluator, estimate_span, frames
 from .spectral import IntensityEnsemble, build_ensemble, eigendecompose, splits_cluster
 
@@ -87,10 +87,11 @@ def readout_span(ensemble: IntensityEnsemble, seed: int, samples: int) -> float:
     return estimate_span(ensemble, samples=samples, rng=rng)
 
 
-def wilson_interval(hits: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = _Z95
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -171,7 +172,7 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
     ens = build_ensemble(eigendecompose(m), n)
     cum = np.cumsum(frames(ens, X) * ens.g, axis=1)  # column K-1: readout with K frames
 
-    ham = -np.einsum("ij,ij->i", X @ m.J, X)
+    ham = hamiltonian(m, X)
 
     report = MatchReport(n=n, samples=samples, seed=seed)
     for K in ks:

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 _MAX_RESTARTS = 200  # reshuffles before the pairing model gives up
-_MAX_SWAPS = 10000  # swap attempts per repair pass
+_MAX_SWAPS = 10000  # swap attempts per repair pass, at the least
 
 
 class GraphError(ValueError):
@@ -81,14 +81,6 @@ class WeightedGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge endpoints and weights as parallel arrays (empty-safe)."""
-        if not self.edges:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), np.zeros(0)
-        u, v, w = zip(*self.edges)
-        return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w, dtype=float)
 
 
 def density(g: WeightedGraph) -> float:
@@ -164,7 +156,8 @@ def _repair_pairing(mat, rng):
     for i, e in enumerate(edges):
         holders.setdefault(e, set()).add(i)
     bad = {i for i, (a, b) in enumerate(edges) if a == b or len(holders[(a, b)]) > 1}
-    for _ in range(_MAX_SWAPS):
+    # one pass needs about 0.6 attempts per pair, so the budget grows with it
+    for _ in range(max(_MAX_SWAPS, 2 * len(edges))):
         if not bad:
             return set(edges)
         i = min(bad)

@@ -9,7 +9,6 @@ from optising.anneal import (
     Schedule,
     anneal,
     anneal_chunks,
-    dump_trace,
     optimal_hits,
 )
 from optising.graph import WeightedGraph, gen_regular
@@ -170,18 +169,24 @@ def test_noisy_run_is_deterministic(small_graph):
     assert not np.allclose(t1.cut, ident, atol=1e-6)
 
 
-def test_dump_trace(tmp_path, small_graph):
-    ev = make_evaluator(small_graph)
-    s = Schedule(t0=5.0, rate=0.99, iters=50)
-    tr = anneal(ev, small_graph, s, seed=4)
-    p = tmp_path / "trace.csv"
-    dump_trace(tr, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "iter,temperature,flips,hrv,cut,accepted"
-    assert len(lines) == 51
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == 5.0
+def test_cut_history_matches_edge_sum_at_block_boundaries():
+    # A run of k iterations ends in the state the same seed's 300-iteration
+    # run holds after iteration k-1: temperatures, flip counts and the
+    # BLOCK-sized draws agree on the prefix.
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    span = estimate_span(make_evaluator(g, 13).ensemble, samples=1000,
+                         rng=np.random.default_rng(1))
+    ev = make_evaluator(g, 13, sigma=0.05 * span)
+    seeds = [5, 6]
+    long = anneal(ev, g, Schedule(t0=span, rate=0.99, iters=300), seeds)
+    for k in (1, 63, 64, 65, 200, 300):
+        short = anneal(ev, g, Schedule(t0=span, rate=0.99, iters=k), seeds)
+        assert np.array_equal(short.accepted, long.accepted[:, :k])
+        for r in range(len(seeds)):
+            want = cut_value(g, short.final_state[r])
+            tol = 1e-12 * max(1.0, abs(want))
+            assert abs(long.cut[r, k - 1] - want) <= tol
+            assert abs(short.final_cut[r] - want) <= tol
 
 
 def test_estimate_optimal_probability_trivial_edge():

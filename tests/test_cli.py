@@ -201,8 +201,14 @@ def test_solve_trace_out(tmp_path):
     gpath = tmp_path / "edge.rud"
     gpath.write_text("2 1\n1 2 1.0\n")
     tpath = tmp_path / "trace.csv"
-    run(["solve", "--graph", gpath, "--iters", 50, "--trace-out", tpath])
-    assert tpath.read_text().startswith("iter,temperature,flips,hrv,cut,accepted")
+    code = run(["solve", "--graph", gpath, "--t0", 5, "--iters", 50, "--trace-out", tpath])
+    assert code == EXIT_OK
+    lines = tpath.read_text().splitlines()
+    assert lines[0] == "iter,temperature,flips,hrv,cut,accepted"
+    assert len(lines) == 51
+    first = lines[1].split(",")
+    assert first[0] == "0"
+    assert float(first[1]) == 5.0
 
 
 def test_parse_config_text():
@@ -251,6 +257,22 @@ def test_experiment_rmse_instance_uses_its_size(tmp_path):
     assert len((out / "rmse.csv").read_text().splitlines()) == 1 + 10
     last = (out / "rmse_vs_k_over_n.dat").read_text().splitlines()[-1].split(",")
     assert float(last[0]) == 1.0
+    assert json.loads((out / "rmse.json").read_text())["config"]["n"] == 10
+
+
+@pytest.mark.parametrize("study, extra", [
+    ("prob", ["--degree", 7, "--ks", 5, "--runs", 3, "--iters", 50]),
+    ("rmse", ["--density", 0.5, "--samples", 40]),
+])
+def test_experiment_instance_rejects_generator_settings(tmp_path, capsys, study, extra):
+    run(["gen", "--n", 10, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
+    capsys.readouterr()
+    out = tmp_path / study
+    code = run(["experiment", study, "--instance", tmp_path / "g.rud", *extra, "--out", out])
+    assert code == EXIT_PARSE
+    key = extra[0][2:]
+    assert f"config error: {key!r} does not apply next to an instance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("graph_seeds", ["0", "-2"])

@@ -134,6 +134,14 @@ def test_gen_regular_dense_needs_one_repair_pass(monkeypatch, n, degree):
         assert list(g.degrees()) == [degree] * n
 
 
+def test_gen_regular_repair_budget_grows_with_the_pairing(monkeypatch):
+    # one repair pass of (64, 31) at seed 0 needs 576 swap attempts, more
+    # than the floor allows here
+    monkeypatch.setattr(graph_module, "_MAX_SWAPS", 100)
+    g = gen_regular(64, 31, 0.0, 1.0, seed=0)
+    assert list(g.degrees()) == [31] * 64
+
+
 def test_gen_regular_complement_spreads_over_labelled_cycles():
     # K4 holds three labelled 4-cycles; pairing the complement (a perfect
     # matching) must reach each of them about equally often.

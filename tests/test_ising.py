@@ -12,6 +12,7 @@ from optising.ising import (
     from_graph,
     hamiltonian,
     random_state,
+    random_states,
     read_matrix,
     write_matrix,
 )
@@ -69,6 +70,32 @@ def test_hamiltonian_global_flip_invariance(rng):
         m = random_symmetric_model(n, rng)
         x = random_state(n, rng)
         assert hamiltonian(m, x) == hamiltonian(m, -x)
+
+
+def test_hamiltonian_of_a_block_matches_each_row(rng):
+    g = gen_regular(12, 5, -1.0, 1.0, seed=3)
+    m = from_graph(g)
+    X = random_states(12, 4 * 5, rng).reshape(4, 5, 12)
+    H = hamiltonian(m, X)
+    assert H.shape == (4, 5)
+    for b in range(4):
+        Hb = hamiltonian(m, X[b])
+        assert Hb.shape == (5,)
+        for r in range(5):
+            h = hamiltonian(m, X[b, r])
+            assert isinstance(h, float)
+            # the edge-sum reference, through W = total/2 - H/2
+            assert h == pytest.approx(g.total_weight() - 2.0 * cut_value(g, X[b, r]),
+                                      rel=1e-12, abs=1e-12)
+            assert Hb[r] == pytest.approx(h, rel=1e-12, abs=1e-12)
+            assert H[b, r] == pytest.approx(h, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (11,), (3, 11), (12, 3)])
+def test_hamiltonian_rejects_a_wrong_last_axis(shape):
+    m = from_graph(gen_regular(12, 5, seed=3))
+    with pytest.raises(ValueError, match="does not match n=12"):
+        hamiltonian(m, np.ones(shape))
 
 
 def test_delta_hamiltonian_example():
