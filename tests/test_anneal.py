@@ -11,7 +11,8 @@ from optising.anneal import (
     anneal_chunks,
     optimal_hits,
 )
-from optising.graph import WeightedGraph, gen_regular
+from optising.cli import main
+from optising.graph import WeightedGraph, gen_regular, write_graph
 from optising.ising import brute_force_maxcut, cut_value, from_graph
 from optising.optics import HrvEvaluator, estimate_span
 from optising.spectral import build_ensemble, eigendecompose
@@ -187,6 +188,33 @@ def test_cut_history_matches_edge_sum_at_block_boundaries():
             tol = 1e-12 * max(1.0, abs(want))
             assert abs(long.cut[r, k - 1] - want) <= tol
             assert abs(short.final_cut[r] - want) <= tol
+
+
+def test_dump_trace(tmp_path, small_graph):
+    # solve --trace-out dumps the one-run trace row by row: the CSV holds the
+    # same iterations, temperatures, flips, readouts, cuts and decisions as
+    # anneal() on the same graph, schedule and seed.
+    gpath = tmp_path / "g.rud"
+    write_graph(small_graph, gpath)
+    p = tmp_path / "trace.csv"
+    assert main([str(a) for a in ("solve", "--graph", gpath, "--t0", 5.0, "--rate", 0.99,
+                                  "--iters", 50, "--seed", 4, "--trace-out", p)]) == 0
+    tr = anneal(make_evaluator(small_graph), small_graph,
+                Schedule(t0=5.0, rate=0.99, iters=50), seed=4)
+    lines = p.read_text().splitlines()
+    assert lines[0] == "iter,temperature,flips,hrv,cut,accepted"
+    assert len(lines) == 51
+    first = lines[1].split(",")
+    assert first[0] == "0"
+    assert float(first[1]) == 5.0
+    for k, line in enumerate(lines[1:]):
+        it, temp, flips, hrv, cut, acc = line.split(",")
+        assert int(it) == k
+        assert float(temp) == tr.temperature[k]
+        assert int(flips) == tr.flips[k]
+        assert float(hrv) == tr.hrv[k]
+        assert float(cut) == tr.cut[k]
+        assert int(acc) == int(tr.accepted[k])
 
 
 def test_estimate_optimal_probability_trivial_edge():
