@@ -75,10 +75,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def _parse_int_list(s):
     """Comma list of ints; 'a..b' expands to an inclusive range."""
-    if isinstance(s, (list, tuple)):
-        return [int(v) for v in s]
     out = []
-    for part in str(s).split(","):
+    for part in s.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
@@ -89,9 +87,7 @@ def _parse_int_list(s):
 
 
 def _parse_float_list(s):
-    if isinstance(s, (list, tuple)):
-        return [float(v) for v in s]
-    return [float(part.strip()) for part in str(s).split(",")]
+    return [float(part.strip()) for part in s.split(",")]
 
 
 _COMMON_SCHEMA = {
@@ -147,11 +143,19 @@ _STUDY_SCHEMA = {
 _EXPERIMENT_KEYS = {key: parser for schema in _STUDY_SCHEMA.values()
                     for key, (parser, _) in schema.items()}
 
+# The settings that generate a graph; an instance file replaces them all.
+_GENERATOR_KEYS = ("n", "degree", "density", "wlow", "whigh", "graph_seeds")
+
 
 def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict:
-    """Defaults <- config file <- CLI flags, validating everything at once."""
+    """Defaults <- config file <- CLI flags, validating everything at once.
+
+    Next to an instance, a generator setting given in the file or as a flag
+    is an error, and the resolved config holds none of them (the study sets
+    `n` from the instance)."""
     schema = _STUDY_SCHEMA[study]
     cfg = {key: default for key, (_, default) in schema.items()}
+    given = set()
     errors = []
 
     if config_path is not None:
@@ -164,6 +168,7 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
             if key not in schema:
                 errors.append(f"unknown config key {key!r}")
                 continue
+            given.add(key)
             parser = schema[key][0]
             try:
                 cfg[key] = parser(value)
@@ -176,6 +181,7 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
         if key not in schema:
             errors.append(f"option {key!r} does not apply to study {study!r}")
             continue
+        given.add(key)
         parser = schema[key][0]
         try:
             cfg[key] = parser(value)
@@ -185,18 +191,18 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
     if cfg.get("instance") is None:
         if (cfg.get("degree") is None) == (cfg.get("density") is None):
             errors.append("specify exactly one of degree/density (or an instance path)")
+    else:
+        errors.extend(f"{key!r} does not apply next to an instance"
+                      for key in _GENERATOR_KEYS if key in given)
+        cfg = {key: value for key, value in cfg.items() if key not in _GENERATOR_KEYS}
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
 def _load_instance(cfg) -> WeightedGraph:
-    """The study's graph.  An instance file sets the echoed `n` and admits no
-    generator setting."""
+    """The study's graph.  An instance file sets the echoed `n`."""
     if cfg.get("instance"):
-        given = [key for key in ("degree", "density") if cfg[key] is not None]
-        if given:
-            raise ConfigError([f"{key!r} does not apply next to an instance" for key in given])
         fmt = cfg.get("instance_format") or _format_from_path(cfg["instance"])
         g = read_graph(cfg["instance"], fmt)
         cfg["n"] = g.n
@@ -316,23 +322,29 @@ def cmd_experiment(args) -> int:
     cfg = resolve_config(args.study, args.config, overrides)
     runner = {"rmse": _run_rmse, "prob": _run_prob, "noise": _run_noise,
               "trace": _run_trace}[args.study]
-    written = runner(cfg, args.out)
-    for path in written:
+    tables, results = runner(cfg)
+    # the report directory is made only once the study has run, so a study
+    # that fails its checks leaves nothing behind
+    os.makedirs(args.out, exist_ok=True)
+    for name, header, rows in tables:
+        path = os.path.join(args.out, name)
+        xp.write_csv(path, header, rows)
         print(f"wrote {path}")
+    path = os.path.join(args.out, f"{args.study}.json")
+    xp.write_json_summary(path, {"study": args.study, **cfg}, results)
+    print(f"wrote {path}")
     return EXIT_OK
 
 
-def _report_path(out, name):
-    # the report directory is made at the first write, so a study that
-    # fails its checks leaves nothing behind
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+# Each runner returns (tables, results): the (file name, header, rows) of
+# every CSV report in write order, and the `results` of the JSON summary.
 
-
-def _run_rmse(cfg, out):
+def _run_rmse(cfg):
     g = _load_instance(cfg) if cfg.get("instance") else None
     n = g.n if g is not None else cfg["n"]
     ks = cfg["ks"] if cfg["ks"] is not None else list(range(1, n + 1))
+    if any(k < 1 or k > n for k in ks):
+        raise ValueError(f"ks must lie in 1..{n}")
     if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
         mean_rmse = np.array([rep.by_k(k).rmse for k in ks])
@@ -344,28 +356,21 @@ def _run_rmse(cfg, out):
             degree=cfg["degree"], density=cfg["density"],
             weight_low=cfg["wlow"], weight_high=cfg["whigh"])
 
-    rows = [(k, r, rel, r2) for k, r, rel, r2 in zip(ks, mean_rmse, mean_rel, mean_r2)]
-    csv_path = _report_path(out, "rmse.csv")
-    xp.write_csv(csv_path, ["K", "rmse", "rmse_relative", "fit_r2"], rows)
-
-    plot_path = _report_path(out, "rmse_vs_k_over_n.dat")
-    xp.write_csv(plot_path, ["k_over_n", "rmse"],
-                 [(k / n, r) for k, r in zip(ks, mean_rmse)])
-
+    curve = [(k / n, r) for k, r in zip(ks, mean_rmse)]
     results = {"ks": list(ks), "rmse": list(mean_rmse), "rmse_relative": list(mean_rel),
                "fit_r2": list(mean_r2)}
     try:
-        fit = xp.fit_exponential([(k / n, r) for k, r in zip(ks, mean_rmse)])
+        fit = xp.fit_exponential(curve)
         results["exp_fit"] = {"A": fit.A, "B": fit.B, "D": fit.D, "r2": fit.r2,
                               "decaying": fit.decaying}
     except ValueError:
         results["exp_fit"] = None
-    json_path = _report_path(out, "rmse.json")
-    xp.write_json_summary(json_path, {"study": "rmse", **cfg}, results)
-    return [csv_path, plot_path, json_path]
+    return [("rmse.csv", ["K", "rmse", "rmse_relative", "fit_r2"],
+             list(zip(ks, mean_rmse, mean_rel, mean_r2))),
+            ("rmse_vs_k_over_n.dat", ["k_over_n", "rmse"], curve)], results
 
 
-def _run_prob(cfg, out):
+def _run_prob(cfg):
     g = _load_instance(cfg)
     ks = cfg["ks"] if cfg["ks"] is not None else list(range(1, g.n + 1))
     schedules = _schedules(cfg, g, cfg["rates"], g.n)
@@ -373,26 +378,18 @@ def _run_prob(cfg, out):
 
     rows = [(c.schedule_index, c.rate, c.K, c.runs, c.hits, c.probability,
              c.wilson_low, c.wilson_high, c.is_reference) for c in table.cells]
-    csv_path = _report_path(out, "prob.csv")
-    xp.write_csv(csv_path, ["schedule", "rate", "K", "runs", "hits", "probability",
-                            "wilson_low", "wilson_high", "is_reference"], rows)
-    written = [csv_path]
-    for si, s in enumerate(schedules):
-        plot = _report_path(out, f"prob_schedule{si}.dat")
-        xp.write_csv(plot, ["K", "probability"],
-                     [(c.K, c.probability) for c in table.cells if c.schedule_index == si])
-        written.append(plot)
-    json_path = _report_path(out, "prob.json")
     results = {"optimum": table.optimum,
                "schedules": [vars(s) for s in schedules],
                "cells": [vars(c) for c in table.cells],
                "split_cluster": table.split_cluster}
-    xp.write_json_summary(json_path, {"study": "prob", **cfg}, results)
-    written.append(json_path)
-    return written
+    return [("prob.csv", ["schedule", "rate", "K", "runs", "hits", "probability",
+                          "wilson_low", "wilson_high", "is_reference"], rows)] + [
+        (f"prob_schedule{si}.dat", ["K", "probability"],
+         [(c.K, c.probability) for c in table.cells if c.schedule_index == si])
+        for si in range(len(schedules))], results
 
 
-def _run_noise(cfg, out):
+def _run_noise(cfg):
     g = _load_instance(cfg)
     K = cfg["k"] if cfg["k"] is not None else g.n
     (schedule,) = _schedules(cfg, g, [cfg["rate"]], K)
@@ -400,34 +397,21 @@ def _run_noise(cfg, out):
                            span_samples=cfg["span_samples"])
     rows = [(c.level, c.sigma, c.K, c.runs, c.hits, c.probability,
              c.wilson_low, c.wilson_high) for c in table.cells]
-    csv_path = _report_path(out, "noise.csv")
-    xp.write_csv(csv_path, ["level", "sigma", "K", "runs", "hits", "probability",
-                            "wilson_low", "wilson_high"], rows)
-    plot_path = _report_path(out, "prob_vs_noise.dat")
-    xp.write_csv(plot_path, ["level", "probability"],
-                 [(c.level, c.probability) for c in table.cells])
-    json_path = _report_path(out, "noise.json")
     results = {"optimum": table.optimum, "span": table.span, "K": table.K,
                "schedule": vars(schedule),
                "cells": [vars(c) for c in table.cells],
                "split_cluster": table.split_cluster}
-    xp.write_json_summary(json_path, {"study": "noise", **cfg}, results)
-    return [csv_path, plot_path, json_path]
+    return [("noise.csv", ["level", "sigma", "K", "runs", "hits", "probability",
+                           "wilson_low", "wilson_high"], rows),
+            ("prob_vs_noise.dat", ["level", "probability"],
+             [(c.level, c.probability) for c in table.cells])], results
 
 
-def _run_trace(cfg, out):
+def _run_trace(cfg):
     g = _load_instance(cfg)
     ks = cfg["ks"] if cfg["ks"] is not None else [g.n]
     (schedule,) = _schedules(cfg, g, [cfg["rate"]], g.n)
     study = xp.anneal_trace_study(g, ks, schedule, cfg["runs"], cfg["seed"])
-    written = []
-    for K in study.ks:
-        path = _report_path(out, f"trace_k{K}.csv")
-        xp.write_csv(path, ["iter", "mean_hrv", "mean_cut"],
-                     [(i, study.mean_hrv[K][i], study.mean_cut[K][i])
-                      for i in range(schedule.iters)])
-        written.append(path)
-    json_path = _report_path(out, "trace.json")
     results = {"ks": study.ks,
                "schedule": vars(schedule),
                "final_hrv_mean": study.final_hrv_mean,
@@ -435,9 +419,9 @@ def _run_trace(cfg, out):
                "final_cut_mean": study.final_cut_mean,
                "final_cut_std": study.final_cut_std,
                "split_cluster": study.split_cluster}
-    xp.write_json_summary(json_path, {"study": "trace", **cfg}, results)
-    written.append(json_path)
-    return written
+    return [(f"trace_k{K}.csv", ["iter", "mean_hrv", "mean_cut"],
+             [(i, study.mean_hrv[K][i], study.mean_cut[K][i]) for i in range(schedule.iters)])
+            for K in study.ks], results
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,8 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ks = sorted({int(k) for k in ks})
+    if any(k < 1 or k > g.n for k in ks):
+        raise ValueError(f"ks must lie in 1..{g.n}")
     b = eigendecompose(from_graph(g))
 
     study = TraceStudy(n=g.n, runs=runs, seed=seed, ks=ks, mean_hrv={}, mean_cut={},
@@ -468,11 +470,13 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json_summary(path, config: dict, results) -> None:
+    """Strict JSON: a NaN or infinite value raises ValueError before the file
+    is opened."""
     payload = {
         "config": _jsonable(config),
         "config_hash": config_hash(config),
         "results": _jsonable(results),
     }
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -270,7 +270,10 @@ def _read_rudy(path) -> WeightedGraph:
         edges.append((u - 1, v - 1, w))
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, file holds {len(edges)}")
-    return WeightedGraph(n, tuple(edges))
+    try:
+        return WeightedGraph(n, tuple(edges))
+    except GraphError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def _read_json(path) -> WeightedGraph:

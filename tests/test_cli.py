@@ -114,6 +114,19 @@ def test_decompose_non_finite_matrix_guard(tmp_path, capsys):
     assert "J must be finite" in captured.err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("zero.rud", "0 0\n"),
+    ("zero.json", '{"n": 0, "edges": []}'),
+], ids=["rudy", "json"])
+def test_graph_without_vertices_is_a_parse_error(tmp_path, capsys, name, text):
+    gpath = tmp_path / name
+    gpath.write_text(text)
+    assert run(["decompose", "--graph", gpath]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+
+
 K4_RUDY = "4 6\n1 2 1.0\n1 3 1.0\n1 4 1.0\n2 3 1.0\n2 4 1.0\n3 4 1.0\n"
 
 
@@ -257,21 +270,38 @@ def test_experiment_rmse_instance_uses_its_size(tmp_path):
     assert len((out / "rmse.csv").read_text().splitlines()) == 1 + 10
     last = (out / "rmse_vs_k_over_n.dat").read_text().splitlines()[-1].split(",")
     assert float(last[0]) == 1.0
-    assert json.loads((out / "rmse.json").read_text())["config"]["n"] == 10
+    config = json.loads((out / "rmse.json").read_text())["config"]
+    assert config["n"] == 10
+    # the echo holds the instance's n and no generator setting
+    assert set(config) == {"study", "seed", "n", "instance", "instance_format", "ks", "samples"}
 
 
 @pytest.mark.parametrize("study, extra", [
     ("prob", ["--degree", 7, "--ks", 5, "--runs", 3, "--iters", 50]),
     ("rmse", ["--density", 0.5, "--samples", 40]),
+    ("prob", ["--n", 99, "--ks", 5, "--runs", 2, "--iters", 20]),
+    ("rmse", ["--wlow", 5, "--samples", 50]),
+    ("noise", ["--whigh", 9, "--runs", 2, "--iters", 20]),
+    ("rmse", ["--graph-seeds", 0, "--samples", 50]),
+    # a config file counts too, even where it repeats the instance's own n
+    ("trace", ["--config", "n = 10\nwhigh = 1.0\n", "--runs", 2, "--iters", 20]),
 ])
 def test_experiment_instance_rejects_generator_settings(tmp_path, capsys, study, extra):
     run(["gen", "--n", 10, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
     capsys.readouterr()
+    if extra[0] == "--config":
+        keys = list(parse_config_text(extra[1]))
+        (tmp_path / "gen.cfg").write_text(extra[1])
+        extra = ["--config", tmp_path / "gen.cfg", *extra[2:]]
+    else:
+        keys = [extra[0][2:].replace("-", "_")]
     out = tmp_path / study
     code = run(["experiment", study, "--instance", tmp_path / "g.rud", *extra, "--out", out])
     assert code == EXIT_PARSE
-    key = extra[0][2:]
-    assert f"config error: {key!r} does not apply next to an instance" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: {key!r} does not apply next to an instance" for key in keys]
     assert not out.exists()
 
 
@@ -283,6 +313,18 @@ def test_experiment_rmse_rejects_no_graph_seeds(tmp_path, capsys, graph_seeds):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "graph_seeds must be >= 1" in captured.err
+
+
+def test_experiment_rmse_rejects_k_outside_1_to_n(tmp_path, capsys):
+    # K=0 has a zero readout span, so its relative RMSE would be infinite
+    out = tmp_path / "rmse"
+    code = run(["experiment", "rmse", "--n", 6, "--degree", 3, "--ks", "0,3", "--samples", 40,
+                "--graph-seeds", 1, "--out", out])
+    assert code == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ks must lie in 1..6" in captured.err
+    assert not out.exists()
 
 
 # One flag value per study key, with the value the key's parser gives for it.
@@ -303,7 +345,10 @@ def test_experiment_flags_follow_the_study_schema(study, capsys):
     assert keys == set(_FLAG_VALUES)
     parser = build_parser()
     for key, (text, value) in _FLAG_VALUES.items():
-        argv = ["experiment", study, "--instance", "base.rud", "--" + key.replace("_", "-"), text]
+        # no generator setting may sit next to an instance, so each key but
+        # the graph sources themselves is tried on a generated graph
+        base = [] if key in ("degree", "density", "instance") else ["--degree", "3"]
+        argv = ["experiment", study, *base, "--" + key.replace("_", "-"), text]
         args = parser.parse_args(argv)
         overrides = {k: getattr(args, k) for k in keys}
         if key in _STUDY_SCHEMA[study]:
@@ -413,3 +458,10 @@ def test_experiment_reports_byte_identical_reruns(tmp_path, study, extra):
     b1, b2 = read_dir_bytes(d1), read_dir_bytes(d2)
     assert b1 == b2
     assert len(b1) >= 2
+
+    def reject(constant):
+        raise ValueError(f"summary holds {constant}, which is not JSON")
+
+    for name in b1:
+        if name.endswith(".json"):
+            json.loads(b1[name], parse_constant=reject)

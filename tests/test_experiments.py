@@ -8,6 +8,7 @@ from optising.anneal import Schedule, anneal
 from optising.experiments import (
     LBL_STATES,
     LBL_TRACE,
+    anneal_chunks,
     anneal_trace_study,
     config_hash,
     derive_seed,
@@ -209,6 +210,21 @@ def test_anneal_trace_study_improves_from_random_start(small_instance):
     assert curve[-1] >= curve[100]
 
 
+def test_anneal_trace_study_checks_every_k_before_annealing(small_instance, monkeypatch):
+    calls = []
+
+    def counted_chunks(*args, **kwargs):
+        calls.append(args)
+        return anneal_chunks(*args, **kwargs)
+
+    monkeypatch.setattr("optising.experiments.anneal_chunks", counted_chunks)
+    s = Schedule(t0=4.0, rate=0.99, iters=20)
+    n = small_instance.n
+    with pytest.raises(ValueError, match=f"ks must lie in 1..{n}"):
+        anneal_trace_study(small_instance, [3, n + 1], schedule=s, runs=2, seed=0)
+    assert calls == []
+
+
 def test_derive_seed_stable_and_distinct():
     a = derive_seed(0, 103, 0, 5)
     assert a == derive_seed(0, 103, 0, 5)
@@ -242,3 +258,10 @@ def test_write_json_summary_round_trip(tmp_path):
     before = p.read_bytes()
     write_json_summary(p, cfg, {"value": np.float64(1.5), "arr": np.arange(3)})
     assert p.read_bytes() == before
+
+
+def test_write_json_summary_rejects_nan_and_leaves_no_file(tmp_path):
+    p = tmp_path / "s.json"
+    with pytest.raises(ValueError):
+        write_json_summary(p, {"seed": 3}, {"rmse_relative": [1.0, float("nan")]})
+    assert not p.exists()

@@ -1,9 +1,14 @@
+import argparse
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import optising
+from optising.cli import _STUDY_SCHEMA, build_parser, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +27,26 @@ def test_readme_library_example_runs(capsys):
     assert block, "README has no python library example"
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out  # the example prints its results
+
+
+def test_readme_cli_examples_parse():
+    text = README.read_text()
+    section = text[text.index("## CLI"):text.index("## Library example")]
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+             for line in block.splitlines() if line.startswith("optising ")]
+    assert len(lines) >= 8, "README's CLI block lost its optising commands"
+    keys = {key for schema in _STUDY_SCHEMA.values() for key in schema}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        # argparse takes any unique prefix of a flag, so check the spelling too
+        flags = commands[argv[0]]._option_string_actions
+        misspelled = [t for t in argv if t.startswith("--") and t.split("=")[0] not in flags]
+        assert not misspelled, f"README command uses unknown flags {misspelled}: {line}"
+        if args.command == "experiment" and args.config is None:
+            resolve_config(args.study, None, {key: getattr(args, key) for key in keys})
