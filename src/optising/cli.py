@@ -98,7 +98,6 @@ _COMMON_SCHEMA = {
     "wlow": (float, 0.0),
     "whigh": (float, 1.0),
     "instance": (str, None),
-    "instance_format": (str, None),
 }
 
 _ANNEAL_SCHEMA = {
@@ -203,8 +202,7 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
 def _load_instance(cfg) -> WeightedGraph:
     """The study's graph.  An instance file sets the echoed `n`."""
     if cfg.get("instance"):
-        fmt = cfg.get("instance_format") or _format_from_path(cfg["instance"])
-        g = read_graph(cfg["instance"], fmt)
+        g = read_graph(cfg["instance"])
         cfg["n"] = g.n
         return g
     seed = xp.derive_seed(cfg["seed"], xp.LBL_GRAPH, 0)
@@ -213,18 +211,21 @@ def _load_instance(cfg) -> WeightedGraph:
     return gen_density(cfg["n"], cfg["density"], cfg["wlow"], cfg["whigh"], seed=seed)
 
 
-def _format_from_path(path: str) -> str:
-    return "json" if path.endswith(".json") else "rudy"
-
-
 def _schedules(cfg, g, rates, K) -> list[Schedule]:
     """One schedule per rate; t0 defaults to the K-truncated readout span."""
     t0 = cfg["t0"]
     if t0 is None:
         ens = build_ensemble(eigendecompose(from_graph(g)), K)
-        t0 = xp.readout_span(ens, cfg["seed"], cfg["span_samples"])
+        t0 = _span_t0(xp.readout_span(ens, cfg["seed"], cfg["span_samples"]))
     return [Schedule(t0=float(t0), rate=rate, iters=cfg["iters"], flip_floor=cfg["flip_floor"])
             for rate in rates]
+
+
+def _span_t0(span: float) -> float:
+    """The readout span as the default t0; a graph without edges has none."""
+    if not span > 0:
+        raise ValueError("the readout span is 0, so t0 has no default: give t0")
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +255,7 @@ def cmd_decompose(args) -> int:
     if (args.graph is None) == (args.matrix is None):
         print("decompose: specify exactly one of --graph or --matrix", file=sys.stderr)
         return EXIT_USAGE
-    if args.graph is not None:
-        fmt = args.format or _format_from_path(args.graph)
-        m = from_graph(read_graph(args.graph, fmt))
-    else:
-        fmt = args.format or ("csv" if args.matrix.endswith(".csv") else "json")
-        m = read_matrix(args.matrix, fmt)
+    m = from_graph(read_graph(args.graph)) if args.graph is not None else read_matrix(args.matrix)
     b = eigendecompose(m)
     rows = []
     print(f"{'rank':>4} {'eigenvalue':>24} {'sign':>4} {'error_ratio_at_K':>20}")
@@ -283,10 +279,8 @@ def cmd_decompose(args) -> int:
 def cmd_solve(args) -> int:
     if not (args.noise_level >= 0 and math.isfinite(args.noise_level)):
         raise ValueError("noise level must be finite and non-negative")
-    fmt = args.format or _format_from_path(args.graph)
-    g = read_graph(args.graph, fmt)
-    m = from_graph(g)
-    b = eigendecompose(m)
+    g = read_graph(args.graph)
+    b = eigendecompose(from_graph(g))
     K = args.k if args.k is not None else g.n
     ens = build_ensemble(b, K, P=args.p)
 
@@ -295,7 +289,7 @@ def cmd_solve(args) -> int:
         span = xp.readout_span(ens, args.seed, args.span_samples)
     sigma = args.noise_level * span if args.noise_level > 0 else 0.0
     evaluator = HrvEvaluator(ens, backend=args.backend, sigma=sigma)
-    t0 = args.t0 if args.t0 is not None else span
+    t0 = args.t0 if args.t0 is not None else _span_t0(span)
     schedule = Schedule(t0=float(t0), rate=args.rate, iters=args.iters,
                         flip_floor=args.flip_floor)
 
@@ -429,11 +423,12 @@ def _run_trace(cfg):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="optising", description=__doc__,
+    # allow_abbrev=False here and on each command: flags are spelled in full
+    parser = argparse.ArgumentParser(prog="optising", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a random weighted graph")
+    p = sub.add_parser("gen", help="generate a random weighted graph", allow_abbrev=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int)
     p.add_argument("--density", type=float)
@@ -444,17 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="graph")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("decompose", help="eigenvalue table with truncation error ratios")
+    p = sub.add_parser("decompose", help="eigenvalue table with truncation error ratios",
+                       allow_abbrev=False)
     p.add_argument("--graph")
     p.add_argument("--matrix")
-    p.add_argument("--format", choices=["rudy", "json", "csv"])
     p.add_argument("--out")
     p.add_argument("--dump-bundle")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("solve", help="anneal one Max-cut instance")
+    p = sub.add_parser("solve", help="anneal one Max-cut instance", allow_abbrev=False)
     p.add_argument("--graph", required=True)
-    p.add_argument("--format", choices=["rudy", "json"])
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--backend", choices=["analytic", "field"], default="analytic")
@@ -469,14 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("experiment", help="run a study and write reports")
+    p = sub.add_parser("experiment", help="run a study and write reports", allow_abbrev=False)
     p.add_argument("study", choices=list(_STUDY_SCHEMA))
     p.add_argument("--config")
     p.add_argument("--out", default="reports")
     for key, parse in _EXPERIMENT_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key,
-                       type=parse if parse in (int, float) else None,
-                       choices=["rudy", "json"] if key == "instance_format" else None)
+                       type=parse if parse in (int, float) else None)
     p.set_defaults(func=cmd_experiment)
 
     return parser

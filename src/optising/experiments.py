@@ -288,6 +288,8 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int) -> P
     The K=N reference row is appended when absent so every schedule carries
     its own zero-truncation baseline.
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     n = g.n
     ks = sorted({int(k) for k in ks} | {n})
     if any(k < 1 or k > n for k in ks):
@@ -349,6 +351,8 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     [K], [schedule], ...) so the level-0 row reproduces the noiseless
     probability exactly.
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     levels = [float(lv) for lv in levels]
     if any(not (lv >= 0 and math.isfinite(lv)) for lv in levels):
         raise ValueError("noise levels must be finite and non-negative")

@@ -227,18 +227,19 @@ def write_graph(g: WeightedGraph, path, fmt: str = "rudy") -> None:
         raise ValueError(f"unknown graph format {fmt!r}")
 
 
-def read_graph(path, fmt: str = "rudy") -> WeightedGraph:
-    if fmt == "rudy":
-        return _read_rudy(path)
-    if fmt == "json":
-        return _read_json(path)
-    raise ValueError(f"unknown graph format {fmt!r}")
-
-
-def _read_rudy(path) -> WeightedGraph:
+def read_graph(path) -> WeightedGraph:
+    """Read a graph file by its content: JSON when its first non-blank
+    character is '{', rudy otherwise."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
+        text = fh.read()
+    try:
+        return _parse_json(text) if text.lstrip().startswith("{") else _parse_rudy(text)
+    except (GraphError, OverflowError) as exc:  # e.g. n < 1, or a weight of 1e400 as an int
+        raise GraphFormatError(str(exc)) from None
+
+
+def _parse_rudy(text) -> WeightedGraph:
+    content = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not content:
         raise GraphFormatError("empty file")
     lineno, header = content[0]
@@ -270,22 +271,19 @@ def _read_rudy(path) -> WeightedGraph:
         edges.append((u - 1, v - 1, w))
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, file holds {len(edges)}")
-    try:
-        return WeightedGraph(n, tuple(edges))
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return WeightedGraph(n, tuple(edges))
 
 
-def _read_json(path) -> WeightedGraph:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}", line=exc.lineno) from None
-    if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
-        raise GraphFormatError("JSON graph must hold keys 'n' and 'edges'")
+def _parse_json(text) -> WeightedGraph:
     try:
-        return WeightedGraph(int(payload["n"]),
-                             tuple((int(u), int(v), float(w)) for u, v, w in payload["edges"]))
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from None
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    # text starting with '{' loads as a dict; exact types keep bools out of ints
+    n, edges = payload.get("n"), payload.get("edges")
+    if type(n) is not int or not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 3 and type(e[0]) is type(e[1]) is int
+            and type(e[2]) in (int, float) for e in edges):
+        raise GraphFormatError("JSON graph must hold an integer 'n' and 'edges', a list of "
+                               "[u, v, w] with integer u, v and numeric w")
+    return WeightedGraph(n, tuple(edges))

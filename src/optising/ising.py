@@ -10,6 +10,7 @@ state.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -164,50 +165,50 @@ def brute_force_maxcut(g: WeightedGraph):
 SYMMETRY_TOL = 1e-12
 
 
-def _to_model(J: np.ndarray) -> IsingModel:
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise MatrixFormatError(f"matrix must be square, got shape {J.shape}")
+def read_matrix(path) -> IsingModel:
+    """Read a matrix file by its content: JSON when its first non-blank
+    character is '{', CSV otherwise."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MatrixFormatError(f"invalid JSON: {exc}") from None
+        # text starting with '{' loads as a dict; exact types keep bools out of ints
+        rows = payload.get("J")
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and all(type(v) in (int, float) for v in r) for r in rows)):
+            raise MatrixFormatError("JSON matrix must hold key 'J', a list of rows of numbers")
+        if "n" in payload and payload["n"] != len(rows):
+            raise MatrixFormatError(f"declared n={payload['n']!r} does not match J's {len(rows)} rows")
+    else:
+        rows = []
+        for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if not row:
+                continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise MatrixFormatError(f"line {lineno}: non-numeric entry") from None
+    if not rows:
+        raise MatrixFormatError("empty matrix file")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        raise MatrixFormatError(f"matrix is not square: {len(rows)} rows, width {width}")
+    try:
+        J = np.array(rows, dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise MatrixFormatError(str(exc)) from None
     # Before the tolerance test, which inf/nan entries pass or fail by accident.
     if not np.all(np.isfinite(J)):
         raise ValueError("J must be finite")
-    scale = max(1.0, float(np.max(np.abs(J)))) if J.size else 1.0
+    scale = max(1.0, float(np.max(np.abs(J))))
     if np.max(np.abs(J - J.T)) > SYMMETRY_TOL * scale:
         raise MatrixFormatError("matrix is asymmetric beyond tolerance 1e-12")
     J = (J + J.T) / 2.0
     np.fill_diagonal(J, 0.0)
     return IsingModel(J)
-
-
-def read_matrix(path, fmt: str = "json") -> IsingModel:
-    if fmt == "json":
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MatrixFormatError(f"invalid JSON: {exc}") from None
-        if not isinstance(payload, dict) or "J" not in payload:
-            raise MatrixFormatError("JSON matrix must hold key 'J'")
-        J = np.asarray(payload["J"], dtype=float)
-        if "n" in payload and J.shape != (payload["n"], payload["n"]):
-            raise MatrixFormatError(f"declared n={payload['n']} does not match J shape {J.shape}")
-        return _to_model(J)
-    if fmt == "csv":
-        rows = []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise MatrixFormatError(f"line {lineno}: non-numeric entry") from None
-        if not rows:
-            raise MatrixFormatError("empty matrix file")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows) or len(rows) != width:
-            raise MatrixFormatError(f"matrix is not square: {len(rows)} rows, width {width}")
-        return _to_model(np.array(rows))
-    raise ValueError(f"unknown matrix format {fmt!r}")
 
 
 def write_matrix(m: IsingModel, path, fmt: str = "json") -> None:

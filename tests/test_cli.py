@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -17,6 +18,7 @@ from optising.cli import (
     resolve_config,
 )
 from optising.graph import read_graph
+from optising.ising import IsingModel, write_matrix
 
 
 def run(args):
@@ -34,10 +36,10 @@ def read_dir_bytes(d):
 def test_gen_regular_writes_files(tmp_path, capsys):
     code = run(["gen", "--n", 20, "--degree", 5, "--seed", 7, "--out", tmp_path])
     assert code == EXIT_OK
-    g = read_graph(tmp_path / "graph.rud", "rudy")
+    g = read_graph(tmp_path / "graph.rud")
     assert g.num_edges == 50
     assert list(g.degrees()) == [5] * 20
-    gj = read_graph(tmp_path / "graph.json", "json")
+    gj = read_graph(tmp_path / "graph.json")
     assert gj == g
     out = capsys.readouterr().out
     assert "edges=50" in out
@@ -47,7 +49,7 @@ def test_gen_regular_writes_files(tmp_path, capsys):
 def test_gen_density_edge_count(tmp_path):
     code = run(["gen", "--n", 4, "--density", 0.5, "--out", tmp_path])
     assert code == EXIT_OK
-    assert read_graph(tmp_path / "graph.rud", "rudy").num_edges == 3
+    assert read_graph(tmp_path / "graph.rud").num_edges == 3
 
 
 def test_gen_missing_n_usage_error():
@@ -96,7 +98,7 @@ def test_decompose_two_spin(tmp_path, capsys):
 def test_decompose_non_square_csv(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("0.0,0.5\n")
-    assert run(["decompose", "--matrix", p, "--format", "csv"]) == EXIT_PARSE
+    assert run(["decompose", "--matrix", p]) == EXIT_PARSE
 
 
 def test_decompose_asymmetric_matrix(tmp_path):
@@ -125,6 +127,66 @@ def test_graph_without_vertices_is_a_parse_error(tmp_path, capsys, name, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
+
+
+_HUGE_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--graph", '{"n": 3, "edges": 5}'),
+    ("--graph", '{"n": null, "edges": []}'),
+    ("--graph", '{"n": 3, "edges": [[0, 1]]}'),
+    ("--graph", '{"n": "x", "edges": []}'),
+    ("--graph", '{"n": 3, "edges": [[0, 1, "w"]]}'),
+    ("--graph", '{"n": 3.7, "edges": []}'),
+    ("--graph", '{"n": 3, "edges": [[0, 1.0, 0.5]]}'),
+    ("--graph", '{"n": 3, "edges": [[0, 1, %s]]}' % _HUGE_INT),
+    ("--matrix", '{"J": [[0, "a"], [1, 0]]}'),
+    ("--matrix", '{"J": [[0, 1], [1]]}'),
+    ("--matrix", '{"J": [[0, true], [true, 0]]}'),
+    ("--matrix", '{"J": [[0, %s], [%s, 0]]}' % (_HUGE_INT, _HUGE_INT)),
+], ids=lambda v: v.replace(_HUGE_INT, "1e400-int"))
+def test_malformed_json_input_is_a_parse_error(tmp_path, capsys, flag, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    commands = [["decompose", flag, path]]
+    if flag == "--graph":  # one graph reader serves every command
+        commands += [["solve", "--graph", path, "--iters", 10],
+                     ["experiment", "prob", "--instance", path, "--runs", 2, "--iters", 10,
+                      "--out", tmp_path / "prob"]]
+    for argv in commands:
+        assert run(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "prob").exists()
+
+
+def test_file_content_not_its_name_picks_the_reader(tmp_path, capsys):
+    run(["gen", "--n", 8, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
+    capsys.readouterr()
+    (tmp_path / "json_text.rud").write_text("\n  " + (tmp_path / "g.json").read_text())
+    (tmp_path / "rudy_text.json").write_text((tmp_path / "g.rud").read_text())
+    outputs = {}
+    for name in ("g.rud", "json_text.rud", "rudy_text.json"):
+        path, out = tmp_path / name, tmp_path / f"prob-{name}"
+        assert run(["decompose", "--graph", path]) == EXIT_OK
+        assert run(["solve", "--graph", path, "--iters", 50, "--seed", 4]) == EXIT_OK
+        assert run(["experiment", "prob", "--instance", path, "--ks", 4, "--rates", "0.99",
+                    "--runs", 2, "--iters", 50, "--out", out]) == EXIT_OK
+        outputs[name] = (capsys.readouterr().out.split("wrote")[0], (out / "prob.csv").read_text())
+    assert outputs["json_text.rud"] == outputs["g.rud"] == outputs["rudy_text.json"]
+
+    m = IsingModel(np.array([[0.0, 0.5, -1.0], [0.5, 0.0, 0.25], [-1.0, 0.25, 0.0]]))
+    write_matrix(m, tmp_path / "m.txt", "csv")
+    write_matrix(m, tmp_path / "m.csv", "json")
+    tables = []
+    for name in ("m.txt", "m.csv"):
+        assert run(["decompose", "--matrix", tmp_path / name]) == EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 4
 
 
 K4_RUDY = "4 6\n1 2 1.0\n1 3 1.0\n1 4 1.0\n2 3 1.0\n2 4 1.0\n3 4 1.0\n"
@@ -210,6 +272,29 @@ def test_solve_rejects_infinite_t0(tmp_path, capsys):
     assert "t0 must be finite and positive" in captured.err
 
 
+def test_zero_readout_span_asks_for_t0(tmp_path, capsys):
+    # a graph without edges reads out 0 on every state, so t0 has no default
+    gpath = tmp_path / "e.rud"
+    gpath.write_text("3 0\n")
+    assert run(["solve", "--graph", gpath, "--iters", 20]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the readout span is 0, so t0 has no default: give t0\n"
+    assert run(["solve", "--graph", gpath, "--iters", 20, "--t0", 1, "--oracle"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "final_cut=0.0" in lines and "optimal_match=1" in lines
+    for study in ("prob", "noise", "trace"):
+        out = tmp_path / study
+        argv = ["experiment", study, "--instance", gpath, "--runs", 2, "--iters", 20]
+        assert run([*argv, "--out", out]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the readout span is 0, so t0 has no default: give t0" in captured.err
+        assert not out.exists()
+        assert run([*argv, "--t0", 1, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+
+
 def test_solve_trace_out(tmp_path):
     gpath = tmp_path / "edge.rud"
     gpath.write_text("2 1\n1 2 1.0\n")
@@ -273,7 +358,7 @@ def test_experiment_rmse_instance_uses_its_size(tmp_path):
     config = json.loads((out / "rmse.json").read_text())["config"]
     assert config["n"] == 10
     # the echo holds the instance's n and no generator setting
-    assert set(config) == {"study", "seed", "n", "instance", "instance_format", "ks", "samples"}
+    assert set(config) == {"study", "seed", "n", "instance", "ks", "samples"}
 
 
 @pytest.mark.parametrize("study, extra", [
@@ -331,7 +416,7 @@ def test_experiment_rmse_rejects_k_outside_1_to_n(tmp_path, capsys):
 _FLAG_VALUES = {
     "seed": ("5", 5), "n": ("9", 9), "degree": ("4", 4), "density": ("0.5", 0.5),
     "wlow": ("0.25", 0.25), "whigh": ("2.5", 2.5), "instance": ("g.rud", "g.rud"),
-    "instance_format": ("json", "json"), "ks": ("1..3", [1, 2, 3]), "samples": ("7", 7),
+    "ks": ("1..3", [1, 2, 3]), "samples": ("7", 7),
     "graph_seeds": ("2", 2), "rates": ("0.9,0.95", [0.9, 0.95]), "iters": ("11", 11),
     "runs": ("4", 4), "flip_floor": ("2", 2), "t0": ("1.5", 1.5),
     "span_samples": ("13", 13), "k": ("3", 3), "levels": ("0,0.1", [0.0, 0.1]),
@@ -359,6 +444,34 @@ def test_experiment_flags_follow_the_study_schema(study, capsys):
             assert exc.value.messages == [f"option {key!r} does not apply to study {study!r}"]
             assert main(argv) == EXIT_PARSE
             assert "does not apply to study" in capsys.readouterr().err
+
+
+# The arguments each command needs before any other flag can be checked.
+_REQUIRED_ARGS = {"gen": ["--n", "5"], "decompose": [], "solve": ["--graph", "g.rud"],
+                  "experiment": ["rmse"]}
+
+
+def test_flags_must_be_spelled_in_full(capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(_REQUIRED_ARGS)
+    for name, command in commands.items():
+        flags = [f for f in command._option_string_actions if f.startswith("--")]
+        for flag in flags:
+            for prefix in (flag[:end] for end in range(3, len(flag))):
+                if prefix in flags:  # --k of --ks is a flag of its own
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([name, *_REQUIRED_ARGS[name], prefix, "1"])
+                assert exc.value.code == EXIT_USAGE
+                assert f"unrecognized arguments: {prefix} 1" in capsys.readouterr().err
+    # the format flags are gone: a file's content picks its reader
+    for name, flag in (("decompose", "--format"), ("solve", "--format"),
+                       ("experiment", "--instance-format")):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([name, *_REQUIRED_ARGS[name], flag, "json"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} json" in capsys.readouterr().err
 
 
 def test_experiment_prob_reports(tmp_path):

@@ -193,6 +193,23 @@ def test_noise_sweep_validation(small_instance):
             noise_sweep(small_instance, K=6, levels=[bad], schedule=s, runs=2, seed=0)
 
 
+def test_studies_reject_no_runs_before_any_work(small_instance, monkeypatch):
+    calls = []
+
+    def counted_brute_force(g):
+        calls.append(g)
+        raise AssertionError("brute force ran before runs was checked")
+
+    monkeypatch.setattr("optising.experiments.brute_force_maxcut", counted_brute_force)
+    s = Schedule(t0=4.0, rate=0.99, iters=20)
+    for runs in (0, -1):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            probability_vs_k(small_instance, [3], [s], runs=runs, seed=0)
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            noise_sweep(small_instance, K=6, levels=[0.0], schedule=s, runs=runs, seed=0)
+    assert calls == []
+
+
 def test_anneal_trace_study_single_run_equals_anneal(small_instance):
     s = Schedule(t0=4.0, rate=0.99, iters=200)
     study = anneal_trace_study(small_instance, ks=[6], schedule=s, runs=1, seed=5)

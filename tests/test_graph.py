@@ -205,7 +205,7 @@ def test_graph_invariants_rejected():
 def test_rudy_parse_minimal(tmp_path):
     p = tmp_path / "g.rud"
     p.write_text("2 1\n1 2 0.5\n")
-    g = read_graph(p, "rudy")
+    g = read_graph(p)
     assert g.n == 2
     assert g.edges == ((0, 1, 0.5),)
 
@@ -214,46 +214,46 @@ def test_rudy_round_trip(tmp_path):
     g = gen_regular(20, 5, 0.0, 1.0, seed=3)
     p = tmp_path / "g.rud"
     write_graph(g, p, "rudy")
-    assert read_graph(p, "rudy") == g
+    assert read_graph(p) == g
 
 
 def test_json_round_trip(tmp_path):
     g = gen_density(9, 0.4, seed=8)
     p = tmp_path / "g.json"
     write_graph(g, p, "json")
-    assert read_graph(p, "json") == g
+    assert read_graph(p) == g
 
 
 def test_rudy_vertex_out_of_range(tmp_path):
     p = tmp_path / "bad.rud"
     p.write_text("2 1\n1 3 0.5\n")
     with pytest.raises(GraphFormatError, match="line 2"):
-        read_graph(p, "rudy")
+        read_graph(p)
 
 
 def test_rudy_bad_header(tmp_path):
     p = tmp_path / "bad.rud"
     p.write_text("nope\n")
     with pytest.raises(GraphFormatError, match="line 1"):
-        read_graph(p, "rudy")
+        read_graph(p)
 
 
 def test_rudy_duplicate_edge(tmp_path):
     p = tmp_path / "bad.rud"
     p.write_text("3 2\n1 2 0.5\n2 1 0.7\n")
     with pytest.raises(GraphFormatError, match="duplicate"):
-        read_graph(p, "rudy")
+        read_graph(p)
 
 
 def test_rudy_edge_count_mismatch(tmp_path):
     p = tmp_path / "bad.rud"
     p.write_text("3 2\n1 2 0.5\n")
     with pytest.raises(GraphFormatError, match="declares"):
-        read_graph(p, "rudy")
+        read_graph(p)
 
 
 def test_json_malformed(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     with pytest.raises(GraphFormatError):
-        read_graph(p, "json")
+        read_graph(p)

@@ -211,7 +211,7 @@ def test_matrix_json_round_trip(tmp_path, rng):
     m = random_symmetric_model(6, rng)
     p = tmp_path / "m.json"
     write_matrix(m, p, "json")
-    m2 = read_matrix(p, "json")
+    m2 = read_matrix(p)
     assert np.array_equal(m.J, m2.J)
 
 
@@ -219,14 +219,14 @@ def test_matrix_csv_round_trip(tmp_path, rng):
     m = random_symmetric_model(5, rng)
     p = tmp_path / "m.csv"
     write_matrix(m, p, "csv")
-    m2 = read_matrix(p, "csv")
+    m2 = read_matrix(p)
     assert np.array_equal(m.J, m2.J)
 
 
 def test_matrix_load_symmetrizes_small_skew(tmp_path):
     p = tmp_path / "m.json"
     p.write_text('{"n": 2, "J": [[0.0, 0.5], [0.5000000000001, 0.0]]}')
-    m = read_matrix(p, "json")
+    m = read_matrix(p)
     assert m.J[0, 1] == m.J[1, 0]
 
 
@@ -234,13 +234,13 @@ def test_matrix_load_rejects_asymmetry(tmp_path):
     p = tmp_path / "m.json"
     p.write_text('{"n": 2, "J": [[0.0, 0.5], [0.7, 0.0]]}')
     with pytest.raises(MatrixFormatError):
-        read_matrix(p, "json")
+        read_matrix(p)
 
 
 def test_matrix_load_zeroes_diagonal(tmp_path):
     p = tmp_path / "m.json"
     p.write_text('{"n": 2, "J": [[3.0, 0.5], [0.5, -1.0]]}')
-    m = read_matrix(p, "json")
+    m = read_matrix(p)
     assert np.all(np.diag(m.J) == 0.0)
     assert m.J[0, 1] == 0.5
 
@@ -249,4 +249,4 @@ def test_matrix_csv_rejects_non_square(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("0.0,0.5\n0.5,0.0\n1.0,2.0\n")
     with pytest.raises(MatrixFormatError, match="square"):
-        read_matrix(p, "csv")
+        read_matrix(p)
