@@ -1,9 +1,9 @@
 """Simulated annealing on spin states with the optical readout as energy.
 
 Energy is minus the accumulated readout, so larger readouts win.  The move
-size is coupled to temperature: a move flips max(flip_floor, round(n*T/t0))
-distinct spins, which decays from whole-state shakes at the start to
-single-spin refinement near the freeze.
+size is coupled to temperature: a move flips max(1, round(n*T/t0)) distinct
+spins, which decays from whole-state shakes at the start to single-spin
+refinement near the freeze.
 
 One engine, `anneal`, steps every run of a batch in lock-step.  The flip
 count of an iteration comes from the schedule, so it is the same for every
@@ -66,7 +66,6 @@ class Schedule:
     t0: float
     rate: float
     iters: int = DEFAULT_ITERS
-    flip_floor: int = 1
 
     def __post_init__(self):
         if not (self.t0 > 0 and np.isfinite(self.t0)):
@@ -75,15 +74,13 @@ class Schedule:
             raise ValueError("rate must lie in (0, 1)")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.flip_floor < 1:
-            raise ValueError("flip_floor must be >= 1")
 
     def temperatures(self) -> np.ndarray:
         return self.t0 * self.rate ** np.arange(self.iters)
 
     def flip_counts(self, n: int) -> np.ndarray:
         m = np.rint(n * self.rate ** np.arange(self.iters)).astype(np.int64)
-        return np.clip(m, self.flip_floor, n)
+        return np.clip(m, 1, n)
 
 
 @dataclass

@@ -74,13 +74,15 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _parse_int_list(s):
-    """Comma list of ints; 'a..b' expands to an inclusive range."""
+    """Comma list of ints; 'a..b' expands to an inclusive range (b >= a)."""
     out = []
     for part in s.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"reversed range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out
@@ -103,9 +105,7 @@ _COMMON_SCHEMA = {
 _ANNEAL_SCHEMA = {
     "iters": (int, DEFAULT_ITERS),
     "runs": (int, 200),
-    "flip_floor": (int, 1),
     "t0": (float, None),
-    "span_samples": (int, 1000),
 }
 
 _STUDY_SCHEMA = {
@@ -216,9 +216,8 @@ def _schedules(cfg, g, rates, K) -> list[Schedule]:
     t0 = cfg["t0"]
     if t0 is None:
         ens = build_ensemble(eigendecompose(from_graph(g)), K)
-        t0 = _span_t0(xp.readout_span(ens, cfg["seed"], cfg["span_samples"]))
-    return [Schedule(t0=float(t0), rate=rate, iters=cfg["iters"], flip_floor=cfg["flip_floor"])
-            for rate in rates]
+        t0 = _span_t0(xp.readout_span(ens, cfg["seed"]))
+    return [Schedule(t0=float(t0), rate=rate, iters=cfg["iters"]) for rate in rates]
 
 
 def _span_t0(span: float) -> float:
@@ -282,16 +281,15 @@ def cmd_solve(args) -> int:
     g = read_graph(args.graph)
     b = eigendecompose(from_graph(g))
     K = args.k if args.k is not None else g.n
-    ens = build_ensemble(b, K, P=args.p)
+    ens = build_ensemble(b, K)
 
     span = None
     if args.t0 is None or args.noise_level > 0:
-        span = xp.readout_span(ens, args.seed, args.span_samples)
+        span = xp.readout_span(ens, args.seed)
     sigma = args.noise_level * span if args.noise_level > 0 else 0.0
     evaluator = HrvEvaluator(ens, backend=args.backend, sigma=sigma)
     t0 = args.t0 if args.t0 is not None else _span_t0(span)
-    schedule = Schedule(t0=float(t0), rate=args.rate, iters=args.iters,
-                        flip_floor=args.flip_floor)
+    schedule = Schedule(t0=float(t0), rate=args.rate, iters=args.iters)
 
     trace = anneal(evaluator, g, schedule, args.seed)
     bits = "".join("+" if v > 0 else "-" for v in trace.final_state)
@@ -387,8 +385,7 @@ def _run_noise(cfg):
     g = _load_instance(cfg)
     K = cfg["k"] if cfg["k"] is not None else g.n
     (schedule,) = _schedules(cfg, g, [cfg["rate"]], K)
-    table = xp.noise_sweep(g, K, cfg["levels"], schedule, cfg["runs"], cfg["seed"],
-                           span_samples=cfg["span_samples"])
+    table = xp.noise_sweep(g, K, cfg["levels"], schedule, cfg["runs"], cfg["seed"])
     rows = [(c.level, c.sigma, c.K, c.runs, c.hits, c.probability,
              c.wilson_low, c.wilson_high) for c in table.cells]
     results = {"optimum": table.optimum, "span": table.span, "K": table.K,
@@ -450,14 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="anneal one Max-cut instance", allow_abbrev=False)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--backend", choices=["analytic", "field"], default="analytic")
     p.add_argument("--noise-level", type=float, default=0.0)
     p.add_argument("--rate", type=float, default=0.995)
     p.add_argument("--iters", type=int, default=DEFAULT_ITERS)
     p.add_argument("--t0", type=float)
-    p.add_argument("--flip-floor", type=int, default=1)
-    p.add_argument("--span-samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--trace-out")

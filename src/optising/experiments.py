@@ -60,6 +60,7 @@ __all__ = [
     "LBL_PROB",
     "LBL_TRACE",
     "LBL_SPAN",
+    "SPAN_SAMPLES",
 ]
 
 # Fixed labels keeping subsystem RNG streams apart under one master seed.
@@ -69,6 +70,9 @@ LBL_PROB = 103
 LBL_TRACE = 104
 LBL_SPAN = 105
 
+# Random states behind every readout span estimate.
+SPAN_SAMPLES = 1000
+
 _Z95 = 1.959963984540054
 
 
@@ -77,7 +81,7 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def readout_span(ensemble: IntensityEnsemble, seed: int, samples: int) -> float:
+def readout_span(ensemble: IntensityEnsemble, seed: int, samples: int = SPAN_SAMPLES) -> float:
     """Noiseless readout span of `ensemble` on the (seed, LBL_SPAN, K) stream.
 
     The default annealing start temperature and the noise sigma
@@ -343,7 +347,7 @@ class NoiseTable:
 
 
 def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
-                seed: int, span_samples: int = 1000) -> NoiseTable:
+                seed: int, span_samples: int = SPAN_SAMPLES) -> NoiseTable:
     """Optimal-solution probability vs readout noise at a fixed truncation K.
 
     Noise sigma is level * span, with the span estimated once from the
@@ -353,6 +357,8 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if not 1 <= K <= g.n:
+        raise ValueError(f"K must lie in 1..{g.n}")
     levels = [float(lv) for lv in levels]
     if any(not (lv >= 0 and math.isfinite(lv)) for lv in levels):
         raise ValueError("noise levels must be finite and non-negative")

@@ -58,8 +58,6 @@ def test_schedule_validation():
         Schedule(t0=1.0, rate=1.0)
     with pytest.raises(ValueError):
         Schedule(t0=1.0, rate=0.5, iters=0)
-    with pytest.raises(ValueError):
-        Schedule(t0=1.0, rate=0.5, flip_floor=0)
 
 
 def test_schedule_temperature_law():

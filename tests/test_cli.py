@@ -254,15 +254,6 @@ def test_solve_rejects_negative_noise_level(tmp_path, capsys, level):
     assert "noise level must be finite and non-negative" in captured.err
 
 
-def test_solve_rejects_non_finite_p(tmp_path, capsys):
-    gpath = tmp_path / "edge.rud"
-    gpath.write_text("2 1\n1 2 1.0\n")
-    assert run(["solve", "--graph", gpath, "--iters", 10, "--p", "inf"]) == EXIT_GUARD
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "P must be finite and positive" in captured.err
-
-
 def test_solve_rejects_infinite_t0(tmp_path, capsys):
     gpath = tmp_path / "edge.rud"
     gpath.write_text("2 1\n1 2 1.0\n")
@@ -412,14 +403,29 @@ def test_experiment_rmse_rejects_k_outside_1_to_n(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("study", ["rmse", "prob", "trace"])
+def test_reversed_k_range_is_a_parse_error(tmp_path, capsys, study):
+    out = tmp_path / study
+    code = run(["experiment", study, "--n", 10, "--degree", 3, "--ks", "5..3", "--out", out])
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: option 'ks': cannot parse '5..3'\n"
+    assert not out.exists()
+    cfg = tmp_path / "ks.cfg"
+    cfg.write_text("n = 10\ndegree = 3\nks = 5..3\n")
+    assert run(["experiment", study, "--config", cfg, "--out", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == "config error: config key 'ks': cannot parse '5..3'\n"
+    assert not out.exists()
+
+
 # One flag value per study key, with the value the key's parser gives for it.
 _FLAG_VALUES = {
     "seed": ("5", 5), "n": ("9", 9), "degree": ("4", 4), "density": ("0.5", 0.5),
     "wlow": ("0.25", 0.25), "whigh": ("2.5", 2.5), "instance": ("g.rud", "g.rud"),
     "ks": ("1..3", [1, 2, 3]), "samples": ("7", 7),
     "graph_seeds": ("2", 2), "rates": ("0.9,0.95", [0.9, 0.95]), "iters": ("11", 11),
-    "runs": ("4", 4), "flip_floor": ("2", 2), "t0": ("1.5", 1.5),
-    "span_samples": ("13", 13), "k": ("3", 3), "levels": ("0,0.1", [0.0, 0.1]),
+    "runs": ("4", 4), "t0": ("1.5", 1.5), "k": ("3", 3), "levels": ("0,0.1", [0.0, 0.1]),
     "rate": ("0.98", 0.98),
 }
 
@@ -450,6 +456,15 @@ def test_experiment_flags_follow_the_study_schema(study, capsys):
 _REQUIRED_ARGS = {"gen": ["--n", "5"], "decompose": [], "solve": ["--graph", "g.rud"],
                   "experiment": ["rmse"]}
 
+# Every long flag of each command besides --help; a new option edits this table.
+_LONG_FLAGS = {
+    "gen": {"--n", "--degree", "--density", "--wlow", "--whigh", "--seed", "--out", "--name"},
+    "decompose": {"--graph", "--matrix", "--out", "--dump-bundle"},
+    "solve": {"--graph", "--k", "--backend", "--noise-level", "--rate", "--iters", "--t0",
+              "--seed", "--oracle", "--trace-out"},
+    "experiment": {"--config", "--out", *("--" + key.replace("_", "-") for key in _FLAG_VALUES)},
+}
+
 
 def test_flags_must_be_spelled_in_full(capsys):
     parser = build_parser()
@@ -457,6 +472,7 @@ def test_flags_must_be_spelled_in_full(capsys):
     assert set(commands) == set(_REQUIRED_ARGS)
     for name, command in commands.items():
         flags = [f for f in command._option_string_actions if f.startswith("--")]
+        assert set(flags) - {"--help"} == _LONG_FLAGS[name]
         for flag in flags:
             for prefix in (flag[:end] for end in range(3, len(flag))):
                 if prefix in flags:  # --k of --ks is a flag of its own
@@ -465,9 +481,12 @@ def test_flags_must_be_spelled_in_full(capsys):
                     parser.parse_args([name, *_REQUIRED_ARGS[name], prefix, "1"])
                 assert exc.value.code == EXIT_USAGE
                 assert f"unrecognized arguments: {prefix} 1" in capsys.readouterr().err
-    # the format flags are gone: a file's content picks its reader
+    # deleted flags: a file's content picks its reader, and the annealing
+    # settings no caller varied are constants
     for name, flag in (("decompose", "--format"), ("solve", "--format"),
-                       ("experiment", "--instance-format")):
+                       ("experiment", "--instance-format"), ("solve", "--p"),
+                       ("solve", "--flip-floor"), ("solve", "--span-samples"),
+                       ("experiment", "--flip-floor"), ("experiment", "--span-samples")):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([name, *_REQUIRED_ARGS[name], flag, "json"])
         assert exc.value.code == EXIT_USAGE
@@ -529,6 +548,19 @@ def test_jobs_is_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["experiment", "prob", "--n", 6, "--degree", 3, "--jobs", 2])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("key, value", [("flip_floor", 2), ("span_samples", 10)])
+def test_deleted_annealing_keys_are_unknown(tmp_path, capsys, key, value):
+    cfg = tmp_path / "anneal.cfg"
+    cfg.write_text(f"n = 6\ndegree = 3\n{key} = {value}\n")
+    for study in ("prob", "noise", "trace"):
+        out = tmp_path / study
+        assert run(["experiment", study, "--config", cfg, "--out", out]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: unknown config key {key!r}\n"
+        assert not out.exists()
 
 
 def test_experiment_trace_reports(tmp_path):

@@ -210,6 +210,21 @@ def test_studies_reject_no_runs_before_any_work(small_instance, monkeypatch):
     assert calls == []
 
 
+def test_noise_sweep_checks_k_before_any_work(small_instance, monkeypatch):
+    calls = []
+
+    def counted_brute_force(g):
+        calls.append(g)
+        raise AssertionError("brute force ran before K was checked")
+
+    monkeypatch.setattr("optising.experiments.brute_force_maxcut", counted_brute_force)
+    s = Schedule(t0=4.0, rate=0.99, iters=20)
+    for K in (0, small_instance.n + 1):
+        with pytest.raises(ValueError, match=f"K must lie in 1..{small_instance.n}"):
+            noise_sweep(small_instance, K=K, levels=[0.0], schedule=s, runs=2, seed=0)
+    assert calls == []
+
+
 def test_anneal_trace_study_single_run_equals_anneal(small_instance):
     s = Schedule(t0=4.0, rate=0.99, iters=200)
     study = anneal_trace_study(small_instance, ks=[6], schedule=s, runs=1, seed=5)
