@@ -13,6 +13,7 @@ from .ising import (
     cut_value,
     delta_hamiltonian,
     from_graph,
+    ground_state,
     hamiltonian,
     random_state,
     random_states,

@@ -339,9 +339,10 @@ def _run_rmse(cfg):
         raise ValueError(f"ks must lie in 1..{n}")
     if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
-        mean_rmse = np.array([rep.by_k(k).rmse for k in ks])
-        mean_rel = np.array([rep.by_k(k).rmse_relative for k in ks])
-        mean_r2 = np.array([rep.by_k(k).r2 for k in ks])
+        ks = [rec.K for rec in rep.records]
+        mean_rmse = np.array([rec.rmse for rec in rep.records])
+        mean_rel = np.array([rec.rmse_relative for rec in rep.records])
+        mean_r2 = np.array([rec.r2 for rec in rep.records])
     else:
         ks, mean_rmse, mean_rel, mean_r2 = xp.rmse_curve_averaged(
             n, ks, cfg["samples"], cfg["graph_seeds"], cfg["seed"],

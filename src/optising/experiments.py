@@ -159,14 +159,15 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
     """Match the truncated readout against the exact Hamiltonian.
 
     One shared batch of `samples` uniform random states feeds every K, so
-    the K-trend carries no sampling noise.  For each requested K the report
-    holds the scatter, a linear fit of H against minus the readout, the
-    RMSE of that surrogate, and the RMSE normalized by the readout span.
+    the K-trend carries no sampling noise.  For each distinct requested K,
+    in ascending order, the report holds the scatter, a linear fit of H
+    against minus the readout, the RMSE of that surrogate, and the RMSE
+    normalized by the readout span.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     n = m.n
-    ks = [int(k) for k in ks]
+    ks = sorted({int(k) for k in ks})
     if any(k < 0 or k > n for k in ks):
         raise ValueError(f"ks must lie in 0..{n}")
 
@@ -199,13 +200,14 @@ def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
 
     Exactly one of `degree` (regular graphs) or `density` (uniform edge
     sampling) selects the generator.  Returns (ks, mean_rmse, mean_rel,
-    mean_r2) with means taken across `graph_seeds` instances.
+    mean_r2), ks sorted and distinct, with means taken across `graph_seeds`
+    instances.
     """
     if (degree is None) == (density is None):
         raise ValueError("specify exactly one of degree or density")
     if graph_seeds < 1:
         raise ValueError("graph_seeds must be >= 1")
-    ks = [int(k) for k in ks]
+    ks = sorted({int(k) for k in ks})
     rmse = np.zeros((graph_seeds, len(ks)))
     rel = np.zeros_like(rmse)
     r2 = np.zeros_like(rmse)

@@ -26,6 +26,7 @@ __all__ = [
     "delta_hamiltonian",
     "cut_value",
     "brute_force_maxcut",
+    "ground_state",
     "random_state",
     "random_states",
     "read_matrix",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_N = 28
-_BRUTE_FORCE_CHUNK = 1 << 16  # states enumerated per block
+_GROUND_STATE_BLOCK = 1 << 20  # energies evaluated per block, ~8 MB
 
 
 class MatrixFormatError(ValueError):
@@ -124,35 +125,53 @@ def _states_for_indices(idx: np.ndarray, n: int) -> np.ndarray:
     return states
 
 
+def ground_state(J):
+    """Exhaustive maximum of x^T J x over the 2^(n-1) states with spin 0
+    pinned +1: returns (value, index), ties resolving to the lowest
+    enumeration index (spin j reads bit j-1, as `_states_for_indices`).
+
+    J is any symmetric matrix; a diagonal adds its trace to every state.
+    The spins split into a low half a (spin 0 and the low index bits) and a
+    high half b, so x^T J x = E_a(x_a) + E_b(x_b) + 2 x_b^T J_ba x_a and a
+    block of states is one GEMM.  Row-major order over (x_b, x_a) is index
+    order, so argmax within a block and a strict > across blocks keep the
+    tie rule.  Guarded to n <= 28.
+    """
+    J = np.asarray(J, dtype=float)
+    n = J.shape[0]
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
+    a = n // 2 + 1
+    Xa = _states_for_indices(np.arange(1 << (a - 1)), a).astype(float)
+    Ea = np.einsum("ij,ij->i", Xa @ J[:a, :a], Xa)
+    cross = 2.0 * J[a:, :a] @ Xa.T
+    cols, rows = Xa.shape[0], 1 << (n - a)
+    step = max(1, _GROUND_STATE_BLOCK // cols)
+    best_val, best_idx = -np.inf, 0
+    for start in range(0, rows, step):
+        # x_b reads the high index bits: drop the pinned column of an (n-a+1)-spin state
+        Xb = _states_for_indices(np.arange(start, min(start + step, rows)), n - a + 1)[:, 1:]
+        Xb = Xb.astype(float)
+        E = Xb @ cross
+        E += Ea
+        E += np.einsum("ij,ij->i", Xb @ J[a:, a:], Xb)[:, None]
+        k = int(np.argmax(E))
+        if E.flat[k] > best_val:
+            best_val, best_idx = float(E.flat[k]), start * cols + k
+    return best_val, best_idx
+
+
 def brute_force_maxcut(g: WeightedGraph):
     """Exhaustive Max-cut oracle over 2^(n-1) states (global flip fixed out).
 
     Returns (best_cut, best_state); ties resolve to the lowest enumeration
-    index.  Guarded to n <= 28.
+    index.  The cut is total/2 - H/2 of the decoded state, the identity the
+    annealing engine's cut history uses.  Guarded to n <= 28.
     """
-    n = g.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    if n == 1:
-        return 0.0, np.array([1], dtype=np.int8)
-    J = from_graph(g).J
-    half_total = g.total_weight() / 2.0
-    total_states = 1 << (n - 1)
-    best_val = -np.inf
-    best_idx = 0
-    for start in range(0, total_states, _BRUTE_FORCE_CHUNK):
-        idx = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total_states), dtype=np.int64)
-        X = _states_for_indices(idx, n).astype(float)
-        # W = total/2 + (x^T J x)/2 since H = -x^T J x; inline, because
-        # `hamiltonian`'s extra temporaries cost 15-20% here at n = 20-22
-        quad = np.einsum("ij,ij->i", X @ J, X)
-        cuts = half_total + quad / 2.0
-        k = int(np.argmax(cuts))
-        if cuts[k] > best_val:
-            best_val = float(cuts[k])
-            best_idx = int(idx[k])
-    best_state = _states_for_indices(np.array([best_idx], dtype=np.int64), n)[0]
-    return best_val, best_state
+    m = from_graph(g)
+    _, idx = ground_state(m.J)
+    state = _states_for_indices(np.array([idx]), g.n)[0]
+    return g.total_weight() / 2.0 - hamiltonian(m, state) / 2.0, state
 
 
 # ---------------------------------------------------------------------------

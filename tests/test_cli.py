@@ -337,6 +337,21 @@ def test_experiment_rmse_reports(tmp_path):
     assert float(last[1]) <= 1e-9  # K=N row is numerically exact
 
 
+@pytest.mark.parametrize("instance", [False, True])
+def test_experiment_rmse_writes_each_k_once(tmp_path, instance):
+    source = ["--n", 10, "--degree", 3, "--graph-seeds", 1]
+    if instance:
+        run(["gen", "--n", 10, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
+        source = ["--instance", tmp_path / "g.rud"]
+    out = tmp_path / "rmse"
+    code = run(["experiment", "rmse", *source, "--ks", "5,3,3", "--samples", 100,
+                "--out", out])
+    assert code == EXIT_OK
+    rows = (out / "rmse.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["3", "5"]
+    assert json.loads((out / "rmse.json").read_text())["results"]["ks"] == [3, 5]
+
+
 def test_experiment_rmse_instance_uses_its_size(tmp_path):
     run(["gen", "--n", 10, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
     out = tmp_path / "rmse"

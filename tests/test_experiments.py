@@ -111,6 +111,16 @@ def test_rmse_vs_k_matches_direct_readout(rng):
     assert hrv(build_ensemble(b, 3), x) == pytest.approx(manual, rel=1e-9)
 
 
+def test_rmse_studies_sort_and_deduplicate_ks(rng):
+    m = random_symmetric_model(6, rng)
+    rep = rmse_vs_k(m, ks=[5, 3, 3], samples=40, seed=2)
+    assert [rec.K for rec in rep.records] == [3, 5]
+    ks, rmse, _, _ = rmse_curve_averaged(6, [5, 3, 3], samples=40, graph_seeds=1,
+                                         seed=2, degree=3)
+    assert ks == [3, 5]
+    assert rmse.shape == (2,)
+
+
 def test_rmse_vs_k_validation(rng):
     m = random_symmetric_model(4, rng)
     with pytest.raises(ValueError):

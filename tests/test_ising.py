@@ -6,10 +6,12 @@ from optising.graph import WeightedGraph, gen_regular
 from optising.ising import (
     IsingModel,
     MatrixFormatError,
+    _states_for_indices,
     brute_force_maxcut,
     cut_value,
     delta_hamiltonian,
     from_graph,
+    ground_state,
     hamiltonian,
     random_state,
     random_states,
@@ -205,6 +207,100 @@ def test_brute_force_size_guard():
     g = WeightedGraph(29, tuple((i, i + 1, 1.0) for i in range(28)))
     with pytest.raises(ValueError):
         brute_force_maxcut(g)
+
+
+def per_state_energies(J, idx):
+    """x^T J x of the states at enumeration indices idx, one n x n quadratic
+    form per state."""
+    X = _states_for_indices(idx, J.shape[0]).astype(float)
+    return np.einsum("ij,ij->i", X @ J, X)
+
+
+def per_state_ground_state(J):
+    """Reference enumeration (the oracle `ground_state` replaced): blocks of
+    2^16 states, first maximum kept."""
+    total = 1 << (J.shape[0] - 1)
+    best_val, best_idx = -np.inf, 0
+    for start in range(0, total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), total))
+        quad = per_state_energies(J, idx)
+        k = int(np.argmax(quad))
+        if quad[k] > best_val:
+            best_val, best_idx = float(quad[k]), int(idx[k])
+    return best_val, best_idx
+
+
+def unit_weights(g):
+    return WeightedGraph(g.n, tuple((u, v, 1.0) for u, v, _ in g.edges))
+
+
+def optimal_indices(J):
+    quad = per_state_energies(J, np.arange(1 << (J.shape[0] - 1)))
+    return np.flatnonzero(quad == quad.max())
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_ground_state_matches_per_state_enumeration(n):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        J = random_symmetric_model(n, rng).J
+        graphs = [gen_regular(n, d, 0.0, 1.0, seed=seed)
+                  for d in (1, 2, 3, 5) if d < n and n * d % 2 == 0]
+        graphs += [unit_weights(g) for g in graphs]
+        for M in [J] + [from_graph(g).J for g in graphs]:
+            ref_val, ref_idx = per_state_ground_state(M)
+            val, idx = ground_state(M)
+            assert idx == ref_idx
+            assert abs(val - ref_val) <= 1e-12
+        for g in graphs:
+            cut, state = brute_force_maxcut(g)
+            ref_val, ref_idx = per_state_ground_state(from_graph(g).J)
+            assert np.array_equal(state, _states_for_indices(np.array([ref_idx]), n)[0])
+            assert abs(cut - (g.total_weight() + ref_val) / 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n,degree", [(16, 5), (18, 3), (20, 5)])
+def test_brute_force_matches_per_state_enumeration_at_larger_n(n, degree):
+    g = gen_regular(n, degree, -1.0, 1.0, seed=n)
+    cut, state = brute_force_maxcut(g)
+    ref_val, ref_idx = per_state_ground_state(from_graph(g).J)
+    assert np.array_equal(state, _states_for_indices(np.array([ref_idx]), n)[0])
+    assert abs(cut - (g.total_weight() + ref_val) / 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n,degree,seed", [(8, 3, 0), (10, 4, 0), (12, 4, 1), (14, 4, 3)])
+def test_ground_state_ties_resolve_to_lowest_index(n, degree, seed):
+    J = from_graph(unit_weights(gen_regular(n, degree, seed=seed))).J
+    tied = optimal_indices(J)
+    assert tied.size > 1  # the case pins the tie rule
+    assert ground_state(J) == (per_state_ground_state(J)[0], int(tied[0]))
+
+
+def test_ground_state_ties_across_single_row_blocks(monkeypatch):
+    # a block of one entry still spans a whole row, so every row is a block
+    monkeypatch.setattr("optising.ising._GROUND_STATE_BLOCK", 1)
+    n = 10
+    J = from_graph(unit_weights(gen_regular(n, 4, seed=0))).J
+    tied = optimal_indices(J)
+    cols = 1 << (n // 2)  # states per row: the low n//2 index bits
+    assert len(set(tied // cols)) > 1  # tied optima sit in different blocks
+    assert ground_state(J) == (per_state_ground_state(J)[0], int(tied[0]))
+
+
+def test_ground_state_diagonal_shifts_every_state(rng):
+    for n in (1, 2, 7, 12):
+        J = random_symmetric_model(n, rng).J
+        D = rng.uniform(-2.0, 2.0, size=n)
+        val, idx = ground_state(J)
+        shifted_val, shifted_idx = ground_state(J + np.diag(D))
+        assert shifted_idx == idx
+        assert abs(shifted_val - (val + D.sum())) <= 1e-12
+
+
+def test_brute_force_single_vertex():
+    best, state = brute_force_maxcut(WeightedGraph(1, ()))
+    assert best == 0.0
+    assert state.dtype == np.int8 and list(state) == [1]
 
 
 def test_matrix_json_round_trip(tmp_path, rng):
