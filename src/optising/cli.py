@@ -290,6 +290,9 @@ def cmd_solve(args) -> int:
     evaluator = HrvEvaluator(ens, backend=args.backend, sigma=sigma)
     t0 = args.t0 if args.t0 is not None else _span_t0(span)
     schedule = Schedule(t0=float(t0), rate=args.rate, iters=args.iters)
+    # the oracle runs first, so a graph too large to enumerate fails before
+    # any annealing output is printed
+    best = brute_force_maxcut(g)[0] if args.oracle else None
 
     trace = anneal(evaluator, g, schedule, args.seed)
     bits = "".join("+" if v > 0 else "-" for v in trace.final_state)
@@ -298,7 +301,6 @@ def cmd_solve(args) -> int:
     print(f"state={bits}")
     print(f"split_cluster={int(splits_cluster(b, K))}")
     if args.oracle:
-        best, _ = brute_force_maxcut(g)
         print(f"optimal_cut={best!r}")
         print(f"optimal_match={int(abs(trace.final_cut - best) <= CUT_MATCH_TOL)}")
     if args.trace_out:

@@ -7,9 +7,9 @@ single state (n,) or of a block of states (..., n).  Two backends produce
 the reading:
 
 * analytic  -- closed form (X @ xi^T)^2, exact.
-* field     -- builds every 2D macropixel plane at once, runs one discrete
-               Fourier transform over the last two axes, and reads the
-               zero-frequency bin, rescaled to the analytic value.
+* field     -- real macropixel plane, one real-input 2D transform: builds
+               every plane at once, transforms the last two axes, and reads
+               the zero-frequency bin, rescaled to the analytic value.
 
 Accumulating the K frame intensities with their eigenvalue signs,
 `frames(...) @ g`, gives the Hamiltonian surrogate (`hrv`).  Detector noise
@@ -96,7 +96,9 @@ def field_intensity(xi, x, cfg: MacropixelConfig) -> float:
 
     The zero-frequency bin of the unshifted DFT is the plane sum, i.e.
     block^2 * sum(xi*x); dividing |bin|^2 by (block^2)^2 recovers the
-    analytic value.
+    analytic value.  This reference keeps a complex plane and the complex
+    `fft2` on purpose, so the tests compare `frames`' real-input transform
+    against a different one.
     """
     xi = np.asarray(xi, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -133,16 +135,21 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic") -> np.ndar
         if X.shape[-1:] != (ensemble.n,):
             raise ValueError(f"state shape {X.shape} does not end in n={ensemble.n}")
         cfg = MacropixelConfig.for_spins(ensemble.n)
-        # One macropixel plane per (state, frame); spins fill the grid row-major.
+        rows, cols, b = cfg.grid_rows, cfg.grid_cols, cfg.block
+        # One real macropixel plane per (state, frame): every amplitude
+        # xi_k,i * x_i is real.  Spins fill the grid row-major, and each grid
+        # cell is broadcast into its b x b square of a (rows, b, cols, b) view.
         amp = ensemble.xi * X[..., None, :]
-        grid = np.zeros(amp.shape[:-1] + (cfg.capacity,), dtype=complex)
+        lead = amp.shape[:-1]
+        grid = np.zeros(lead + (cfg.capacity,))
         grid[..., :ensemble.n] = amp
-        grid = grid.reshape(amp.shape[:-1] + (cfg.grid_rows, cfg.grid_cols))
-        b = cfg.block
-        plane = np.zeros(amp.shape[:-1] + (cfg.pad, cfg.pad), dtype=complex)
-        plane[..., :cfg.grid_rows * b, :cfg.grid_cols * b] = np.repeat(
-            np.repeat(grid, b, axis=-2), b, axis=-1)
-        center = np.fft.fft2(plane)[..., 0, 0]
+        plane = np.zeros(lead + (cfg.pad, cfg.pad))
+        squares = plane[..., :rows * b, :cols * b].reshape(lead + (rows, b, cols, b),
+                                                            copy=False)
+        squares[...] = grid.reshape(lead + (rows, 1, cols, 1))
+        # a real plane has a Hermitian spectrum, so the real-input transform
+        # still holds the whole Fourier-plane field, zero frequency included
+        center = np.fft.rfft2(plane)[..., 0, 0]
         return np.abs(center) ** 2 / float(b * b) ** 2
     raise ValueError(f"unknown backend {backend!r}")
 

@@ -237,11 +237,18 @@ def test_solve_deterministic_stdout(tmp_path, capsys):
     assert first == second
 
 
-def test_solve_oracle_guard_on_large_n(tmp_path):
+def test_solve_oracle_guard_on_large_n(tmp_path, capsys):
+    # the oracle refuses before annealing: nothing printed, no trace written
     lines = ["40 39"] + [f"{i} {i+1} 1.0" for i in range(1, 40)]
     gpath = tmp_path / "big.rud"
     gpath.write_text("\n".join(lines) + "\n")
-    assert run(["solve", "--graph", gpath, "--iters", 10, "--oracle"]) == EXIT_GUARD
+    tpath = tmp_path / "trace.csv"
+    assert run(["solve", "--graph", gpath, "--iters", 10, "--oracle",
+                "--trace-out", tpath]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not tpath.exists()
+    assert "brute force limited to n <= 28" in captured.err
 
 
 @pytest.mark.parametrize("level", ["-0.5", "nan", "inf"])

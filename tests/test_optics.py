@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,14 +186,37 @@ def test_frames_block_matches_stacked_rows(rng, backend):
 
 
 def test_frames_field_matches_per_frame_reference(rng):
+    # the macropixel fill writes through a reshaped view of the plane, so
+    # values are checked for a single state and for 2-D and 3-D blocks
     for n in (2, 5, 22, 40):
         cfg = MacropixelConfig.for_spins(n)
         for K in (1, n):
             ens = build_ensemble(eigendecompose(random_symmetric_model(n, rng)), K)
-            x = random_state(n, rng)
-            ref = [field_intensity(row, x, cfg) for row in ens.xi]
-            np.testing.assert_allclose(frames(ens, x, "field"), ref, rtol=1e-12,
-                                       atol=1e-12 * _frame_scale(ens))
+            for shape in ((), (3,), (2, 3)):
+                X = rng.integers(0, 2, size=shape + (n,)) * 2 - 1
+                got = frames(ens, X, "field")
+                assert got.shape == shape + (K,)
+                ref = [[field_intensity(row, x, cfg) for row in ens.xi]
+                       for x in X.reshape(-1, n)]
+                np.testing.assert_allclose(got.reshape(-1, K), ref, rtol=1e-12,
+                                           atol=1e-12 * _frame_scale(ens))
+
+
+def test_frames_field_peak_memory():
+    # one readout at n=40, K=40 (pad 64) may allocate at most 3.5 real
+    # planes' worth, K * pad^2 * 8 bytes each (~1.3 MB)
+    n = 40
+    ens = build_ensemble(eigendecompose(random_symmetric_model(n, np.random.default_rng(0))), n)
+    x = random_state(n, np.random.default_rng(1))
+    pad = MacropixelConfig.for_spins(n).pad
+    frames(ens, x, "field")  # warm up the transform's plan cache
+    tracemalloc.start()
+    try:
+        frames(ens, x, "field")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * pad * pad * 8
 
 
 @pytest.mark.parametrize("backend", ["analytic", "field"])
