@@ -220,6 +220,13 @@ def _schedules(cfg, g, rates, K) -> list[Schedule]:
     return [Schedule(t0=float(t0), rate=rate, iters=cfg["iters"]) for rate in rates]
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative master seed before any work; numpy's own refusal
+    does not name the seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _span_t0(span: float) -> float:
     """The readout span as the default t0; a graph without edges has none."""
     if not span > 0:
@@ -235,6 +242,7 @@ def cmd_gen(args) -> int:
     if (args.degree is None) == (args.density is None):
         print("gen: specify exactly one of --degree or --density", file=sys.stderr)
         return EXIT_USAGE
+    _check_seed(args.seed)
     if args.degree is not None:
         g = gen_regular(args.n, args.degree, args.wlow, args.whigh, seed=args.seed)
     else:
@@ -276,6 +284,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_seed(args.seed)
     if not (args.noise_level >= 0 and math.isfinite(args.noise_level)):
         raise ValueError("noise level must be finite and non-negative")
     g = read_graph(args.graph)
@@ -314,6 +323,7 @@ def cmd_solve(args) -> int:
 def cmd_experiment(args) -> int:
     overrides = {key: getattr(args, key) for key in _EXPERIMENT_KEYS}
     cfg = resolve_config(args.study, args.config, overrides)
+    _check_seed(cfg["seed"])
     runner = {"rmse": _run_rmse, "prob": _run_prob, "noise": _run_noise,
               "trace": _run_trace}[args.study]
     tables, results = runner(cfg)

@@ -7,9 +7,10 @@ single state (n,) or of a block of states (..., n).  Two backends produce
 the reading:
 
 * analytic  -- closed form (X @ xi^T)^2, exact.
-* field     -- real macropixel plane, one real-input 2D transform: builds
-               every plane at once, transforms the last two axes, and reads
-               the zero-frequency bin, rescaled to the analytic value.
+* field     -- real macropixel plane, read at the zero-frequency bin of
+               its 2D DFT, rescaled to the analytic value.  The DFT runs
+               separably: rfft of the distinct plane rows, then fft of the
+               one column holding the bin.
 
 Accumulating the K frame intensities with their eigenvalue signs,
 `frames(...) @ g`, gives the Hamiltonian surrogate (`hrv`).  Detector noise
@@ -124,7 +125,10 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic") -> np.ndar
 
     Returns shape (..., K): entry k is the center-point reading of frame k.
     The readout of a state is `frames(...) @ ensemble.g`.  The field backend
-    lays the spins out with `MacropixelConfig.for_spins(n)`.
+    lays the spins out with `MacropixelConfig.for_spins(n)` and computes bin
+    [0, 0] of each plane's 2D DFT separably, as `numpy.fft.rfft2` does, from
+    the distinct plane rows and column 0 only: the same bits, and no
+    pad x pad array.
     """
     X = np.asarray(X, dtype=float)
     if backend == "analytic":
@@ -135,21 +139,23 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic") -> np.ndar
         if X.shape[-1:] != (ensemble.n,):
             raise ValueError(f"state shape {X.shape} does not end in n={ensemble.n}")
         cfg = MacropixelConfig.for_spins(ensemble.n)
-        rows, cols, b = cfg.grid_rows, cfg.grid_cols, cfg.block
-        # One real macropixel plane per (state, frame): every amplitude
-        # xi_k,i * x_i is real.  Spins fill the grid row-major, and each grid
-        # cell is broadcast into its b x b square of a (rows, b, cols, b) view.
+        rows, cols, b, pad = cfg.grid_rows, cfg.grid_cols, cfg.block, cfg.pad
+        # A plane repeats each of its `rows` distinct rows b times and is
+        # zero below the grid.  Spins fill the grid row-major, and each grid
+        # cell is broadcast into its b entries of a (rows, cols, b) view.
         amp = ensemble.xi * X[..., None, :]
         lead = amp.shape[:-1]
         grid = np.zeros(lead + (cfg.capacity,))
         grid[..., :ensemble.n] = amp
-        plane = np.zeros(lead + (cfg.pad, cfg.pad))
-        squares = plane[..., :rows * b, :cols * b].reshape(lead + (rows, b, cols, b),
-                                                            copy=False)
-        squares[...] = grid.reshape(lead + (rows, 1, cols, 1))
-        # a real plane has a Hermitian spectrum, so the real-input transform
-        # still holds the whole Fourier-plane field, zero frequency included
-        center = np.fft.rfft2(plane)[..., 0, 0]
+        line = np.zeros(lead + (rows, pad))
+        cells = line[..., :cols * b].reshape(lead + (rows, cols, b), copy=False)
+        cells[...] = grid.reshape(lead + (rows, cols, 1))
+        # rfft2 is rfft along the rows, then fft down each column; bin [0, 0]
+        # reads only column 0, whose pad entries are the rows' zero bins
+        column = np.zeros(lead + (pad,), dtype=complex)
+        column[..., :rows * b].reshape(lead + (rows, b), copy=False)[...] = (
+            np.fft.rfft(line)[..., :1])
+        center = np.fft.fft(column)[..., 0]
         return np.abs(center) ** 2 / float(b * b) ** 2
     raise ValueError(f"unknown backend {backend!r}")
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 
@@ -235,6 +236,41 @@ def test_solve_deterministic_stdout(tmp_path, capsys):
     run(["solve", "--graph", gpath, "--iters", 300, "--seed", 9])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("n, degree, iters, sha1", [
+    (22, 5, 200, "45386cbcb7e313c4a19b860a0ef091ed3aa59fce"),
+    (40, 3, 50, "8d5c1d88a46d61def76f8ed0f128560b6c6a8166"),
+])
+def test_solve_field_backend_stdout_is_pinned(tmp_path, capsys, n, degree, iters, sha1):
+    # hashes of the stdout of the full-plane rfft2 kernel; the field readouts
+    # must stay bit-equal to it
+    assert run(["gen", "--n", n, "--degree", degree, "--seed", 0, "--out", tmp_path]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["solve", "--graph", tmp_path / "graph.rud", "--backend", "field",
+                "--iters", iters, "--seed", 0]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "experiment", "experiment-config"])
+def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, command):
+    gpath = tmp_path / "edge.rud"
+    gpath.write_text("2 1\n1 2 1.0\n")
+    cpath = tmp_path / "c.cfg"
+    cpath.write_text("seed = -1\n")
+    out = tmp_path / "out"
+    prob = ["experiment", "prob", "--instance", gpath, "--runs", 2, "--iters", 10, "--out", out]
+    argv = {"gen": ["gen", "--n", 6, "--degree", 2, "--seed", -1, "--out", out],
+            "solve": ["solve", "--graph", gpath, "--iters", 10, "--seed", -1,
+                      "--trace-out", out / "t.csv"],
+            "experiment": [*prob, "--seed", -1],
+            "experiment-config": [*prob, "--config", cpath]}[command]
+    assert run(argv) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_solve_oracle_guard_on_large_n(tmp_path, capsys):

@@ -174,15 +174,19 @@ def _frame_scale(ens):
 
 @pytest.mark.parametrize("backend", ["analytic", "field"])
 def test_frames_block_matches_stacked_rows(rng, backend):
-    # a block goes through gemm / one batched transform, a single state
-    # through gemv / its own transform, so agreement is to rounding only
+    # a block goes through gemm, a single state through gemv, so the analytic
+    # backend agrees to rounding only; the field backend runs every 1-D
+    # transform on its own, so a block is exact
     for n in (2, 5, 22, 40):
         for K in (1, n):
             ens = build_ensemble(eigendecompose(random_symmetric_model(n, rng)), K)
             X = rng.integers(0, 2, size=(4, n)) * 2 - 1
             rows = np.stack([frames(ens, x, backend) for x in X])
-            np.testing.assert_allclose(frames(ens, X, backend), rows, rtol=1e-12,
-                                       atol=1e-12 * _frame_scale(ens))
+            if backend == "field":
+                assert np.array_equal(frames(ens, X, backend), rows)
+            else:
+                np.testing.assert_allclose(frames(ens, X, backend), rows, rtol=1e-12,
+                                           atol=1e-12 * _frame_scale(ens))
 
 
 def test_frames_field_matches_per_frame_reference(rng):
@@ -202,21 +206,55 @@ def test_frames_field_matches_per_frame_reference(rng):
                                            atol=1e-12 * _frame_scale(ens))
 
 
+def _rfft2_field_frames(ens, X):
+    # reference: every full pad x pad real plane, then one rfft2 over them
+    X = np.asarray(X, dtype=float)
+    cfg = MacropixelConfig.for_spins(ens.n)
+    rows, cols, b = cfg.grid_rows, cfg.grid_cols, cfg.block
+    amp = ens.xi * X[..., None, :]
+    lead = amp.shape[:-1]
+    grid = np.zeros(lead + (cfg.capacity,))
+    grid[..., :ens.n] = amp
+    plane = np.zeros(lead + (cfg.pad, cfg.pad))
+    squares = plane[..., :rows * b, :cols * b].reshape(lead + (rows, b, cols, b), copy=False)
+    squares[...] = grid.reshape(lead + (rows, 1, cols, 1))
+    return np.abs(np.fft.rfft2(plane)[..., 0, 0]) ** 2 / float(b * b) ** 2
+
+
+def test_frames_field_bit_equal_to_full_plane_rfft2():
+    # the separable transform computes the same bin in the same order, so
+    # readouts must not move by one ulp
+    rng = np.random.default_rng(14)
+    cases = []
+    for n in range(2, 70):
+        shape = [(), (int(rng.integers(1, 5)),), (2, int(rng.integers(1, 4)))][n % 3]
+        cases.append((n, int(rng.integers(1, n + 1)), shape))
+    cases.append((128, 128, ()))
+    cases.append((128, 128, (2,)))
+    for n, K, shape in cases:
+        ens = build_ensemble(eigendecompose(random_symmetric_model(n, rng)), K)
+        X = rng.integers(0, 2, size=shape + (n,)) * 2 - 1
+        got = frames(ens, X, "field")
+        assert got.shape == shape + (K,)
+        assert np.array_equal(got, _rfft2_field_frames(ens, X)), (n, K, shape)
+
+
 def test_frames_field_peak_memory():
-    # one readout at n=40, K=40 (pad 64) may allocate at most 3.5 real
-    # planes' worth, K * pad^2 * 8 bytes each (~1.3 MB)
-    n = 40
-    ens = build_ensemble(eigendecompose(random_symmetric_model(n, np.random.default_rng(0))), n)
-    x = random_state(n, np.random.default_rng(1))
-    pad = MacropixelConfig.for_spins(n).pad
-    frames(ens, x, "field")  # warm up the transform's plan cache
-    tracemalloc.start()
-    try:
-        frames(ens, x, "field")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * n * pad * pad * 8
+    # one readout at K = n may allocate at most 3.5 arrays of the distinct
+    # plane rows, K * rows * pad * 8 bytes each: 0.14 MB at n=40 and 1.6 MB
+    # at n=128, where K full planes would take 1.3 MB and 17 MB
+    for n in (40, 128):
+        ens = build_ensemble(eigendecompose(random_symmetric_model(n, np.random.default_rng(0))), n)
+        x = random_state(n, np.random.default_rng(1))
+        cfg = MacropixelConfig.for_spins(n)
+        frames(ens, x, "field")  # warm up the transform's plan cache
+        tracemalloc.start()
+        try:
+            frames(ens, x, "field")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * cfg.grid_rows * cfg.pad * 8, n
 
 
 @pytest.mark.parametrize("backend", ["analytic", "field"])
