@@ -5,13 +5,20 @@ size is coupled to temperature: a move flips max(1, round(n*T/t0)) distinct
 spins, which decays from whole-state shakes at the start to single-spin
 refinement near the freeze.
 
-One engine, `anneal`, steps every run of a batch in lock-step.  The flip
-count of an iteration comes from the schedule, so it is the same for every
-run; each iteration reads out the whole (R, n) block of candidate states
-with one `optics.frames` call and takes one vectorised Metropolis step.
-Callers that need many runs pass their seeds through `anneal_chunks`, which
-steps at most RUN_CHUNK runs at a time, so memory stays bounded whatever
-the run count.
+One engine core steps every run of a batch in lock-step.  The flip count
+of an iteration comes from the schedule, so it is the same for every run.
+The runs of a batch may read out through different evaluators: each
+iteration reads the candidate states of each evaluator's contiguous rows
+with one `optics.frames` call and takes one vectorised Metropolis step over
+the whole batch.  The core keeps one BLOCK of iterations in memory.  Two
+callers drive it:
+
+* `anneal` steps the runs of one evaluator and copies every block into the
+  full per-iteration history of an `AnnealTrace`; `anneal_chunks` feeds it
+  RUN_CHUNK runs at a time.
+* `optimal_hits` steps the runs of many (evaluator, seeds) cells that share
+  a schedule, RUN_CHUNK runs per batch, and keeps only the final states,
+  so its memory does not grow with the iteration count.
 
 RNG contract (v2).  `SeedSequence(seed_r).spawn(3)` gives run r three
 streams:
@@ -55,7 +62,7 @@ __all__ = [
 DEFAULT_ITERS = 3000
 CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
-RUN_CHUNK = 64   # most runs `anneal_chunks` steps together
+RUN_CHUNK = 64   # most runs `anneal_chunks` and `optimal_hits` step together
 _EXP_ARG_MAX = 700.0
 
 
@@ -111,17 +118,113 @@ class AnnealTrace:
         return self.hrv.shape[-1]
 
 
-def _flip_signs(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """+-1 factors of shape keys.shape (B, R, n): at iteration b, every run
-    flips the m[b] spins with the smallest keys."""
-    R = keys.shape[1]
-    flip = np.zeros(keys.shape, dtype=bool)
-    # single-spin moves, most of a cool schedule, need no sort
-    one = np.flatnonzero(m == 1)
-    flip[one[:, None], np.arange(R), keys[one].argmin(axis=-1)] = True
-    many = m > 1
-    flip[many] = keys[many].argsort(axis=-1).argsort(axis=-1) < m[many, None, None]
-    return np.where(flip, -1.0, 1.0)
+def _flip_signs(keys: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, shaped like keys (R, B, n), with +-1 factors: at iteration
+    b, every run flips the m[b] spins with the smallest keys."""
+    if m.max() == 1:
+        # single-spin blocks, most of a cool schedule, need no sort
+        out.fill(1.0)
+        np.put_along_axis(out, keys.argmin(axis=-1)[..., None], -1.0, axis=-1)
+        return out
+    np.copyto(out, keys)
+    out.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
+    flip = keys <= np.take_along_axis(out, (m - 1)[None, :, None], axis=-1)
+    if (flip.sum(axis=-1) != m).any():
+        # a key tied with the m-th smallest: rank ties as argsort does, so a
+        # move still flips exactly m spins
+        flip = keys.argsort(axis=-1).argsort(axis=-1) < m[:, None]
+        one = m == 1
+        flip[:, one] = np.arange(keys.shape[-1]) == keys[:, one].argmin(axis=-1)[..., None]
+    out.fill(1.0)
+    np.copyto(out, -1.0, where=flip)
+    return out
+
+
+def _lockstep(runs, g: WeightedGraph, s: Schedule):
+    """Step `runs`, a list of (evaluator, seed), as one batch, one row each.
+
+    Every iteration reads each stretch of rows that share an evaluator
+    object with one `frames` call and adds noise to the rows of noisy
+    evaluators only.  Yields, per block of BLOCK iterations, (slice of the
+    block's iterations, hrv, accepted, delta_e, uniform, states):
+    iteration-major (nb, R) and (nb, R, n) arrays that the next block
+    overwrites.
+    """
+    n = g.n
+    R = len(runs)
+    if not R:
+        raise ValueError("need at least one seed")
+    bounds = [0] + [i for i in range(1, R) if runs[i][0] is not runs[i - 1][0]] + [R]
+    groups = [(slice(a, b), runs[a][0]) for a, b in zip(bounds, bounds[1:])]
+    for _, ev in groups:
+        if ev.n != n:
+            raise ValueError(f"evaluator dimension {ev.n} does not match graph n={n}")
+    streams = [np.random.SeedSequence(sd).spawn(3) for _, sd in runs]
+    move_rngs = [np.random.default_rng(ss[0]) for ss in streams]
+    unif_rngs = [np.random.default_rng(ss[1]) for ss in streams]
+    noisy = [(rows, ev.sigma, [np.random.default_rng(ss[2]) for ss in streams[rows]])
+             for rows, ev in groups if ev.sigma > 0]
+
+    temps = s.temperatures()
+    # the last block's keys past `iters` are drawn anyway; giving them the
+    # last flip count lets every block select flips on whole buffers
+    flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
+    cand = np.empty((R, n))
+    cand_hrv = np.empty(R)
+    z = np.empty((R, BLOCK))  # noise; the start readout's draws borrow column 0
+    readers = [(cand[rows], cand_hrv[rows], z[rows], ev.ensemble, ev.backend, ev.sigma > 0)
+               for rows, ev in groups]
+
+    def read(j):
+        # readouts of `cand` into `cand_hrv`, plus noise column j on noisy rows only
+        for X, out, noise, ens, backend, noisy_rows in readers:
+            np.matmul(frames(ens, X, backend), ens.g, out=out)
+            if noisy_rows:
+                out += noise[:, j]
+
+    x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
+    for rows, sigma, rngs in noisy:
+        z[rows, 0] = [rng.normal(0.0, sigma) for rng in rngs]
+    cand[:] = x
+    read(0)
+    cur = cand_hrv.copy()
+
+    keys = np.empty((R, BLOCK, n))
+    signs = np.empty((R, BLOCK, n))
+    u = np.empty((R, BLOCK))
+    hrv = np.empty((BLOCK, R))
+    accepted = np.empty((BLOCK, R), dtype=bool)
+    delta_e = np.empty((BLOCK, R))
+    states = np.empty((BLOCK, R, n))
+    arg = np.zeros(R)
+
+    for b0 in range(0, s.iters, BLOCK):
+        nb = min(BLOCK, s.iters - b0)
+        for r in range(R):
+            move_rngs[r].random(out=keys[r])
+            unif_rngs[r].random(out=u[r])
+        for rows, sigma, rngs in noisy:
+            z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
+        _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs)
+        for j in range(nb):
+            t = temps[b0 + j]
+            np.multiply(x, signs[:, j], out=cand)
+            read(j)
+            d_e = np.subtract(cur, cand_hrv, out=delta_e[j])  # energy = -readout
+            ok = np.less_equal(d_e, 0.0, out=accepted[j])
+            # Uphill moves within the bound get a Metropolis test.  The bound
+            # keeps exp() in range and never divides by an underflowed
+            # temperature; `arg` keeps values in [-bound, 0] elsewhere.
+            trial = ~ok & (d_e <= _EXP_ARG_MAX * t)
+            np.divide(d_e, -t, out=arg, where=trial)
+            np.less(u[:, j], np.exp(arg), out=ok, where=trial)
+            np.copyto(x, cand, where=ok[:, None])
+            np.copyto(cur, cand_hrv, where=ok)
+            hrv[j] = cur
+            states[j] = x
+        uniform = np.where(delta_e[:nb] > 0.0, u[:, :nb].T, np.nan)
+        yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], uniform,
+               states[:nb])
 
 
 def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> AnnealTrace:
@@ -131,86 +234,30 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
     R ints, giving R runs whose arrays gain a leading run axis.  Run r is
     the same whatever the other seeds are (RNG contract v2).
     """
-    n = g.n
-    if evaluator.n != n:
-        raise ValueError(f"evaluator dimension {evaluator.n} does not match graph n={n}")
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    R = len(seeds)
-    streams = [[np.random.default_rng(ss) for ss in np.random.SeedSequence(sd).spawn(3)]
-               for sd in seeds]
-    move_rngs, unif_rngs, noise_rngs = zip(*streams)
-
-    ens, backend, sigma = evaluator.ensemble, evaluator.backend, evaluator.sigma
-    temps = s.temperatures()
-    flip_counts = s.flip_counts(n)
     model = from_graph(g)
     half_total = g.total_weight() / 2.0
-
-    x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
-    cur = frames(ens, x, backend) @ ens.g
-    if sigma > 0:
-        cur += [rng.normal(0.0, sigma) for rng in noise_rngs]
-
-    # histories are filled iteration-major, (iters, R), and transposed at the end
-    hrv_hist = np.empty((s.iters, R))
-    cut_hist = np.empty((s.iters, R))
-    accepted = np.empty((s.iters, R), dtype=bool)
-    delta_e = np.empty((s.iters, R))
-    uniform = np.empty((s.iters, R))
-    states = np.empty((BLOCK, R, n))
-    arg = np.zeros(R)
-
-    for b0 in range(0, s.iters, BLOCK):
-        nb = min(BLOCK, s.iters - b0)
-        keys = np.stack([rng.random((BLOCK, n)) for rng in move_rngs], axis=1)[:nb]
-        u = np.stack([rng.random(BLOCK) for rng in unif_rngs], axis=1)[:nb]
-        z = (np.stack([rng.normal(0.0, sigma, BLOCK) for rng in noise_rngs], axis=1)
-             if sigma > 0 else None)
-        signs = _flip_signs(keys, flip_counts[b0:b0 + nb])
-        for j in range(nb):
-            k = b0 + j
-            t = temps[k]
-            cand = x * signs[j]
-            cand_hrv = frames(ens, cand, backend) @ ens.g
-            if z is not None:
-                cand_hrv += z[j]
-            d_e = cur - cand_hrv  # energy = -readout
-            ok = d_e <= 0.0
-            # Uphill moves within the bound get a Metropolis test.  The bound
-            # keeps exp() in range and never divides by an underflowed
-            # temperature; `arg` keeps values in [-bound, 0] elsewhere.
-            trial = ~ok & (d_e <= _EXP_ARG_MAX * t)
-            np.divide(d_e, -t, out=arg, where=trial)
-            np.less(u[j], np.exp(arg), out=ok, where=trial)
-            np.copyto(x, cand, where=ok[:, None])
-            np.copyto(cur, cand_hrv, where=ok)
-            accepted[k] = ok
-            delta_e[k] = d_e
-            hrv_hist[k] = cur
-            states[j] = x
-        blk = slice(b0, b0 + nb)
-        uniform[blk] = np.where(delta_e[blk] > 0.0, u, np.nan)
-        cut_hist[blk] = half_total - hamiltonian(model, states[:nb]) / 2.0
-
-    hist = [a.T.copy() for a in (hrv_hist, cut_hist, accepted, delta_e, uniform)]
-    final_state = x.astype(np.int8)
+    # hrv, accepted, delta_e, uniform and cut, run-major
+    hist = [np.empty((len(seeds), s.iters), dtype=dt) for dt in (float, bool, float, float, float)]
+    for blk, *bufs, states in _lockstep([(evaluator, sd) for sd in seeds], g, s):
+        for h, buf in zip(hist, (*bufs, half_total - hamiltonian(model, states) / 2.0)):
+            h[:, blk] = buf.T
+    final_state = states[-1].astype(np.int8)
     if single:
-        hist = [a[0] for a in hist]
+        hist = [h[0] for h in hist]
         final_state = final_state[0]
-    hrv_hist, cut_hist, accepted, delta_e, uniform = hist
+    hrv_hist, accepted, delta_e, uniform, cut_hist = hist
     return AnnealTrace(
-        temperature=temps,
-        flips=flip_counts,
+        temperature=s.temperatures(),
+        flips=s.flip_counts(g.n),
         hrv=hrv_hist,
         cut=cut_hist,
         accepted=accepted,
         delta_e=delta_e,
         uniform=uniform,
         final_state=final_state,
-        final_hrv=float(cur[0]) if single else cur,
+        final_hrv=float(hrv_hist[-1]) if single else hrv_hist[:, -1].copy(),
         final_cut=float(cut_hist[-1]) if single else cut_hist[:, -1].copy(),
     )
 
@@ -222,9 +269,21 @@ def anneal_chunks(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seeds)
         yield anneal(evaluator, g, s, seeds[i:i + RUN_CHUNK])
 
 
-def optimal_hits(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seeds,
-                 optimum: float) -> int:
-    """Number of runs, one per seed, whose final cut is `optimum`."""
-    return sum(int(np.count_nonzero(np.abs(tr.final_cut - optimum) <= CUT_MATCH_TOL))
-               for tr in anneal_chunks(evaluator, g, s, seeds))
+def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[int]:
+    """Hits per cell of `cells`, a list of (evaluator, seeds): how many of
+    the cell's runs, one per seed, end in a cut equal to `optimum`.
 
+    The runs of all cells are stepped together, RUN_CHUNK at a time, and
+    only their final states are kept.
+    """
+    runs = [(ev, sd) for ev, seeds in cells for sd in seeds]
+    owner = np.repeat(np.arange(len(cells)), [len(seeds) for _, seeds in cells])
+    model = from_graph(g)
+    half_total = g.total_weight() / 2.0
+    hit = np.zeros(len(runs), dtype=bool)
+    for i in range(0, len(runs), RUN_CHUNK):
+        for *_, states in _lockstep(runs[i:i + RUN_CHUNK], g, s):
+            pass
+        cut = half_total - hamiltonian(model, states[-1]) / 2.0
+        hit[i:i + RUN_CHUNK] = np.abs(cut - optimum) <= CUT_MATCH_TOL
+    return np.bincount(owner, weights=hit, minlength=len(cells)).astype(int).tolist()

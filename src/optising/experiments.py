@@ -306,11 +306,11 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int) -> P
     table = ProbTable(n=n, optimum=optimum, seed=seed,
                       split_cluster={K: int(splits_cluster(b, K)) for K in ks})
 
+    evaluators = [HrvEvaluator(build_ensemble(b, K)) for K in ks]
     for si, s in enumerate(schedules):
-        for K in ks:
-            ev = HrvEvaluator(build_ensemble(b, K))
-            cell_seed = derive_seed(seed, LBL_PROB, si, K)
-            hits = optimal_hits(ev, g, s, range(cell_seed, cell_seed + runs), optimum)
+        cell_seeds = [derive_seed(seed, LBL_PROB, si, K) for K in ks]
+        cells = [(ev, range(cs, cs + runs)) for ev, cs in zip(evaluators, cell_seeds)]
+        for K, hits in zip(ks, optimal_hits(cells, g, s, optimum)):
             lo, hi = wilson_interval(hits, runs)
             table.cells.append(ProbCell(schedule_index=si, rate=s.rate, K=K, runs=runs,
                                         hits=hits, probability=hits / runs,
@@ -355,13 +355,14 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     Noise sigma is level * span, with the span estimated once from the
     K-truncated noiseless readout.  Cell seeds match probability_vs_k(g,
     [K], [schedule], ...) so the level-0 row reproduces the noiseless
-    probability exactly.
+    probability exactly.  Each distinct level gets one row, in ascending
+    order.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if not 1 <= K <= g.n:
         raise ValueError(f"K must lie in 1..{g.n}")
-    levels = [float(lv) for lv in levels]
+    levels = sorted({float(lv) for lv in levels})
     if any(not (lv >= 0 and math.isfinite(lv)) for lv in levels):
         raise ValueError("noise levels must be finite and non-negative")
 
@@ -374,9 +375,9 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     table = NoiseTable(n=g.n, K=K, span=span, optimum=optimum, seed=seed,
                        split_cluster={K: int(splits_cluster(b, K))})
     cell_seed = derive_seed(seed, LBL_PROB, 0, K)
-    for lv in levels:
-        ev = HrvEvaluator(ens, sigma=lv * span)
-        hits = optimal_hits(ev, g, schedule, range(cell_seed, cell_seed + runs), optimum)
+    evaluators = [HrvEvaluator(ens, sigma=lv * span) for lv in levels]
+    cells = [(ev, range(cell_seed, cell_seed + runs)) for ev in evaluators]
+    for lv, ev, hits in zip(levels, evaluators, optimal_hits(cells, g, schedule, optimum)):
         lo, hi = wilson_interval(hits, runs)
         table.cells.append(NoiseCell(level=lv, sigma=ev.sigma, K=K, runs=runs,
                                      hits=hits, probability=hits / runs,

@@ -1,12 +1,16 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from optising.anneal import (
+    BLOCK,
     CUT_MATCH_TOL,
     RUN_CHUNK,
     Schedule,
+    _flip_signs,
     anneal,
     anneal_chunks,
     optimal_hits,
@@ -220,7 +224,7 @@ def test_estimate_optimal_probability_trivial_edge():
     ev = make_evaluator(g)
     s = Schedule(t0=2.0, rate=0.9, iters=200)  # frozen well before the end
     best, _ = brute_force_maxcut(g)
-    assert optimal_hits(ev, g, s, range(10), best) == 10
+    assert optimal_hits([(ev, range(10))], g, s, best) == [10]
 
 
 @pytest.mark.parametrize("K", [3, 13, 20])
@@ -257,7 +261,7 @@ def test_chunked_runs_cross_the_chunk_boundary(small_graph):
     best, _ = brute_force_maxcut(small_graph)
     singles = [abs(anneal(ev, small_graph, s, sd).final_cut - best) <= CUT_MATCH_TOL
                for sd in seeds]
-    hits = optimal_hits(ev, small_graph, s, seeds, best)
+    [hits] = optimal_hits([(ev, seeds)], small_graph, s, best)
     assert hits == sum(singles)
     assert 0 < hits < len(singles)  # the check sees both outcomes
 
@@ -265,3 +269,82 @@ def test_chunked_runs_cross_the_chunk_boundary(small_graph):
 def test_anneal_needs_a_seed(small_graph):
     with pytest.raises(ValueError):
         anneal(make_evaluator(small_graph), small_graph, Schedule(t0=1.0, rate=0.9, iters=5), [])
+
+
+def test_mixed_cells_step_like_single_runs(monkeypatch):
+    # cells of three K, noiseless and noisy, stacked in one call; the third
+    # cell straddles the RUN_CHUNK boundary.  A spy on the one exact-energy
+    # call per batch sees every run's final state.
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    best, _ = brute_force_maxcut(g)
+    span = estimate_span(make_evaluator(g).ensemble, samples=1000, rng=np.random.default_rng(1))
+    s = Schedule(t0=span, rate=0.985, iters=300)
+    sizes = [(3, 0.0, 20), (13, 0.02, 30), (20, 0.0, 25), (13, 0.0, 5), (3, 0.05, 1), (20, 0.02, 12)]
+    assert sum(n for *_, n in sizes[:2]) < RUN_CHUNK < sum(n for *_, n in sizes[:3])
+    cells = [(make_evaluator(g, K, sigma=level * span), range(100 * i, 100 * i + runs))
+             for i, (K, level, runs) in enumerate(sizes)]
+
+    finals = []
+    engine = importlib.import_module("optising.anneal")  # the package exports the function
+    exact = engine.hamiltonian
+    monkeypatch.setattr(engine, "hamiltonian",
+                        lambda model, x: finals.append(np.array(x)) or exact(model, x))
+    hits = optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+
+    total = sum(len(seeds) for _, seeds in cells)
+    assert len(finals) == -(-total // RUN_CHUNK)
+    singles = [anneal(ev, g, s, sd) for ev, seeds in cells for sd in seeds]
+    finals = np.concatenate(finals)
+    assert finals.shape == (total, 20)
+    for row, one in zip(finals, singles):
+        assert np.array_equal(row, one.final_state)
+    assert hits == [optimal_hits([cell], g, s, best)[0] for cell in cells]
+    per_run = iter(abs(one.final_cut - best) <= CUT_MATCH_TOL for one in singles)
+    assert hits == [sum(next(per_run) for _ in seeds) for _, seeds in cells]
+    assert 0 < sum(hits) < total  # both outcomes occur
+
+
+def _parent_flip_signs(keys, m):
+    """The rank rule on (B, R, n) keys: argmin for single-spin iterations,
+    argsort ranks otherwise (the reference for tied keys)."""
+    R = keys.shape[1]
+    flip = np.zeros(keys.shape, dtype=bool)
+    one = np.flatnonzero(m == 1)
+    flip[one[:, None], np.arange(R), keys[one].argmin(axis=-1)] = True
+    many = m > 1
+    flip[many] = keys[many].argsort(axis=-1).argsort(axis=-1) < m[many, None, None]
+    return np.where(flip, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("single_spin", [False, True])
+def test_flip_signs_flip_exactly_m_spins(tied, single_spin):
+    rng = np.random.default_rng(4)
+    R, n = 40, 20
+    keys = rng.random((R, BLOCK, n))
+    if tied:
+        keys = np.round(keys * 8) / 8
+    m = np.ones(BLOCK, dtype=np.int64) if single_spin else rng.integers(1, n + 1, BLOCK)
+    signs = _flip_signs(keys, m, np.empty(keys.shape))
+    assert np.array_equal((signs == -1.0).sum(axis=-1), np.broadcast_to(m, (R, BLOCK)))
+    want = _parent_flip_signs(keys.transpose(1, 0, 2), m).transpose(1, 0, 2)
+    assert np.array_equal(signs, want)
+
+
+def test_hit_path_memory_does_not_grow_with_iters():
+    # the hit path keeps one BLOCK of buffers, never (iters, R) histories:
+    # its peak is under 4 arrays of BLOCK * R * n doubles (0.66 MB each here),
+    # where five float histories of 3000 iterations alone take 7.7 MB
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    best, _ = brute_force_maxcut(g)
+    cells = [(make_evaluator(g, 13), range(RUN_CHUNK))]
+    s = Schedule(t0=5.0, rate=0.995, iters=3000)
+    optimal_hits(cells, g, Schedule(t0=5.0, rate=0.9, iters=10), best)  # warm up
+    tracemalloc.start()
+    try:
+        optimal_hits(cells, g, s, best)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * BLOCK * RUN_CHUNK * g.n * 8

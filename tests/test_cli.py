@@ -253,6 +253,41 @@ def test_solve_field_backend_stdout_is_pinned(tmp_path, capsys, n, degree, iters
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+_STUDY_REPORT_SHA1 = {
+    "prob": {
+        "prob.csv": "c9d47301304970e183b34b10d17e51d90e215af3",
+        "prob.json": "dffa10125afb8fe1d9ae97ca6639374bb60f80dd",
+        "prob_schedule0.dat": "f933d927c1efb7f21a4dde61f26ac3b63ef37f69",
+        "prob_schedule1.dat": "c46f4250afc71471eae745d57c6a7eed67e0427e",
+    },
+    "noise": {
+        "noise.csv": "ad58aef6369085585208423690292601431c67ec",
+        "noise.json": "8aebe980dab661e53eec88f2a2929a253288048d",
+        "prob_vs_noise.dat": "d87a16f2615a512cc1324cacfdc2245f16d95ec7",
+    },
+    "trace": {
+        "trace.json": "dbf2ef168cef66807c2467fafface7eb65c735c5",
+        "trace_k16.csv": "25e4013f64dfef02d9fbbec32ab1865f16981438",
+        "trace_k8.csv": "7ddf0c45a75d3a527c3044f665ab4a1f28c09ef9",
+    },
+}
+
+
+@pytest.mark.parametrize("study, extra", [
+    ("prob", ["--ks", "5,11", "--rates", "0.98,0.99"]),
+    ("noise", ["--k", 11, "--levels", "0,0.02,0.05", "--rate", 0.98]),
+    ("trace", ["--ks", "8,16", "--rate", 0.98]),
+])
+def test_study_reports_are_pinned(tmp_path, study, extra):
+    # sha1 of the reports of the per-cell engine calls that came before the
+    # study-wide lock-step; 70 runs cross the RUN_CHUNK boundary of 64
+    out = tmp_path / study
+    assert run(["experiment", study, "--n", 16, "--degree", 3, "--iters", 500, "--runs", 70,
+                "--seed", 1, *extra, "--out", out]) == EXIT_OK
+    got = {name: hashlib.sha1(blob).hexdigest() for name, blob in read_dir_bytes(out).items()}
+    assert got == _STUDY_REPORT_SHA1[study]
+
+
 @pytest.mark.parametrize("command", ["gen", "solve", "experiment", "experiment-config"])
 def test_negative_seed_is_refused_before_any_work(tmp_path, capsys, command):
     gpath = tmp_path / "edge.rud"
@@ -573,6 +608,17 @@ def test_experiment_noise_reports(tmp_path):
     assert len(lines) == 3
     payload = json.loads((out / "noise.json").read_text())
     assert payload["results"]["span"] > 0
+
+
+def test_experiment_noise_reports_each_level_once_in_order(tmp_path):
+    out = tmp_path / "noise"
+    assert run(["experiment", "noise", "--n", 12, "--degree", 3, "--k", 8,
+                "--levels", "0.02,0,0.02", "--runs", 5, "--iters", 100, "--seed", 1,
+                "--out", out]) == EXIT_OK
+    rows = (out / "noise.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.02]
+    cells = json.loads((out / "noise.json").read_text())["results"]["cells"]
+    assert [c["level"] for c in cells] == [0.0, 0.02]
 
 
 def test_experiment_noise_rejects_nan_level(tmp_path, capsys):
