@@ -5,20 +5,21 @@ size is coupled to temperature: a move flips max(1, round(n*T/t0)) distinct
 spins, which decays from whole-state shakes at the start to single-spin
 refinement near the freeze.
 
-One engine core steps every run of a batch in lock-step.  The flip count
-of an iteration comes from the schedule, so it is the same for every run.
-The runs of a batch may read out through different evaluators: each
-iteration reads the candidate states of each evaluator's contiguous rows
-with one `optics.frames` call and takes one vectorised Metropolis step over
-the whole batch.  The core keeps one BLOCK of iterations in memory.  Two
-callers drive it:
+One engine core, `_lockstep`, steps every run of a batch in lock-step.  The
+flip count of an iteration comes from the schedule, so it is the same for
+every run.  The runs of a batch may read out through different evaluators:
+each iteration reads the candidate states of each evaluator's contiguous
+rows with one `optics.frames` call and takes one vectorised Metropolis step
+over the whole batch.  The core keeps one BLOCK of iterations in memory.
+Three callers drive it:
 
 * `anneal` steps the runs of one evaluator and copies every block into the
-  full per-iteration history of an `AnnealTrace`; `anneal_chunks` feeds it
-  RUN_CHUNK runs at a time.
+  full per-iteration history of an `AnnealTrace`.
 * `optimal_hits` steps the runs of many (evaluator, seeds) cells that share
-  a schedule, RUN_CHUNK runs per batch, and keeps only the final states,
-  so its memory does not grow with the iteration count.
+  a schedule, RUN_CHUNK runs per batch, and keeps only the final states.
+* `experiments.anneal_trace_study` steps each K's runs RUN_CHUNK at a time
+  and sums every block over its runs.  Like `optimal_hits`, it keeps no
+  per-iteration history, so its memory does not grow with the iterations.
 
 RNG contract (v2).  `SeedSequence(seed_r).spawn(3)` gives run r three
 streams:
@@ -51,7 +52,6 @@ __all__ = [
     "Schedule",
     "AnnealTrace",
     "anneal",
-    "anneal_chunks",
     "optimal_hits",
     "DEFAULT_ITERS",
     "CUT_MATCH_TOL",
@@ -62,7 +62,7 @@ __all__ = [
 DEFAULT_ITERS = 3000
 CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
-RUN_CHUNK = 64   # most runs `anneal_chunks` and `optimal_hits` step together
+RUN_CHUNK = 64   # most runs a batch of `optimal_hits` or the trace study holds
 _EXP_ARG_MAX = 700.0
 
 
@@ -207,7 +207,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
         _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs)
         for j in range(nb):
-            t = temps[b0 + j]
+            t = float(temps[b0 + j])  # a Python float overflows to inf without a warning
             np.multiply(x, signs[:, j], out=cand)
             read(j)
             d_e = np.subtract(cur, cand_hrv, out=delta_e[j])  # energy = -readout
@@ -260,13 +260,6 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
         final_hrv=float(hrv_hist[-1]) if single else hrv_hist[:, -1].copy(),
         final_cut=float(cut_hist[-1]) if single else cut_hist[:, -1].copy(),
     )
-
-
-def anneal_chunks(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seeds):
-    """Yield the batched trace of `seeds`, RUN_CHUNK runs per `anneal` call."""
-    seeds = list(seeds)
-    for i in range(0, len(seeds), RUN_CHUNK):
-        yield anneal(evaluator, g, s, seeds[i:i + RUN_CHUNK])
 
 
 def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[int]:

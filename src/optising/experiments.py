@@ -2,7 +2,7 @@
 
 Four studies mirror the evaluation workflow end to end:
 
-* Hamiltonian matching: readout-vs-exact scatter and RMSE as the number of
+* Hamiltonian matching: readout-vs-exact linear fit and RMSE as the number of
   retained components K sweeps up to N, optionally averaged over graph seeds
   and fitted by a decaying exponential in K/N.
 * Max-cut annealing traces averaged over runs for several K.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anneal import Schedule, anneal_chunks, optimal_hits
+from .anneal import RUN_CHUNK, Schedule, _lockstep, optimal_hits
 from .graph import WeightedGraph, gen_density, gen_regular
 from .ising import IsingModel, brute_force_maxcut, from_graph, hamiltonian, random_states
 from .optics import HrvEvaluator, estimate_span, frames
@@ -131,8 +131,6 @@ class KMatch:
     """Readout-vs-Hamiltonian match at one truncation level."""
 
     K: int
-    hrv: np.ndarray   # readout per sampled state
-    ham: np.ndarray   # exact -x^T J x per sampled state
     slope: float
     intercept: float
     r2: float
@@ -160,9 +158,9 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
 
     One shared batch of `samples` uniform random states feeds every K, so
     the K-trend carries no sampling noise.  For each distinct requested K,
-    in ascending order, the report holds the scatter, a linear fit of H
-    against minus the readout, the RMSE of that surrogate, and the RMSE
-    normalized by the readout span.
+    in ascending order, the report holds a linear fit of H against minus
+    the readout, the RMSE of that surrogate, and the RMSE normalized by the
+    readout span.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -187,9 +185,8 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
         span = float(vals.max() - vals.min())
         rel = rmse / span if span > 0 else (0.0 if rmse == 0.0 else math.inf)
         slope, intercept, r2 = linear_fit(-vals, ham)
-        report.records.append(KMatch(K=K, hrv=vals.copy(), ham=ham.copy(), slope=slope,
-                                     intercept=intercept, r2=r2, rmse=rmse, span=span,
-                                     rmse_relative=rel))
+        report.records.append(KMatch(K=K, slope=slope, intercept=intercept, r2=r2, rmse=rmse,
+                                     span=span, rmse_relative=rel))
     return report
 
 
@@ -218,8 +215,7 @@ def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
         else:
             g = gen_density(n, density, weight_low, weight_high, seed=gseed)
         rep = rmse_vs_k(from_graph(g), ks, samples, seed=derive_seed(seed, LBL_STATES, gs))
-        for j, K in enumerate(ks):
-            rec = rep.by_k(K)
+        for j, rec in enumerate(rep.records):  # the records are `ks`, in order
             rmse[gs, j] = rec.rmse
             rel[gs, j] = rec.rmse_relative
             r2[gs, j] = rec.r2
@@ -406,13 +402,18 @@ class TraceStudy:
 
 def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
                        seed: int) -> TraceStudy:
-    """Average per-iteration readout and cut value across runs for each K."""
+    """Average per-iteration readout and cut value across runs for each K.
+
+    Each K's runs are stepped RUN_CHUNK at a time and every block is summed
+    over its runs as it comes, so only the (iters,) curves outlive a block."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ks = sorted({int(k) for k in ks})
     if any(k < 1 or k > g.n for k in ks):
         raise ValueError(f"ks must lie in 1..{g.n}")
-    b = eigendecompose(from_graph(g))
+    model = from_graph(g)
+    half_total = g.total_weight() / 2.0
+    b = eigendecompose(model)
 
     study = TraceStudy(n=g.n, runs=runs, seed=seed, ks=ks, mean_hrv={}, mean_cut={},
                        final_hrv_mean={}, final_hrv_std={}, final_cut_mean={},
@@ -422,14 +423,16 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
         base = derive_seed(seed, LBL_TRACE, K)
         hrv_sum = np.zeros(schedule.iters)
         cut_sum = np.zeros(schedule.iters)
-        finals_h, finals_c = [], []
-        for trace in anneal_chunks(ev, g, schedule, range(base, base + runs)):
-            hrv_sum += trace.hrv.sum(axis=0)
-            cut_sum += trace.cut.sum(axis=0)
-            finals_h.append(trace.final_hrv)
-            finals_c.append(trace.final_cut)
-        finals_h = np.concatenate(finals_h)
-        finals_c = np.concatenate(finals_c)
+        finals_h, finals_c = np.empty(runs), np.empty(runs)
+        for i in range(0, runs, RUN_CHUNK):
+            chunk = [(ev, base + r) for r in range(i, min(i + RUN_CHUNK, runs))]
+            for blk, hrv, *_, states in _lockstep(chunk, g, schedule):
+                cut = half_total - hamiltonian(model, states) / 2.0
+                # summed run-major, so every curve adds its runs in seed order
+                hrv_sum[blk] += np.ascontiguousarray(hrv.T).sum(axis=0)
+                cut_sum[blk] += np.ascontiguousarray(cut.T).sum(axis=0)
+            finals_h[i:i + RUN_CHUNK] = hrv[-1]
+            finals_c[i:i + RUN_CHUNK] = cut[-1]
         study.mean_hrv[K] = hrv_sum / runs
         study.mean_cut[K] = cut_sum / runs
         study.final_hrv_mean[K] = float(np.mean(finals_h))

@@ -12,10 +12,10 @@ from optising.anneal import (
     Schedule,
     _flip_signs,
     anneal,
-    anneal_chunks,
     optimal_hits,
 )
 from optising.cli import main
+from optising.experiments import LBL_TRACE, anneal_trace_study, derive_seed
 from optising.graph import WeightedGraph, gen_regular, write_graph
 from optising.ising import brute_force_maxcut, cut_value, from_graph
 from optising.optics import HrvEvaluator, estimate_span
@@ -252,18 +252,24 @@ def test_batch_size_invariance_field_backend(small_graph):
 
 
 def test_chunked_runs_cross_the_chunk_boundary(small_graph):
+    # the trace study steps RUN_CHUNK runs per batch and sums each block as
+    # it comes; over RUN_CHUNK + 2 runs its curves and final statistics are
+    # those of the single runs
     ev = make_evaluator(small_graph)
+    K = small_graph.n
     s = Schedule(t0=5.0, rate=0.9, iters=60)
-    seeds = range(100, 100 + RUN_CHUNK + 2)
-    traces = list(anneal_chunks(ev, small_graph, s, seeds))
-    assert [tr.final_state.shape[0] for tr in traces] == [RUN_CHUNK, 2]
-    assert_rows_match_single_runs(ev, small_graph, s, list(seeds), traces)
-    best, _ = brute_force_maxcut(small_graph)
-    singles = [abs(anneal(ev, small_graph, s, sd).final_cut - best) <= CUT_MATCH_TOL
-               for sd in seeds]
-    [hits] = optimal_hits([(ev, seeds)], small_graph, s, best)
-    assert hits == sum(singles)
-    assert 0 < hits < len(singles)  # the check sees both outcomes
+    runs = RUN_CHUNK + 2
+    study = anneal_trace_study(small_graph, [K], s, runs, seed=3)
+    base = derive_seed(3, LBL_TRACE, K)
+    singles = [anneal(ev, small_graph, s, sd) for sd in range(base, base + runs)]
+    tol = 1e-12 * estimate_span(ev.ensemble, samples=200, rng=np.random.default_rng(0))
+    for name, curve in (("hrv", study.mean_hrv[K]), ("cut", study.mean_cut[K])):
+        mean = np.mean([getattr(one, name) for one in singles], axis=0)
+        assert np.max(np.abs(curve - mean)) <= tol, name
+        finals = [getattr(one, "final_" + name) for one in singles]
+        assert abs(getattr(study, f"final_{name}_mean")[K] - np.mean(finals)) <= tol, name
+        assert abs(getattr(study, f"final_{name}_std")[K] - np.std(finals)) <= tol, name
+    assert study.final_cut_std[K] > 0  # the runs do not all end alike
 
 
 def test_anneal_needs_a_seed(small_graph):

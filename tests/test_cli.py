@@ -341,6 +341,17 @@ def test_solve_rejects_infinite_t0(tmp_path, capsys):
     assert "t0 must be finite and positive" in captured.err
 
 
+def test_solve_runs_at_the_largest_finite_t0(tmp_path, capsys):
+    # the Metropolis bound 700 * T overflows to inf at this t0: the run must
+    # go on without an overflow warning, which the test settings make an error
+    run(["gen", "--n", 8, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
+    capsys.readouterr()
+    assert run(["solve", "--graph", tmp_path / "g.rud", "--iters", 50, "--t0", "1e308"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "final_cut=" in captured.out
+    assert captured.err == ""
+
+
 def test_zero_readout_span_asks_for_t0(tmp_path, capsys):
     # a graph without edges reads out 0 on every state, so t0 has no default
     gpath = tmp_path / "e.rud"

@@ -1,14 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_symmetric_model
-from optising.anneal import Schedule, anneal
+from optising.anneal import BLOCK, RUN_CHUNK, Schedule, _lockstep, anneal
 from optising.experiments import (
     LBL_STATES,
     LBL_TRACE,
-    anneal_chunks,
     anneal_trace_study,
     config_hash,
     derive_seed,
@@ -24,13 +24,23 @@ from optising.experiments import (
 )
 from optising.graph import gen_regular
 from optising.ising import from_graph, hamiltonian, random_states
-from optising.optics import HrvEvaluator, hrv
+from optising.optics import HrvEvaluator, frames, hrv
 from optising.spectral import build_ensemble, eigendecompose
 
 
 @pytest.fixture(scope="module")
 def small_instance():
     return gen_regular(6, 3, 0.0, 1.0, seed=1)
+
+
+def sampled_readouts(m, samples, seed):
+    """The states `rmse_vs_k(m, ks, samples, seed)` samples, rebuilt from its
+    stream, with their cumulative readout (column K-1 reads K frames) and
+    their exact Hamiltonian."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_STATES]))
+    X = random_states(m.n, samples, rng).astype(float)
+    ens = build_ensemble(eigendecompose(m), m.n)
+    return X, np.cumsum(frames(ens, X) * ens.g, axis=1), hamiltonian(m, X)
 
 
 def test_linear_fit_recovers_line():
@@ -75,18 +85,21 @@ def test_rmse_vs_k_zero_truncation_limit(rng):
     m = random_symmetric_model(7, rng)
     rep = rmse_vs_k(m, ks=[0], samples=300, seed=5)
     rec = rep.by_k(0)
-    assert rec.rmse == pytest.approx(float(np.sqrt(np.mean(rec.ham ** 2))), rel=1e-12)
+    _, _, ham = sampled_readouts(m, 300, 5)
+    assert rec.rmse == pytest.approx(float(np.sqrt(np.mean(ham ** 2))), rel=1e-12)
     assert rec.span == 0.0
 
 
 def test_rmse_vs_k_shared_states_across_k(rng):
     m = random_symmetric_model(8, rng)
     rep = rmse_vs_k(m, ks=[2, 5, 8], samples=100, seed=9)
-    hams = [rep.by_k(k).ham for k in (2, 5, 8)]
-    assert np.array_equal(hams[0], hams[1])
-    assert np.array_equal(hams[0], hams[2])
+    _, cum, ham = sampled_readouts(m, 100, 9)
+    for rec in rep.records:  # every K reads the one shared batch of states
+        vals = cum[:, rec.K - 1]
+        assert rec.rmse == pytest.approx(float(np.sqrt(np.mean((-vals - ham) ** 2))), rel=1e-12)
+        assert rec.span == float(vals.max() - vals.min())
     # at K=N the readout is exactly minus the Hamiltonian
-    assert rep.by_k(8).hrv == pytest.approx(-hams[0], rel=1e-9, abs=1e-9)
+    assert cum[:, 7] == pytest.approx(-ham, rel=1e-9, abs=1e-9)
 
 
 def test_rmse_vs_k_matches_direct_readout(rng):
@@ -95,13 +108,14 @@ def test_rmse_vs_k_matches_direct_readout(rng):
     m = random_symmetric_model(6, rng)
     b = eigendecompose(m)
     rep = rmse_vs_k(m, ks=[1, 3, 6], samples=50, seed=13)
-    X = random_states(6, 50, np.random.default_rng(np.random.SeedSequence([13, LBL_STATES])))
+    X, cum, ham = sampled_readouts(m, 50, 13)
     for rec in rep.records:
         ens = build_ensemble(b, rec.K)
+        vals = cum[:, rec.K - 1]
         for i, x in enumerate(X):
-            assert abs(rec.hrv[i] - hrv(ens, x)) <= 1e-12 * rec.span
-            assert rec.ham[i] == pytest.approx(hamiltonian(m, x), rel=1e-12, abs=1e-12)
-        resid = (-rec.hrv) - rec.ham
+            assert abs(vals[i] - hrv(ens, x)) <= 1e-12 * rec.span
+            assert ham[i] == pytest.approx(hamiltonian(m, x), rel=1e-12, abs=1e-12)
+        resid = (-vals) - ham
         assert rec.rmse == pytest.approx(float(np.sqrt(np.mean(resid ** 2))), rel=1e-12)
     # and spot-check one state by hand
     x = np.ones(6)
@@ -255,16 +269,34 @@ def test_anneal_trace_study_improves_from_random_start(small_instance):
 def test_anneal_trace_study_checks_every_k_before_annealing(small_instance, monkeypatch):
     calls = []
 
-    def counted_chunks(*args, **kwargs):
+    def counted_lockstep(*args, **kwargs):
         calls.append(args)
-        return anneal_chunks(*args, **kwargs)
+        return _lockstep(*args, **kwargs)
 
-    monkeypatch.setattr("optising.experiments.anneal_chunks", counted_chunks)
+    monkeypatch.setattr("optising.experiments._lockstep", counted_lockstep)
     s = Schedule(t0=4.0, rate=0.99, iters=20)
     n = small_instance.n
     with pytest.raises(ValueError, match=f"ks must lie in 1..{n}"):
         anneal_trace_study(small_instance, [3, n + 1], schedule=s, runs=2, seed=0)
     assert calls == []
+
+
+@pytest.mark.parametrize("iters", [3000, 12000])
+def test_trace_study_memory_does_not_grow_with_iters(iters):
+    # the study sums each block over its runs as it comes: past one BLOCK of
+    # engine buffers (0.66 MB per BLOCK * RUN_CHUNK * n doubles here) it keeps
+    # only a few (iters,) curves, where five float histories of the runs
+    # would take 7.7 MB at 3000 iterations
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    anneal_trace_study(g, [13], Schedule(t0=5.0, rate=0.9, iters=10), RUN_CHUNK, seed=1)
+    s = Schedule(t0=5.0, rate=0.995, iters=iters)
+    tracemalloc.start()
+    try:
+        anneal_trace_study(g, [13], s, RUN_CHUNK, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * BLOCK * RUN_CHUNK * g.n * 8 + 10 * iters * 8
 
 
 def test_derive_seed_stable_and_distinct():
