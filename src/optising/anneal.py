@@ -10,15 +10,19 @@ flip count of an iteration comes from the schedule, so it is the same for
 every run.  The runs of a batch may read out through different evaluators:
 each iteration reads the candidate states of each evaluator's contiguous
 rows with one `optics.frames` call and takes one vectorised Metropolis step
-over the whole batch.  The core keeps one BLOCK of iterations in memory.
-Three callers drive it:
+over the whole batch, reading into buffers made once per batch.  The core
+keeps one BLOCK of iterations in memory.  Three callers drive it:
 
 * `anneal` steps the runs of one evaluator and copies every block into the
   full per-iteration history of an `AnnealTrace`.
 * `optimal_hits` steps the runs of many (evaluator, seeds) cells that share
-  a schedule, RUN_CHUNK runs per batch, and keeps only the final states.
-* `experiments.anneal_trace_study` steps each K's runs RUN_CHUNK at a time
-  and sums every block over its runs.  Like `optimal_hits`, it keeps no
+  a schedule, HIT_CHUNK = 256 runs per batch, and keeps only the final
+  states.  A run's hit does not depend on the batch size, and a larger
+  batch costs less per run-iteration.
+* `experiments.anneal_trace_study` steps each K's runs RUN_CHUNK = 64 at a
+  time and sums every block over its runs.  Its curves add the runs of each
+  batch first, so their last bits depend on the batch size, and RUN_CHUNK
+  stays at 64 to keep the reports.  Like `optimal_hits`, it keeps no
   per-iteration history, so its memory does not grow with the iterations.
 
 RNG contract (v2).  `SeedSequence(seed_r).spawn(3)` gives run r three
@@ -57,12 +61,14 @@ __all__ = [
     "CUT_MATCH_TOL",
     "BLOCK",
     "RUN_CHUNK",
+    "HIT_CHUNK",
 ]
 
 DEFAULT_ITERS = 3000
 CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
-RUN_CHUNK = 64   # most runs a batch of `optimal_hits` or the trace study holds
+RUN_CHUNK = 64   # runs per batch of the trace study; its summed curves depend on it
+HIT_CHUNK = 256  # most runs a batch of `optimal_hits` holds
 _EXP_ARG_MAX = 700.0
 
 
@@ -172,13 +178,13 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     cand = np.empty((R, n))
     cand_hrv = np.empty(R)
     z = np.empty((R, BLOCK))  # noise; the start readout's draws borrow column 0
-    readers = [(cand[rows], cand_hrv[rows], z[rows], ev.ensemble, ev.backend, ev.sigma > 0)
-               for rows, ev in groups]
+    readers = [(cand[rows], np.empty((rows.stop - rows.start, ev.K)), cand_hrv[rows], z[rows],
+                ev.ensemble, ev.backend, ev.sigma > 0) for rows, ev in groups]
 
     def read(j):
         # readouts of `cand` into `cand_hrv`, plus noise column j on noisy rows only
-        for X, out, noise, ens, backend, noisy_rows in readers:
-            np.matmul(frames(ens, X, backend), ens.g, out=out)
+        for X, intensities, out, noise, ens, backend, noisy_rows in readers:
+            np.matmul(frames(ens, X, backend, out=intensities), ens.g, out=out)
             if noisy_rows:
                 out += noise[:, j]
 
@@ -266,7 +272,7 @@ def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[i
     """Hits per cell of `cells`, a list of (evaluator, seeds): how many of
     the cell's runs, one per seed, end in a cut equal to `optimum`.
 
-    The runs of all cells are stepped together, RUN_CHUNK at a time, and
+    The runs of all cells are stepped together, HIT_CHUNK at a time, and
     only their final states are kept.
     """
     runs = [(ev, sd) for ev, seeds in cells for sd in seeds]
@@ -274,9 +280,9 @@ def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[i
     model = from_graph(g)
     half_total = g.total_weight() / 2.0
     hit = np.zeros(len(runs), dtype=bool)
-    for i in range(0, len(runs), RUN_CHUNK):
-        for *_, states in _lockstep(runs[i:i + RUN_CHUNK], g, s):
+    for i in range(0, len(runs), HIT_CHUNK):
+        for *_, states in _lockstep(runs[i:i + HIT_CHUNK], g, s):
             pass
         cut = half_total - hamiltonian(model, states[-1]) / 2.0
-        hit[i:i + RUN_CHUNK] = np.abs(cut - optimum) <= CUT_MATCH_TOL
+        hit[i:i + HIT_CHUNK] = np.abs(cut - optimum) <= CUT_MATCH_TOL
     return np.bincount(owner, weights=hit, minlength=len(cells)).astype(int).tolist()

@@ -74,7 +74,10 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _parse_int_list(s):
-    """Comma list of ints; 'a..b' expands to an inclusive range (b >= a)."""
+    """Comma list of ints; 'a..b' is the inclusive range a..b (b >= a).
+
+    Every part stays an unexpanded `range`, so a study can check its bounds
+    against n before it expands it (`_ks`)."""
     out = []
     for part in s.split(","):
         part = part.strip()
@@ -82,9 +85,9 @@ def _parse_int_list(s):
             lo, hi = (int(v) for v in part.split("..", 1))
             if hi < lo:
                 raise ValueError(f"reversed range {part!r}")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            lo = hi = int(part)
+        out.append(range(lo, hi + 1))
     return out
 
 
@@ -209,6 +212,18 @@ def _load_instance(cfg) -> WeightedGraph:
     if cfg.get("degree") is not None:
         return gen_regular(cfg["n"], cfg["degree"], cfg["wlow"], cfg["whigh"], seed=seed)
     return gen_density(cfg["n"], cfg["density"], cfg["wlow"], cfg["whigh"], seed=seed)
+
+
+def _ks(cfg, n: int, default: list[int]) -> list[int]:
+    """The study's ks: each parsed range is checked against 1..n before it
+    is expanded, and the expanded list replaces the ranges in `cfg`, so the
+    report echoes the ks themselves."""
+    if cfg["ks"] is None:
+        return default
+    if any(r.start < 1 or r[-1] > n for r in cfg["ks"]):
+        raise ValueError(f"ks must lie in 1..{n}")
+    cfg["ks"] = [k for r in cfg["ks"] for k in r]
+    return cfg["ks"]
 
 
 def _schedules(cfg, g, rates, K) -> list[Schedule]:
@@ -346,9 +361,7 @@ def cmd_experiment(args) -> int:
 def _run_rmse(cfg):
     g = _load_instance(cfg) if cfg.get("instance") else None
     n = g.n if g is not None else cfg["n"]
-    ks = cfg["ks"] if cfg["ks"] is not None else list(range(1, n + 1))
-    if any(k < 1 or k > n for k in ks):
-        raise ValueError(f"ks must lie in 1..{n}")
+    ks = _ks(cfg, n, list(range(1, n + 1)))
     if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
         ks = [rec.K for rec in rep.records]
@@ -377,7 +390,7 @@ def _run_rmse(cfg):
 
 def _run_prob(cfg):
     g = _load_instance(cfg)
-    ks = cfg["ks"] if cfg["ks"] is not None else list(range(1, g.n + 1))
+    ks = _ks(cfg, g.n, list(range(1, g.n + 1)))
     schedules = _schedules(cfg, g, cfg["rates"], g.n)
     table = xp.probability_vs_k(g, ks, schedules, cfg["runs"], cfg["seed"])
 
@@ -413,7 +426,7 @@ def _run_noise(cfg):
 
 def _run_trace(cfg):
     g = _load_instance(cfg)
-    ks = cfg["ks"] if cfg["ks"] is not None else [g.n]
+    ks = _ks(cfg, g.n, [g.n])
     (schedule,) = _schedules(cfg, g, [cfg["rate"]], g.n)
     study = xp.anneal_trace_study(g, ks, schedule, cfg["runs"], cfg["seed"])
     results = {"ks": study.ks,

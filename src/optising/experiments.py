@@ -103,22 +103,37 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def linear_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line y = slope*x + intercept and its R^2.
+def linear_fit(x, y):
+    """Least-squares line y = slope*x + intercept and its R^2, for each row of x.
 
-    Degenerate inputs (constant x) report slope 0, intercept mean(y), R^2 0.
+    x is one sample (m,), which gives three floats, or a block of rows
+    (r, m) fitted against the one y (m,), which gives three arrays of r
+    values.  Each row reduces in the order a 1-D fit of it alone would, so
+    a row's results are bit-equal to that fit's.  Degenerate rows (constant
+    x) report slope 0, intercept mean(y), R^2 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
-        return 0.0, float(ym), 0.0
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    intercept = float(ym - slope * xm)
-    ss_res = float(np.sum((y - slope * x - intercept) ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot if ss_tot else 0.0
+    rows = np.atleast_2d(x)
+    xm = rows.mean(axis=1)
+    ym = y.mean()
+    dx = rows - xm[:, None]
+    tmp = np.square(dx)
+    sxx = tmp.sum(axis=1)
+    dy = y - ym
+    sxy = np.multiply(dx, dy, out=tmp).sum(axis=1)
+    fit = sxx != 0.0
+    slope = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=fit)
+    intercept = np.where(fit, ym - slope * xm, ym)
+    res = np.multiply(slope[:, None], rows, out=dx)
+    np.subtract(y, res, out=res)
+    np.subtract(res, intercept[:, None], out=res)
+    ss_res = np.square(res, out=res).sum(axis=1)
+    ss_tot = np.sum(dy ** 2)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot else (ss_res == 0.0).astype(float)
+    r2 = np.where(fit, r2, 0.0)
+    if x.ndim == 1:
+        return float(slope[0]), float(intercept[0]), float(r2[0])
     return slope, intercept, r2
 
 
@@ -171,23 +186,32 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_STATES]))
     X = random_states(n, samples, rng).astype(float)
-
-    ens = build_ensemble(eigendecompose(m), n)
-    cum = np.cumsum(frames(ens, X) * ens.g, axis=1)  # column K-1: readout with K frames
-
     ham = hamiltonian(m, X)
 
-    report = MatchReport(n=n, samples=samples, seed=seed)
-    for K in ks:
-        vals = cum[:, K - 1] if K > 0 else np.zeros(samples)
-        resid = (-vals) - ham
-        rmse = float(np.sqrt(np.mean(resid ** 2)))
-        span = float(vals.max() - vals.min())
-        rel = rmse / span if span > 0 else (0.0 if rmse == 0.0 else math.inf)
-        slope, intercept, r2 = linear_fit(-vals, ham)
-        report.records.append(KMatch(K=K, slope=slope, intercept=intercept, r2=r2, rmse=rmse,
-                                     span=span, rmse_relative=rel))
-    return report
+    ens = build_ensemble(eigendecompose(m), n)
+    intensities = frames(ens, X)
+    del X
+    intensities *= ens.g
+    cum = np.zeros((samples, n + 1))  # column K: readout with K frames
+    np.cumsum(intensities, axis=1, out=cum[:, 1:])
+    del intensities
+
+    # row j: minus the readout with ks[j] frames.  Advanced indexing lays the
+    # rows out C-contiguous, and a contiguous row reduces as the 1-D column
+    # of one K would.
+    x = cum.T[ks]
+    del cum
+    np.negative(x, out=x)
+    resid = np.subtract(x, ham)
+    rmse = np.sqrt(np.mean(np.square(resid, out=resid), axis=1))
+    del resid
+    span = x.max(axis=1) - x.min(axis=1)
+    rel = np.divide(rmse, span, out=np.where(rmse == 0.0, 0.0, math.inf), where=span > 0)
+    slope, intercept, r2 = linear_fit(x, ham)
+
+    stats = (slope, intercept, r2, rmse, span, rel)  # in KMatch's field order
+    records = [KMatch(*rec) for rec in zip(ks, *(a.tolist() for a in stats))]
+    return MatchReport(n=n, samples=samples, seed=seed, records=records)
 
 
 def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,

@@ -3,8 +3,8 @@
 One frame displays one amplitude pattern xi with the spin phases on top and
 reads the detector center point.  All readouts go through one kernel,
 `frames(ensemble, X, backend)`, which returns the K frame intensities of a
-single state (n,) or of a block of states (..., n).  Two backends produce
-the reading:
+single state (n,) or of a block of states (..., n), optionally into a
+caller's buffer.  Two backends produce the reading:
 
 * analytic  -- closed form (X @ xi^T)^2, exact.
 * field     -- real macropixel plane, read at the zero-frequency bin of
@@ -120,7 +120,8 @@ def field_intensity(xi, x, cfg: MacropixelConfig) -> float:
     return float(np.abs(center) ** 2) / float(b * b) ** 2
 
 
-def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic") -> np.ndarray:
+def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic",
+           out: np.ndarray | None = None) -> np.ndarray:
     """Frame intensities of one state (n,) or a block of states (..., n).
 
     Returns shape (..., K): entry k is the center-point reading of frame k.
@@ -128,13 +129,15 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic") -> np.ndar
     lays the spins out with `MacropixelConfig.for_spins(n)` and computes bin
     [0, 0] of each plane's 2D DFT separably, as `numpy.fft.rfft2` does, from
     the distinct plane rows and column 0 only: the same bits, and no
-    pad x pad array.
+    pad x pad array.  Given `out`, a float array of the result's shape, the
+    intensities are written there and `out` is returned.
     """
     X = np.asarray(X, dtype=float)
     if backend == "analytic":
         # matmul itself raises ValueError unless the last axis has length n,
         # so the per-state annealing path pays for no separate check
-        return (X @ ensemble.xi.T) ** 2
+        out = np.matmul(X, ensemble.xi.T, out=out)
+        return np.square(out, out=out)
     if backend == "field":
         if X.shape[-1:] != (ensemble.n,):
             raise ValueError(f"state shape {X.shape} does not end in n={ensemble.n}")
@@ -156,7 +159,7 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic") -> np.ndar
         column[..., :rows * b].reshape(lead + (rows, b), copy=False)[...] = (
             np.fft.rfft(line)[..., :1])
         center = np.fft.fft(column)[..., 0]
-        return np.abs(center) ** 2 / float(b * b) ** 2
+        return np.divide(np.abs(center) ** 2, float(b * b) ** 2, out=out)
     raise ValueError(f"unknown backend {backend!r}")
 
 

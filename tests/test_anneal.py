@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from optising.anneal import (
     BLOCK,
     CUT_MATCH_TOL,
+    HIT_CHUNK,
     RUN_CHUNK,
     Schedule,
     _flip_signs,
@@ -277,21 +279,21 @@ def test_anneal_needs_a_seed(small_graph):
         anneal(make_evaluator(small_graph), small_graph, Schedule(t0=1.0, rate=0.9, iters=5), [])
 
 
-def test_mixed_cells_step_like_single_runs(monkeypatch):
-    # cells of three K, noiseless and noisy, stacked in one call; the third
-    # cell straddles the RUN_CHUNK boundary.  A spy on the one exact-energy
-    # call per batch sees every run's final state.
+def check_mixed_cells(monkeypatch, rate, iters, sizes):
+    """Cells of (K, noise level, runs), noiseless and noisy, stacked in one
+    `optimal_hits` call whose third cell straddles a HIT_CHUNK boundary.  A
+    spy on the one exact-energy call per batch sees every run's final state."""
+    engine = importlib.import_module("optising.anneal")  # the package exports the function
+    chunk = engine.HIT_CHUNK
     g = gen_regular(20, 5, 0.0, 1.0, seed=0)
     best, _ = brute_force_maxcut(g)
     span = estimate_span(make_evaluator(g).ensemble, samples=1000, rng=np.random.default_rng(1))
-    s = Schedule(t0=span, rate=0.985, iters=300)
-    sizes = [(3, 0.0, 20), (13, 0.02, 30), (20, 0.0, 25), (13, 0.0, 5), (3, 0.05, 1), (20, 0.02, 12)]
-    assert sum(n for *_, n in sizes[:2]) < RUN_CHUNK < sum(n for *_, n in sizes[:3])
+    s = Schedule(t0=span, rate=rate, iters=iters)
+    assert sum(n for *_, n in sizes[:2]) < chunk < sum(n for *_, n in sizes[:3])
     cells = [(make_evaluator(g, K, sigma=level * span), range(100 * i, 100 * i + runs))
              for i, (K, level, runs) in enumerate(sizes)]
 
     finals = []
-    engine = importlib.import_module("optising.anneal")  # the package exports the function
     exact = engine.hamiltonian
     monkeypatch.setattr(engine, "hamiltonian",
                         lambda model, x: finals.append(np.array(x)) or exact(model, x))
@@ -299,7 +301,7 @@ def test_mixed_cells_step_like_single_runs(monkeypatch):
     monkeypatch.undo()
 
     total = sum(len(seeds) for _, seeds in cells)
-    assert len(finals) == -(-total // RUN_CHUNK)
+    assert len(finals) == -(-total // chunk)
     singles = [anneal(ev, g, s, sd) for ev, seeds in cells for sd in seeds]
     finals = np.concatenate(finals)
     assert finals.shape == (total, 20)
@@ -309,6 +311,43 @@ def test_mixed_cells_step_like_single_runs(monkeypatch):
     per_run = iter(abs(one.final_cut - best) <= CUT_MATCH_TOL for one in singles)
     assert hits == [sum(next(per_run) for _ in seeds) for _, seeds in cells]
     assert 0 < sum(hits) < total  # both outcomes occur
+
+
+def test_mixed_cells_step_like_single_runs(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("optising.anneal"), "HIT_CHUNK", 64)
+    check_mixed_cells(monkeypatch, 0.985, 300, [(3, 0.0, 20), (13, 0.02, 30), (20, 0.0, 25),
+                                                (13, 0.0, 5), (3, 0.05, 1), (20, 0.02, 12)])
+
+
+def test_mixed_cells_cross_the_hit_chunk_boundary(monkeypatch):
+    check_mixed_cells(monkeypatch, 0.95, 100, [(3, 0.0, 100), (13, 0.02, 100), (20, 0.0, 100)])
+
+
+# sha1 of (hrv, delta_e, final_state) of `anneal` on an n=16, K=11 instance;
+# reading into the engine's preallocated buffers must keep every bit
+_ANNEAL_SHA1 = {
+    ("analytic", 0.0, 1): "c726d71c64fa264114549363c271e1177bd364bc",
+    ("analytic", 0.0, 70): "6d4b6739ce7576291b743c0eaacb4115d3709131",
+    ("analytic", 0.02, 1): "a0fb31d52f5d8a437a9f252fd4cf317d24d8257c",
+    ("analytic", 0.02, 70): "c6320e394a2c1a88a9527071570452486cc189ff",
+    ("field", 0.0, 1): "7913c40e9e9837a9ea09874e114b3b3d9d18a889",
+    ("field", 0.0, 70): "581db7e8b81f4770db3be01bb41b80ac29b5fb63",
+    ("field", 0.02, 1): "15566d9cd54dc6139936dd4a8a034efeb72d1c76",
+    ("field", 0.02, 70): "2d6b739a3a2a74c4f250670dc4a4aa0c50d398c3",
+}
+
+
+@pytest.mark.parametrize("backend, level, R", list(_ANNEAL_SHA1))
+def test_anneal_histories_are_pinned(backend, level, R):
+    g = gen_regular(16, 3, 0.0, 1.0, seed=0)
+    ens = make_evaluator(g, 11).ensemble
+    span = estimate_span(ens, samples=200, rng=np.random.default_rng(0))
+    ev = HrvEvaluator(ens, backend=backend, sigma=level * span)
+    tr = anneal(ev, g, Schedule(t0=span, rate=0.98, iters=200), 5 if R == 1 else range(5, 5 + R))
+    h = hashlib.sha1()
+    for a in (tr.hrv, tr.delta_e, tr.final_state):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == _ANNEAL_SHA1[backend, level, R]
 
 
 def _parent_flip_signs(keys, m):
@@ -340,11 +379,11 @@ def test_flip_signs_flip_exactly_m_spins(tied, single_spin):
 
 def test_hit_path_memory_does_not_grow_with_iters():
     # the hit path keeps one BLOCK of buffers, never (iters, R) histories:
-    # its peak is under 4 arrays of BLOCK * R * n doubles (0.66 MB each here),
-    # where five float histories of 3000 iterations alone take 7.7 MB
+    # its peak is under 4 arrays of BLOCK * R * n doubles (2.6 MB each here),
+    # where five float histories of 3000 iterations alone take 31 MB
     g = gen_regular(20, 5, 0.0, 1.0, seed=0)
     best, _ = brute_force_maxcut(g)
-    cells = [(make_evaluator(g, 13), range(RUN_CHUNK))]
+    cells = [(make_evaluator(g, 13), range(HIT_CHUNK))]
     s = Schedule(t0=5.0, rate=0.995, iters=3000)
     optimal_hits(cells, g, Schedule(t0=5.0, rate=0.9, iters=10), best)  # warm up
     tracemalloc.start()
@@ -353,4 +392,4 @@ def test_hit_path_memory_does_not_grow_with_iters():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * BLOCK * RUN_CHUNK * g.n * 8
+    assert peak <= 5 * BLOCK * HIT_CHUNK * g.n * 8

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,11 +524,32 @@ def test_reversed_k_range_is_a_parse_error(tmp_path, capsys, study):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("study", ["rmse", "prob", "trace"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_wide_k_range_is_refused_before_it_is_expanded(tmp_path, capsys, study, source):
+    # expanded, the range alone would take ~100 MB
+    out = tmp_path / study
+    cfg = tmp_path / "ks.cfg"
+    cfg.write_text("n = 10\ndegree = 3\nks = 1..2000000\n")
+    argv = (["experiment", study, "--n", 10, "--degree", 3, "--ks", "1..2000000"]
+            if source == "flag" else ["experiment", study, "--config", cfg])
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--out", out])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_GUARD
+    assert "ks must lie in 1..10" in capsys.readouterr().err
+    assert peak < 1_000_000
+    assert not out.exists()
+
+
 # One flag value per study key, with the value the key's parser gives for it.
 _FLAG_VALUES = {
     "seed": ("5", 5), "n": ("9", 9), "degree": ("4", 4), "density": ("0.5", 0.5),
     "wlow": ("0.25", 0.25), "whigh": ("2.5", 2.5), "instance": ("g.rud", "g.rud"),
-    "ks": ("1..3", [1, 2, 3]), "samples": ("7", 7),
+    "ks": ("1..3", [range(1, 4)]), "samples": ("7", 7),
     "graph_seeds": ("2", 2), "rates": ("0.9,0.95", [0.9, 0.95]), "iters": ("11", 11),
     "runs": ("4", 4), "t0": ("1.5", 1.5), "k": ("3", 3), "levels": ("0,0.1", [0.0, 0.1]),
     "rate": ("0.98", 0.98),

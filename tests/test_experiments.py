@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from optising.experiments import (
     write_csv,
     write_json_summary,
 )
-from optising.graph import gen_regular
+from optising.graph import WeightedGraph, gen_density, gen_regular
 from optising.ising import from_graph, hamiltonian, random_states
 from optising.optics import HrvEvaluator, frames, hrv
 from optising.spectral import build_ensemble, eigendecompose
@@ -56,6 +57,32 @@ def test_linear_fit_degenerate_x():
     assert slope == 0.0
     assert intercept == pytest.approx(1.0)
     assert r2 == 0.0
+
+
+def scalar_linear_fit(x, y):
+    """The one-sample least-squares formula `linear_fit` applies to each row."""
+    xm, ym = x.mean(), y.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    if sxx == 0.0:
+        return 0.0, float(ym), 0.0
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    intercept = float(ym - slope * xm)
+    ss_res = float(np.sum((y - slope * x - intercept) ** 2))
+    ss_tot = float(np.sum((y - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot if ss_tot else 0.0
+    return slope, intercept, r2
+
+
+def test_linear_fit_rows_equal_one_sample_fits(rng):
+    y = rng.normal(size=9)
+    x = np.vstack([rng.normal(size=(3, 9)), np.full(9, 2.0), 3.0 * y - 1.0])
+    rows = linear_fit(x, y)
+    assert all(a.shape == (5,) for a in rows)
+    for i, row in enumerate(x):
+        want = scalar_linear_fit(row, y)
+        assert linear_fit(row, y) == want
+        assert tuple(float(a[i]) for a in rows) == want
+    assert linear_fit(x[0], np.full(9, 0.5)) == scalar_linear_fit(x[0], np.full(9, 0.5))
 
 
 def test_wilson_interval_against_reference():
@@ -123,6 +150,40 @@ def test_rmse_vs_k_matches_direct_readout(rng):
     vec = b.vectors[:, b.order[:3]]
     manual = float(sum(l * (v @ x) ** 2 for l, v in zip(lam, vec.T)))
     assert hrv(build_ensemble(b, 3), x) == pytest.approx(manual, rel=1e-9)
+
+
+def per_k_reference(m, ks, samples, seed):
+    """rmse_vs_k's statistics computed one K at a time from the 1-D readout
+    column of that K, as (K, slope, intercept, r2, rmse, span, rmse_relative)."""
+    _, cum, ham = sampled_readouts(m, samples, seed)
+    out = []
+    for K in sorted(set(ks)):
+        vals = cum[:, K - 1] if K > 0 else np.zeros(samples)
+        resid = (-vals) - ham
+        rmse = float(np.sqrt(np.mean(resid ** 2)))
+        span = float(vals.max() - vals.min())
+        rel = rmse / span if span > 0 else (0.0 if rmse == 0.0 else math.inf)
+        out.append((K, *scalar_linear_fit(-vals, ham), rmse, span, rel))
+    return out
+
+
+@pytest.mark.parametrize("graph", ["regular", "density", "edgeless"])
+@pytest.mark.parametrize("samples", [2, 7, 1000])
+def test_rmse_vs_k_equals_per_k_reference(graph, samples):
+    g = {"regular": lambda: gen_regular(12, 3, 0.0, 1.0, seed=0),
+         "density": lambda: gen_density(10, 0.4, -1.0, 1.0, seed=1),
+         "edgeless": lambda: WeightedGraph(6)}[graph]()
+    m = from_graph(g)
+    rep = rmse_vs_k(m, range(g.n + 1), samples, seed=4)
+    got = [(r.K, r.slope, r.intercept, r.r2, r.rmse, r.span, r.rmse_relative)
+           for r in rep.records]
+    want = per_k_reference(m, range(g.n + 1), samples, seed=4)
+    assert got == want
+    # -0.0 == 0.0, so the signs of zeros are compared on their own
+    assert [[math.copysign(1.0, v) for v in rec] for rec in got] == \
+        [[math.copysign(1.0, v) for v in rec] for rec in want]
+    if graph == "edgeless":  # every fit is degenerate: sxx = 0 and ss_tot = 0
+        assert all(r.slope == 0.0 and r.r2 == 0.0 and r.span == 0.0 for r in rep.records)
 
 
 def test_rmse_studies_sort_and_deduplicate_ks(rng):

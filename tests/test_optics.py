@@ -189,6 +189,17 @@ def test_frames_block_matches_stacked_rows(rng, backend):
                                            atol=1e-12 * _frame_scale(ens))
 
 
+@pytest.mark.parametrize("backend", ["analytic", "field"])
+def test_frames_into_a_buffer_keeps_the_bits(rng, backend):
+    for n, K in ((5, 3), (22, 22)):
+        ens = build_ensemble(eigendecompose(random_symmetric_model(n, rng)), K)
+        for X in (rng.integers(0, 2, size=n) * 2 - 1, rng.integers(0, 2, size=(70, n)) * 2 - 1):
+            want = frames(ens, X, backend)
+            buf = np.full(want.shape, np.nan)
+            assert frames(ens, X, backend, out=buf) is buf
+            assert buf.tobytes() == want.tobytes(), (n, K, X.shape)
+
+
 def test_frames_field_matches_per_frame_reference(rng):
     # the macropixel fill writes through a reshaped view of the plane, so
     # values are checked for a single state and for 2-D and 3-D blocks
