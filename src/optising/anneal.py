@@ -152,9 +152,9 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     Every iteration reads each stretch of rows that share an evaluator
     object with one `frames` call and adds noise to the rows of noisy
     evaluators only.  Yields, per block of BLOCK iterations, (slice of the
-    block's iterations, hrv, accepted, delta_e, uniform, states):
-    iteration-major (nb, R) and (nb, R, n) arrays that the next block
-    overwrites.
+    block's iterations, hrv, accepted, delta_e, u, states), u the raw
+    Metropolis draws: iteration-major (nb, R) and (nb, R, n) arrays that the
+    next block overwrites.
     """
     n = g.n
     R = len(runs)
@@ -228,8 +228,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
             np.copyto(cur, cand_hrv, where=ok)
             hrv[j] = cur
             states[j] = x
-        uniform = np.where(delta_e[:nb] > 0.0, u[:, :nb].T, np.nan)
-        yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], uniform,
+        yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
 
 
@@ -244,7 +243,7 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
     seeds = [seed] if single else list(seed)
     model = from_graph(g)
     half_total = g.total_weight() / 2.0
-    # hrv, accepted, delta_e, uniform and cut, run-major
+    # hrv, accepted, delta_e, Metropolis draws and cut, run-major
     hist = [np.empty((len(seeds), s.iters), dtype=dt) for dt in (float, bool, float, float, float)]
     for blk, *bufs, states in _lockstep([(evaluator, sd) for sd in seeds], g, s):
         for h, buf in zip(hist, (*bufs, half_total - hamiltonian(model, states) / 2.0)):
@@ -253,7 +252,7 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
     if single:
         hist = [h[0] for h in hist]
         final_state = final_state[0]
-    hrv_hist, accepted, delta_e, uniform, cut_hist = hist
+    hrv_hist, accepted, delta_e, draws, cut_hist = hist
     return AnnealTrace(
         temperature=s.temperatures(),
         flips=s.flip_counts(g.n),
@@ -261,7 +260,7 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
         cut=cut_hist,
         accepted=accepted,
         delta_e=delta_e,
-        uniform=uniform,
+        uniform=np.where(delta_e > 0.0, draws, np.nan),
         final_state=final_state,
         final_hrv=float(hrv_hist[-1]) if single else hrv_hist[:, -1].copy(),
         final_cut=float(cut_hist[-1]) if single else cut_hist[:, -1].copy(),

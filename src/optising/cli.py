@@ -20,6 +20,7 @@ error, 4 guard or parameter violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -365,9 +366,8 @@ def _run_rmse(cfg):
     if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
         ks = [rec.K for rec in rep.records]
-        mean_rmse = np.array([rec.rmse for rec in rep.records])
-        mean_rel = np.array([rec.rmse_relative for rec in rep.records])
-        mean_r2 = np.array([rec.r2 for rec in rep.records])
+        mean_rmse, mean_rel, mean_r2 = np.array(
+            [(rec.rmse, rec.rmse_relative, rec.r2) for rec in rep.records]).T
     else:
         ks, mean_rmse, mean_rel, mean_r2 = xp.rmse_curve_averaged(
             n, ks, cfg["samples"], cfg["graph_seeds"], cfg["seed"],
@@ -394,14 +394,13 @@ def _run_prob(cfg):
     schedules = _schedules(cfg, g, cfg["rates"], g.n)
     table = xp.probability_vs_k(g, ks, schedules, cfg["runs"], cfg["seed"])
 
-    rows = [(c.schedule_index, c.rate, c.K, c.runs, c.hits, c.probability,
-             c.wilson_low, c.wilson_high, c.is_reference) for c in table.cells]
     results = {"optimum": table.optimum,
                "schedules": [vars(s) for s in schedules],
                "cells": [vars(c) for c in table.cells],
                "split_cluster": table.split_cluster}
     return [("prob.csv", ["schedule", "rate", "K", "runs", "hits", "probability",
-                          "wilson_low", "wilson_high", "is_reference"], rows)] + [
+                          "wilson_low", "wilson_high", "is_reference"],
+             [dataclasses.astuple(c) for c in table.cells])] + [
         (f"prob_schedule{si}.dat", ["K", "probability"],
          [(c.K, c.probability) for c in table.cells if c.schedule_index == si])
         for si in range(len(schedules))], results
@@ -412,14 +411,12 @@ def _run_noise(cfg):
     K = cfg["k"] if cfg["k"] is not None else g.n
     (schedule,) = _schedules(cfg, g, [cfg["rate"]], K)
     table = xp.noise_sweep(g, K, cfg["levels"], schedule, cfg["runs"], cfg["seed"])
-    rows = [(c.level, c.sigma, c.K, c.runs, c.hits, c.probability,
-             c.wilson_low, c.wilson_high) for c in table.cells]
     results = {"optimum": table.optimum, "span": table.span, "K": table.K,
                "schedule": vars(schedule),
                "cells": [vars(c) for c in table.cells],
                "split_cluster": table.split_cluster}
-    return [("noise.csv", ["level", "sigma", "K", "runs", "hits", "probability",
-                           "wilson_low", "wilson_high"], rows),
+    return [("noise.csv", [f.name for f in dataclasses.fields(xp.NoiseCell)],
+             [dataclasses.astuple(c) for c in table.cells]),
             ("prob_vs_noise.dat", ["level", "probability"],
              [(c.level, c.probability) for c in table.cells])], results
 

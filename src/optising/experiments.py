@@ -103,6 +103,14 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _k_list(ks, n: int, low: int = 1) -> list[int]:
+    """The distinct ks in ascending order, each checked against low..n."""
+    ks = sorted({int(k) for k in ks})
+    if ks and (ks[0] < low or ks[-1] > n):
+        raise ValueError(f"ks must lie in {low}..{n}")
+    return ks
+
+
 def linear_fit(x, y):
     """Least-squares line y = slope*x + intercept and its R^2, for each row of x.
 
@@ -180,9 +188,7 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
     if samples < 2:
         raise ValueError("need at least 2 samples")
     n = m.n
-    ks = sorted({int(k) for k in ks})
-    if any(k < 0 or k > n for k in ks):
-        raise ValueError(f"ks must lie in 0..{n}")
+    ks = _k_list(ks, n, low=0)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_STATES]))
     X = random_states(n, samples, rng).astype(float)
@@ -228,10 +234,8 @@ def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
         raise ValueError("specify exactly one of degree or density")
     if graph_seeds < 1:
         raise ValueError("graph_seeds must be >= 1")
-    ks = sorted({int(k) for k in ks})
-    rmse = np.zeros((graph_seeds, len(ks)))
-    rel = np.zeros_like(rmse)
-    r2 = np.zeros_like(rmse)
+    ks = _k_list(ks, n, low=0)
+    stats = np.empty((graph_seeds, len(ks), 3))
     for gs in range(graph_seeds):
         gseed = derive_seed(seed, LBL_GRAPH, gs)
         if degree is not None:
@@ -240,10 +244,8 @@ def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
             g = gen_density(n, density, weight_low, weight_high, seed=gseed)
         rep = rmse_vs_k(from_graph(g), ks, samples, seed=derive_seed(seed, LBL_STATES, gs))
         for j, rec in enumerate(rep.records):  # the records are `ks`, in order
-            rmse[gs, j] = rec.rmse
-            rel[gs, j] = rec.rmse_relative
-            r2[gs, j] = rec.r2
-    return ks, rmse.mean(axis=0), rel.mean(axis=0), r2.mean(axis=0)
+            stats[gs, j] = rec.rmse, rec.rmse_relative, rec.r2
+    return (ks, *stats.mean(axis=0).T)
 
 
 @dataclass(frozen=True)
@@ -317,9 +319,7 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int) -> P
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = g.n
-    ks = sorted({int(k) for k in ks} | {n})
-    if any(k < 1 or k > n for k in ks):
-        raise ValueError(f"ks must lie in 1..{n}")
+    ks = _k_list([*ks, n], n)
 
     optimum, _ = brute_force_maxcut(g)
     b = eigendecompose(from_graph(g))
@@ -432,9 +432,7 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
     over its runs as it comes, so only the (iters,) curves outlive a block."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    ks = sorted({int(k) for k in ks})
-    if any(k < 1 or k > g.n for k in ks):
-        raise ValueError(f"ks must lie in 1..{g.n}")
+    ks = _k_list(ks, g.n)
     model = from_graph(g)
     half_total = g.total_weight() / 2.0
     b = eigendecompose(model)

@@ -95,6 +95,8 @@ def _check_weight_bounds(weight_low, weight_high):
     # excludes every non-finite bound
     if not math.isfinite(weight_high - weight_low):
         raise GraphError(f"weight range [{weight_low}, {weight_high}) must be finite")
+    if weight_low > weight_high:
+        raise GraphError("weight_low must be <= weight_high")
 
 
 def _assign_weights(pairs, weight_low, weight_high, rng):
@@ -107,7 +109,8 @@ def _assign_weights(pairs, weight_low, weight_high, rng):
 
 def gen_regular(n: int, degree: int, weight_low: float = 0.0, weight_high: float = 1.0,
                 seed: int = 0) -> WeightedGraph:
-    """Random `degree`-regular graph with i.i.d. uniform weights on [low, high).
+    """Random `degree`-regular graph with i.i.d. uniform weights on
+    [weight_low, weight_high); equal bounds give every edge that weight.
 
     Pairing (configuration) model: vertex stubs are shuffled and paired;
     self-loops and duplicate edges are repaired by random edge swaps,
@@ -120,8 +123,6 @@ def gen_regular(n: int, degree: int, weight_low: float = 0.0, weight_high: float
         raise GraphError(f"degree must satisfy 0 < degree < n, got degree={degree}, n={n}")
     if (n * degree) % 2 != 0:
         raise GraphError(f"no regular graph exists: n*degree={n * degree} is odd")
-    if not weight_low < weight_high:
-        raise GraphError("weight_low must be < weight_high")
     _check_weight_bounds(weight_low, weight_high)
 
     rng = np.random.default_rng(seed)

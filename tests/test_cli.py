@@ -75,6 +75,19 @@ def test_gen_bad_params_guard(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+def test_gen_weight_bounds_follow_one_rule(tmp_path, capsys):
+    assert run(["gen", "--n", 6, "--density", 0.5, "--wlow", 2, "--whigh", 1,
+                "--out", tmp_path / "r"]) == EXIT_GUARD
+    assert "weight_low must be <= weight_high" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    # equal bounds give an unweighted regular instance
+    assert run(["gen", "--n", 20, "--degree", 5, "--wlow", 1, "--whigh", 1,
+                "--out", tmp_path]) == EXIT_OK
+    g = read_graph(tmp_path / "graph.rud")
+    assert g.num_edges == 50
+    assert all(w == 1.0 for _, _, w in g.edges)
+
+
 def test_gen_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run(["gen", "--n", 12, "--degree", 3, "--seed", 5, "--out", d1])
@@ -287,6 +300,37 @@ def test_study_reports_are_pinned(tmp_path, study, extra):
                 "--seed", 1, *extra, "--out", out]) == EXIT_OK
     got = {name: hashlib.sha1(blob).hexdigest() for name, blob in read_dir_bytes(out).items()}
     assert got == _STUDY_REPORT_SHA1[study]
+
+
+_RMSE_REPORT_SHA1 = {
+    "generated": {
+        "rmse.csv": "d12398ea2ecf5297cf53f7e44d81c649a192409b",
+        "rmse.json": "da8213b168cb18c529d869d01eec98e57c5aecde",
+        "rmse_vs_k_over_n.dat": "7242508e42a35bd203d8d65186a511fb757db7ed",
+    },
+    "instance": {
+        "rmse.csv": "e62f77bd5c10a0209087dc54d67ef18b7eccbae2",
+        "rmse.json": "38e1334d90b2a26948675fd8a33ab34c0b227344",
+        "rmse_vs_k_over_n.dat": "1ad0d956d547eddee60f54850cd63c001589a9df",
+    },
+}
+
+
+@pytest.mark.parametrize("source, extra", [
+    ("generated", ["--n", 16, "--degree", 3, "--graph-seeds", 3]),
+    ("instance", ["--instance", "graph.rud"]),
+])
+def test_rmse_reports_are_pinned(tmp_path, monkeypatch, source, extra):
+    # sha1 of the reports written before their columns were read from the
+    # study records; the instance path is relative, so the JSON config echo
+    # does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--n", 12, "--degree", 3, "--seed", 0, "--out", "."]) == EXIT_OK
+    assert run(["experiment", "rmse", "--samples", 200, "--seed", 1, *extra,
+                "--out", source]) == EXIT_OK
+    got = {name: hashlib.sha1(blob).hexdigest()
+           for name, blob in read_dir_bytes(tmp_path / source).items()}
+    assert got == _RMSE_REPORT_SHA1[source]
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "experiment", "experiment-config"])

@@ -215,6 +215,19 @@ def test_rmse_curve_averaged_shapes():
         rmse_curve_averaged(8, [2], 100, 2, 1)  # neither degree nor density
 
 
+def test_rmse_curve_averaged_checks_ks_before_any_graph(monkeypatch):
+    calls = []
+
+    def counted_gen_regular(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a graph was generated before ks was checked")
+
+    monkeypatch.setattr("optising.experiments.gen_regular", counted_gen_regular)
+    with pytest.raises(ValueError, match="ks must lie in 0..20"):
+        rmse_curve_averaged(20, [0, 99], 100, 3, 0, degree=3)
+    assert calls == []
+
+
 def test_fit_exponential_exact():
     xs = np.linspace(0.1, 1.0, 10)
     pts = [(x, 2.0 * np.exp(-3.0 * x)) for x in xs]

@@ -69,6 +69,19 @@ def test_gen_density_rejects_non_finite_weights(low, high):
         gen_density(6, 0.5, low, high, seed=0)
 
 
+def test_equal_weight_bounds_give_constant_weights():
+    for g in (gen_regular(12, 3, 1.0, 1.0, seed=0), gen_density(10, 0.4, 1.0, 1.0, seed=0)):
+        assert g.num_edges > 0
+        assert all(w == 1.0 for _, _, w in g.edges)
+
+
+def test_reversed_weight_bounds_are_refused():
+    with pytest.raises(GraphError, match="weight_low must be <= weight_high"):
+        gen_regular(12, 3, 2.0, 1.0, seed=0)
+    with pytest.raises(GraphError, match="weight_low must be <= weight_high"):
+        gen_density(10, 0.4, 2.0, 1.0, seed=0)
+
+
 def test_gen_regular_degrees_exact_over_seeds():
     for seed in range(12):
         g = gen_regular(12, 5, 0.0, 1.0, seed=seed)
