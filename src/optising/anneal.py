@@ -11,7 +11,10 @@ every run.  The runs of a batch may read out through different evaluators:
 each iteration reads the candidate states of each evaluator's contiguous
 rows with one `optics.frames` call and takes one vectorised Metropolis step
 over the whole batch, reading into buffers made once per batch.  The core
-keeps one BLOCK of iterations in memory.  Three callers drive it:
+keeps one BLOCK of iterations in memory: the per-run draws are run-major,
+as each run's generator fills its own rows, and the flip signs, readouts,
+decisions and states are iteration-major, so each iteration reads and
+writes contiguous (R,) and (R, n) rows.  Three callers drive it:
 
 * `anneal` steps the runs of one evaluator and copies every block into the
   full per-iteration history of an `AnnealTrace`.
@@ -30,7 +33,7 @@ streams:
 
 * moves: the start state, then one key per spin and iteration; iteration k
   flips the `flip_counts[k]` spins with the smallest keys;
-* Metropolis: one uniform per iteration, recorded where the proposal was
+* Metropolis: one uniform u per iteration, recorded where the proposal was
   uphill;
 * noise: one Gaussian per readout, the start state's first, drawn only when
   the evaluator has a positive noise sigma.
@@ -40,6 +43,18 @@ draw is used, so run r depends only on seed_r, never on how many runs share
 its batch or on its position there.  A batched readout is one matrix
 product, whose rounding may differ from a single run's in the last bits;
 states, flips and acceptance decisions are the same.
+
+Metropolis rule.  A move with energy step d_e at temperature T is accepted
+when u < exp(min(0, -d_e / T)): always when d_e <= 0, never when d_e > 0
+and T has underflowed to 0.0.  This equals the bounded rule
+(d_e <= 0) | ((d_e <= 700 T) & (u < exp(-d_e / T))) for every draw u > 0,
+since exp(-700) is far below the smallest positive draw, 2**-53.  Only a
+draw of exactly 0.0 with 700 < d_e / T <= ~745 is accepted here and was
+rejected by the bound.  The step is four ufunc calls into preallocated
+buffers.  Dividing by an underflowed or tiny T raises numpy's divide,
+invalid (0 / -0.0) and overflow flags, which the rule maps to the right
+decision, so one `np.errstate` per block silences them around the
+iterations (never around a `yield`).
 """
 
 from __future__ import annotations
@@ -69,7 +84,6 @@ CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
 RUN_CHUNK = 64   # runs per batch of the trace study; its summed curves depend on it
 HIT_CHUNK = 256  # most runs a batch of `optimal_hits` holds
-_EXP_ARG_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -126,23 +140,31 @@ class AnnealTrace:
 
 def _flip_signs(keys: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill `out`, shaped like keys (R, B, n), with +-1 factors: at iteration
-    b, every run flips the m[b] spins with the smallest keys."""
+    b, every run flips the m[b] spins with the smallest keys.  A key tied
+    with the m[b]-th smallest ranks by position, as argsort does, so a move
+    still flips exactly m[b] spins.  `out` may be any view of that shape;
+    the engine passes its iteration-major buffer transposed."""
     if m.max() == 1:
-        # single-spin blocks, most of a cool schedule, need no sort
-        out.fill(1.0)
-        np.put_along_axis(out, keys.argmin(axis=-1)[..., None], -1.0, axis=-1)
-        return out
-    np.copyto(out, keys)
-    out.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
-    flip = keys <= np.take_along_axis(out, (m - 1)[None, :, None], axis=-1)
-    if (flip.sum(axis=-1) != m).any():
-        # a key tied with the m-th smallest: rank ties as argsort does, so a
-        # move still flips exactly m spins
-        flip = keys.argsort(axis=-1).argsort(axis=-1) < m[:, None]
-        one = m == 1
-        flip[:, one] = np.arange(keys.shape[-1]) == keys[:, one].argmin(axis=-1)[..., None]
-    out.fill(1.0)
-    np.copyto(out, -1.0, where=flip)
+        # single-spin blocks, most of a cool schedule, need no sort or argmin:
+        # a running minimum over the key columns marks each smallest key
+        low = keys[..., 0].copy()
+        for i in range(1, keys.shape[-1]):
+            np.minimum(low, keys[..., i], out=low)
+        flip = keys == low[..., None]
+        if np.count_nonzero(flip) != low.size:
+            # a tied minimum: the first one flips, as argmin picks it
+            flip = np.arange(keys.shape[-1]) == keys.argmin(axis=-1)[..., None]
+    else:
+        np.copyto(out, keys)
+        out.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
+        flip = keys <= np.take_along_axis(out, (m - 1)[None, :, None], axis=-1)
+        if (flip.sum(axis=-1) != m).any():
+            flip = keys.argsort(axis=-1).argsort(axis=-1) < m[:, None]
+            one = m == 1
+            flip[:, one] = np.arange(keys.shape[-1]) == keys[:, one].argmin(axis=-1)[..., None]
+    np.copyto(out, flip)  # 1 where a spin flips, then 1 - 2 * flip
+    out *= -2.0
+    out += 1.0
     return out
 
 
@@ -171,7 +193,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     noisy = [(rows, ev.sigma, [np.random.default_rng(ss[2]) for ss in streams[rows]])
              for rows, ev in groups if ev.sigma > 0]
 
-    temps = s.temperatures()
+    neg_t = (-s.temperatures()).tolist()  # Python floats: the divisor of each step
     # the last block's keys past `iters` are drawn anyway; giving them the
     # last flip count lets every block select flips on whole buffers
     flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
@@ -196,13 +218,13 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     cur = cand_hrv.copy()
 
     keys = np.empty((R, BLOCK, n))
-    signs = np.empty((R, BLOCK, n))
+    signs = np.empty((BLOCK, R, n))  # iteration-major, so signs[j] is contiguous
     u = np.empty((R, BLOCK))
     hrv = np.empty((BLOCK, R))
     accepted = np.empty((BLOCK, R), dtype=bool)
     delta_e = np.empty((BLOCK, R))
     states = np.empty((BLOCK, R, n))
-    arg = np.zeros(R)
+    p = np.empty(R)  # acceptance probabilities
 
     for b0 in range(0, s.iters, BLOCK):
         nb = min(BLOCK, s.iters - b0)
@@ -211,23 +233,24 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
             unif_rngs[r].random(out=u[r])
         for rows, sigma, rngs in noisy:
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
-        _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs)
-        for j in range(nb):
-            t = float(temps[b0 + j])  # a Python float overflows to inf without a warning
-            np.multiply(x, signs[:, j], out=cand)
-            read(j)
-            d_e = np.subtract(cur, cand_hrv, out=delta_e[j])  # energy = -readout
-            ok = np.less_equal(d_e, 0.0, out=accepted[j])
-            # Uphill moves within the bound get a Metropolis test.  The bound
-            # keeps exp() in range and never divides by an underflowed
-            # temperature; `arg` keeps values in [-bound, 0] elsewhere.
-            trial = ~ok & (d_e <= _EXP_ARG_MAX * t)
-            np.divide(d_e, -t, out=arg, where=trial)
-            np.less(u[:, j], np.exp(arg), out=ok, where=trial)
-            np.copyto(x, cand, where=ok[:, None])
-            np.copyto(cur, cand_hrv, where=ok)
-            hrv[j] = cur
-            states[j] = x
+        _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
+        # the Metropolis rule maps a divide by T = 0.0, an overflow and the
+        # NaN of 0 / -0.0 to the right decision (module docstring)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(nb):
+                np.multiply(x, signs[j], out=cand)
+                read(j)
+                d_e = np.subtract(cur, cand_hrv, out=delta_e[j])  # energy = -readout
+                # p = exp(min(0, -d_e / T)); fmin drops the NaN of 0 / -0.0
+                np.divide(d_e, neg_t[b0 + j], out=p)
+                np.fmin(p, 0.0, out=p)
+                np.exp(p, out=p)
+                ok = np.less(u[:, j], p, out=accepted[j])
+                if ok.any():
+                    np.copyto(x, cand, where=ok[:, None])
+                    np.copyto(cur, cand_hrv, where=ok)
+                hrv[j] = cur
+                states[j] = x
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
 

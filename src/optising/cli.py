@@ -78,7 +78,7 @@ def _parse_int_list(s):
     """Comma list of ints; 'a..b' is the inclusive range a..b (b >= a).
 
     Every part stays an unexpanded `range`, so a study can check its bounds
-    against n before it expands it (`_ks`)."""
+    against n before it expands it (`experiments._k_list`)."""
     out = []
     for part in s.split(","):
         part = part.strip()
@@ -216,15 +216,16 @@ def _load_instance(cfg) -> WeightedGraph:
 
 
 def _ks(cfg, n: int, default: list[int]) -> list[int]:
-    """The study's ks: each parsed range is checked against 1..n before it
-    is expanded, and the expanded list replaces the ranges in `cfg`, so the
-    report echoes the ks themselves."""
+    """The study's ks, checked against 1..n by the studies' own rule before
+    any parsed range is expanded.  K=0 is refused for every study: its
+    relative RMSE is infinite, which the strict JSON summary cannot hold.
+    The expanded list replaces the ranges in `cfg`, so the report echoes
+    the ks themselves."""
     if cfg["ks"] is None:
         return default
-    if any(r.start < 1 or r[-1] > n for r in cfg["ks"]):
-        raise ValueError(f"ks must lie in 1..{n}")
+    ks = xp._k_list(cfg["ks"], n)
     cfg["ks"] = [k for r in cfg["ks"] for k in r]
-    return cfg["ks"]
+    return ks
 
 
 def _schedules(cfg, g, rates, K) -> list[Schedule]:

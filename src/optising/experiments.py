@@ -104,11 +104,14 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
 
 
 def _k_list(ks, n: int, low: int = 1) -> list[int]:
-    """The distinct ks in ascending order, each checked against low..n."""
-    ks = sorted({int(k) for k in ks})
-    if ks and (ks[0] < low or ks[-1] > n):
+    """The distinct ks in ascending order, each checked against low..n.
+
+    An entry may be a `range`, as the CLI parses 'a..b'; its ends are
+    checked before it is expanded, so a huge range is refused at once."""
+    parts = [k if isinstance(k, range) else range(int(k), int(k) + 1) for k in ks]
+    if any(r and (r[0] < low or r[-1] > n) for r in parts):
         raise ValueError(f"ks must lie in {low}..{n}")
-    return ks
+    return sorted({k for r in parts for k in r})
 
 
 def linear_fit(x, y):

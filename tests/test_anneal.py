@@ -377,6 +377,65 @@ def test_flip_signs_flip_exactly_m_spins(tied, single_spin):
     assert np.array_equal(signs, want)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("single_spin", [False, True])
+def test_flip_signs_fill_the_engine_buffer(tied, single_spin):
+    # the engine's signs are iteration-major (B, R, n) and `_flip_signs`
+    # writes them through the transposed (R, B, n) view
+    rng = np.random.default_rng(9)
+    R, n = 30, 20
+    keys = rng.random((R, BLOCK, n))
+    if tied:
+        keys = np.round(keys * 16) / 16  # tied minima in most single-spin rows
+    m = np.ones(BLOCK, dtype=np.int64) if single_spin else rng.integers(1, n + 1, BLOCK)
+    signs = np.empty((BLOCK, R, n))
+    assert _flip_signs(keys, m, signs.transpose(1, 0, 2)).base is signs
+    assert np.array_equal(signs, _parent_flip_signs(keys.transpose(1, 0, 2), m))
+
+
+def _reference_accepts(tr):
+    """The Metropolis rule with the uphill bound d_e <= 700 T, from a trace's
+    energy steps, temperatures and draws (NaN where nothing was drawn)."""
+    d_e, u = tr.delta_e, tr.uniform
+    t = np.broadcast_to(tr.temperature, d_e.shape)
+    with np.errstate(over="ignore"):  # 700 * 1e308 is inf, as a Python float gives
+        trial = (d_e > 0) & (d_e <= 700.0 * t)
+    arg = np.divide(d_e, -t, out=np.zeros(d_e.shape), where=trial)
+    return (d_e <= 0) | (trial & (u < np.exp(arg)))
+
+
+@pytest.mark.parametrize("t0, rate, iters", [
+    (None, 0.98, 400),  # hot to frozen
+    (1e-300, 0.5, 200),  # temperatures underflow to 0.0
+    (1e308, 0.98, 200),  # 700 * t0 overflows
+])
+def test_metropolis_matches_the_reference_rule(small_graph, t0, rate, iters):
+    ev = make_evaluator(small_graph)
+    if t0 is None:
+        t0 = estimate_span(ev.ensemble, samples=200, rng=np.random.default_rng(0))
+    tr = anneal(ev, small_graph, Schedule(t0=t0, rate=rate, iters=iters), range(40, 56))
+    # the engine's rule differs only for a draw of exactly 0.0
+    assert not np.any(tr.uniform == 0.0)
+    assert np.array_equal(tr.accepted, _reference_accepts(tr))
+    uphill = tr.delta_e > 0
+    if t0 == 1e-300:
+        frozen = uphill & (tr.temperature == 0.0)
+        assert frozen.any() and not tr.accepted[frozen].any()
+    elif t0 == 1e308:
+        assert uphill.any() and tr.accepted.all()
+    else:
+        assert (tr.accepted & uphill).any() and (~tr.accepted & uphill).any()
+
+
+def test_level_moves_are_accepted_at_zero_temperature():
+    # an edgeless graph reads 0 in every state, so every move is level, and
+    # a level move divided by an underflowed temperature is 0 / -0.0 = NaN
+    g = WeightedGraph(4)
+    tr = anneal(make_evaluator(g), g, Schedule(t0=1e-300, rate=0.5, iters=100), range(3))
+    assert (tr.temperature == 0.0).any() and not tr.delta_e.any()
+    assert tr.accepted.all() and np.array_equal(tr.accepted, _reference_accepts(tr))
+
+
 def test_hit_path_memory_does_not_grow_with_iters():
     # the hit path keeps one BLOCK of buffers, never (iters, R) histories:
     # its peak is under 4 arrays of BLOCK * R * n doubles (2.6 MB each here),

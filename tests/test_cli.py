@@ -552,6 +552,23 @@ def test_experiment_rmse_rejects_k_outside_1_to_n(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_experiment_rmse_instance_rejects_k_zero(tmp_path, capsys):
+    # K=0's relative RMSE is infinite, which the strict JSON summary cannot
+    # hold, so the instance path refuses it before it writes any report
+    run(["gen", "--n", 14, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
+    capsys.readouterr()
+    out = tmp_path / "rmse"
+    code = run(["experiment", "rmse", "--instance", tmp_path / "g.rud", "--ks", "0..14",
+                "--samples", 40, "--out", out])
+    assert code == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ks must lie in 1..14" in captured.err
+    assert not out.exists()
+    assert run(["experiment", "rmse", "--instance", tmp_path / "g.rud", "--ks", "1..14",
+                "--samples", 40, "--out", out]) == EXIT_OK
+
+
 @pytest.mark.parametrize("study", ["rmse", "prob", "trace"])
 def test_reversed_k_range_is_a_parse_error(tmp_path, capsys, study):
     out = tmp_path / study

@@ -10,6 +10,7 @@ from optising.anneal import BLOCK, RUN_CHUNK, Schedule, _lockstep, anneal
 from optising.experiments import (
     LBL_STATES,
     LBL_TRACE,
+    _k_list,
     anneal_trace_study,
     config_hash,
     derive_seed,
@@ -194,6 +195,20 @@ def test_rmse_studies_sort_and_deduplicate_ks(rng):
                                          seed=2, degree=3)
     assert ks == [3, 5]
     assert rmse.shape == (2,)
+
+
+def test_k_list_checks_a_range_by_its_ends():
+    assert _k_list([range(4, 7), 2, 5], 10) == [2, 4, 5, 6]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ks must lie in 0..10"):
+            _k_list([3, range(1, 10**12)], 10, low=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before the range is expanded
+    with pytest.raises(ValueError, match="ks must lie in 1..10"):
+        _k_list([range(0, 3)], 10)
 
 
 def test_rmse_vs_k_validation(rng):
