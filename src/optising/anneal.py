@@ -8,13 +8,40 @@ refinement near the freeze.
 One engine core, `_lockstep`, steps every run of a batch in lock-step.  The
 flip count of an iteration comes from the schedule, so it is the same for
 every run.  The runs of a batch may read out through different evaluators:
-each iteration reads the candidate states of each evaluator's contiguous
-rows with one `optics.frames` call and takes one vectorised Metropolis step
+each step reads the candidate states of each evaluator's contiguous rows
+with one `optics.frames` call and takes one vectorised Metropolis step
 over the whole batch, reading into buffers made once per batch.  The core
 keeps one BLOCK of iterations in memory: the per-run draws are run-major,
 as each run's generator fills its own rows, and the flip signs, readouts,
 decisions and states are iteration-major, so each iteration reads and
-writes contiguous (R,) and (R, n) rows.  Three callers drive it:
+writes contiguous (R,) and (R, n) rows.
+
+A step is one iteration or a window of the block's next w iterations.  The
+flip signs, Metropolis draws and noise of a whole block exist before its
+first iteration runs, so a window applies each of its iterations' flips
+to the current states, reads the (w, R, n) candidates with one `frames`
+call per evaluator group and tests them with one Metropolis step.  It
+keeps the iterations up to the first one in which any run accepted,
+applies that accept and starts the next step after it; the later
+iterations read states that this accept changes, and a later step reads
+them again.  A kept iteration is bit-equal to one read on its own: a
+stacked matmul over (w, rows, n) makes the same BLAS call per plane as
+the (rows, n) product of one iteration, and `divide`, `fmin`, `exp` and
+`less` give the same bits at any position in an array.  A flattened
+(w * rows, n) product would not: the kernel's blocking depends on the
+product's shape, and the readouts would move in the last bits.  The
+window doubles after a step without an accept and drops to that step's
+advance after an accept, so a hot schedule, which accepts most moves,
+steps one iteration at a time and the frozen phase skips its rejected
+stretches in a few steps.  A window is at most deep = max(1, BLOCK // R)
+iterations, so it holds at most max(BLOCK, R) candidate rows, and once
+R > BLOCK / 2 the buffers are one iteration's (R, n): the hit path
+(HIT_CHUNK runs) and the trace study (RUN_CHUNK runs) step one iteration
+at a time.  So does any batch with a field-backend evaluator: a field
+readout costs no less per state in a block than alone, so a window of
+them only adds the readouts it throws away.
+
+Three callers drive it:
 
 * `anneal` steps the runs of one evaluator and copies every block into the
   full per-iteration history of an `AnnealTrace`.
@@ -168,15 +195,25 @@ def _flip_signs(keys: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _metropolis(d_e, neg_t, u, p, out):
+    """Accept where u < exp(min(0, -d_e / T)), into `out`; `p` is a work buffer."""
+    np.divide(d_e, neg_t, out=p)
+    np.fmin(p, 0.0, out=p)  # fmin drops the NaN of 0 / -0.0
+    np.exp(p, out=p)
+    return np.less(u, p, out=out)
+
+
 def _lockstep(runs, g: WeightedGraph, s: Schedule):
     """Step `runs`, a list of (evaluator, seed), as one batch, one row each.
 
-    Every iteration reads each stretch of rows that share an evaluator
-    object with one `frames` call and adds noise to the rows of noisy
-    evaluators only.  Yields, per block of BLOCK iterations, (slice of the
-    block's iterations, hrv, accepted, delta_e, u, states), u the raw
-    Metropolis draws: iteration-major (nb, R) and (nb, R, n) arrays that the
-    next block overwrites.
+    Every step reads each stretch of rows that share an evaluator object
+    with one `frames` call and adds noise to the rows of noisy evaluators
+    only.  A step is one iteration, or a window of the block's next
+    iterations read against the current states, of which it keeps those up
+    to the first accept (module docstring).  Yields, per block of BLOCK
+    iterations, (slice of the block's iterations, hrv, accepted, delta_e,
+    u, states), u the raw Metropolis draws: iteration-major (nb, R) and
+    (nb, R, n) arrays that the next block overwrites.
     """
     n = g.n
     R = len(runs)
@@ -193,29 +230,48 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     noisy = [(rows, ev.sigma, [np.random.default_rng(ss[2]) for ss in streams[rows]])
              for rows, ev in groups if ev.sigma > 0]
 
-    neg_t = (-s.temperatures()).tolist()  # Python floats: the divisor of each step
+    neg_t = -s.temperatures()[:, None]  # a window divides by a column of it
+    neg_t1 = neg_t[:, 0].tolist()  # Python floats: the divisor of one iteration
     # the last block's keys past `iters` are drawn anyway; giving them the
     # last flip count lets every block select flips on whole buffers
     flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
-    cand = np.empty((R, n))
-    cand_hrv = np.empty(R)
+    # a window holds at most max(BLOCK, R) candidate rows; field readouts
+    # step one iteration at a time (module docstring)
+    analytic = all(ev.backend == "analytic" for _, ev in groups)
+    deep = max(1, BLOCK // R) if analytic else 1
+    cand = np.empty((deep, R, n))
+    cand_hrv = np.empty((deep, R))
+    p = np.empty((deep, R))  # acceptance probabilities
     z = np.empty((R, BLOCK))  # noise; the start readout's draws borrow column 0
-    readers = [(cand[rows], np.empty((rows.stop - rows.start, ev.K)), cand_hrv[rows], z[rows],
-                ev.ensemble, ev.backend, ev.sigma > 0) for rows, ev in groups]
+    readers = [(rows, np.empty((deep, rows.stop - rows.start, ev.K)), ev.ensemble, ev.backend,
+                ev.sigma > 0) for rows, ev in groups]
+    # one iteration reads through 2-D plane views: a stacked product on a
+    # (1, rows, n) view costs more per call
+    planes = [(cand[0, rows], intensities[0], cand_hrv[0, rows], z[rows], ens, backend, noisy_rows)
+              for rows, intensities, ens, backend, noisy_rows in readers]
+    cand1, hrv1, p1 = cand[0], cand_hrv[0], p[0]
 
     def read(j):
-        # readouts of `cand` into `cand_hrv`, plus noise column j on noisy rows only
-        for X, intensities, out, noise, ens, backend, noisy_rows in readers:
+        # readouts of `cand1` into `hrv1`, plus noise column j on noisy rows only
+        for X, intensities, out, noise, ens, backend, noisy_rows in planes:
             np.matmul(frames(ens, X, backend, out=intensities), ens.g, out=out)
             if noisy_rows:
                 out += noise[:, j]
 
+    def read_window(j, w):
+        # readouts of cand[:w] into cand_hrv[:w], plus noise columns j..j+w-1
+        for rows, intensities, ens, backend, noisy_rows in readers:
+            out = cand_hrv[:w, rows]
+            np.matmul(frames(ens, cand[:w, rows], backend, out=intensities[:w]), ens.g, out=out)
+            if noisy_rows:
+                out += z[rows, j:j + w].T
+
     x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
     for rows, sigma, rngs in noisy:
         z[rows, 0] = [rng.normal(0.0, sigma) for rng in rngs]
-    cand[:] = x
+    cand1[:] = x
     read(0)
-    cur = cand_hrv.copy()
+    cur = hrv1.copy()
 
     keys = np.empty((R, BLOCK, n))
     signs = np.empty((BLOCK, R, n))  # iteration-major, so signs[j] is contiguous
@@ -224,8 +280,10 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     accepted = np.empty((BLOCK, R), dtype=bool)
     delta_e = np.empty((BLOCK, R))
     states = np.empty((BLOCK, R, n))
-    p = np.empty(R)  # acceptance probabilities
 
+    # iterations the next step reads: doubled after a step without an
+    # accept, the last advance after one; a block's end may cut a step short
+    width = 1
     for b0 in range(0, s.iters, BLOCK):
         nb = min(BLOCK, s.iters - b0)
         for r in range(R):
@@ -237,20 +295,45 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
         # the Metropolis rule maps a divide by T = 0.0, an overflow and the
         # NaN of 0 / -0.0 to the right decision (module docstring)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for j in range(nb):
-                np.multiply(x, signs[j], out=cand)
-                read(j)
-                d_e = np.subtract(cur, cand_hrv, out=delta_e[j])  # energy = -readout
-                # p = exp(min(0, -d_e / T)); fmin drops the NaN of 0 / -0.0
-                np.divide(d_e, neg_t[b0 + j], out=p)
-                np.fmin(p, 0.0, out=p)
-                np.exp(p, out=p)
-                ok = np.less(u[:, j], p, out=accepted[j])
-                if ok.any():
-                    np.copyto(x, cand, where=ok[:, None])
-                    np.copyto(cur, cand_hrv, where=ok)
-                hrv[j] = cur
-                states[j] = x
+            j = 0
+            while j < nb:
+                w = min(width, nb - j)
+                if w == 1:
+                    np.multiply(x, signs[j], out=cand1)
+                    read(j)
+                    d_e = np.subtract(cur, hrv1, out=delta_e[j])  # energy = -readout
+                    ok = _metropolis(d_e, neg_t1[b0 + j], u[:, j], p1, accepted[j])
+                    if np.count_nonzero(ok):
+                        np.copyto(x, cand1, where=ok[:, None])
+                        np.copyto(cur, hrv1, where=ok)
+                        width = 1
+                    else:
+                        width = min(2 * width, deep)
+                    hrv[j] = cur
+                    states[j] = x
+                    j += 1
+                    continue
+                np.multiply(x, signs[j:j + w], out=cand[:w])
+                read_window(j, w)
+                d_e = np.subtract(cur, cand_hrv[:w], out=delta_e[j:j + w])
+                ok = _metropolis(d_e, neg_t[b0 + j:b0 + j + w], u[:, j:j + w].T, p[:w],
+                                accepted[j:j + w])
+                # keep the iterations up to the first accept; the later ones
+                # read a state that this accept changes
+                any_ok = np.count_nonzero(ok)
+                f = int(ok.argmax()) // R if any_ok else w
+                hrv[j:j + f] = cur
+                states[j:j + f] = x
+                j += f
+                if any_ok:
+                    np.copyto(x, cand[f], where=ok[f, :, None])
+                    np.copyto(cur, cand_hrv[f], where=ok[f])
+                    hrv[j] = cur
+                    states[j] = x
+                    j += 1
+                    width = f + 1
+                else:
+                    width = min(2 * width, deep)
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
 

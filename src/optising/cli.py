@@ -344,15 +344,18 @@ def cmd_experiment(args) -> int:
     runner = {"rmse": _run_rmse, "prob": _run_prob, "noise": _run_noise,
               "trace": _run_trace}[args.study]
     tables, results = runner(cfg)
-    # the report directory is made only once the study has run, so a study
-    # that fails its checks leaves nothing behind
+    # the report directory is made only once the study has run and its
+    # summary is known to be strict JSON, so a study that fails its checks
+    # or yields a non-finite result leaves nothing behind
+    summary = xp.json_summary({"study": args.study, **cfg}, results)
     os.makedirs(args.out, exist_ok=True)
     for name, header, rows in tables:
         path = os.path.join(args.out, name)
         xp.write_csv(path, header, rows)
         print(f"wrote {path}")
     path = os.path.join(args.out, f"{args.study}.json")
-    xp.write_json_summary(path, {"study": args.study, **cfg}, results)
+    with open(path, "w") as fh:
+        fh.write(summary)
     print(f"wrote {path}")
     return EXIT_OK
 

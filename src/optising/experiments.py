@@ -21,6 +21,7 @@ probabilities bit for bit.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ __all__ = [
     "derive_seed",
     "config_hash",
     "write_csv",
+    "json_summary",
     "write_json_summary",
     "LBL_STATES",
     "LBL_GRAPH",
@@ -502,22 +504,50 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _fmt_column(values) -> list[str]:
+    """`_fmt` of every value: a column of one scalar type is formatted by
+    that type's rule in one pass, any other column value by value."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if issubclass(kind, (bool, np.bool_, int, np.integer)):
+            return list(map(str, map(int, values)))
+        if issubclass(kind, (float, np.floating)):
+            return list(map(repr, map(float, values)))
+    return list(map(_fmt, values))
+
+
+_CSV_CHUNK = 256  # rows formatted together; bounds the strings held at once
+
+
 def write_csv(path, header, rows) -> None:
-    """One row per cell; floats use repr so reruns are byte-identical."""
+    """One row per cell; floats use repr so reruns are byte-identical.
+
+    Rows are formatted column by column, a chunk of rows at a time."""
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        while chunk := list(map(tuple, itertools.islice(rows, _CSV_CHUNK))):
+            if len(set(map(len, chunk))) == 1 and chunk[0]:
+                lines = map(",".join, zip(*map(_fmt_column, zip(*chunk))))
+            else:  # ragged or empty rows keep their own lengths
+                lines = (",".join(map(_fmt, row)) for row in chunk)
+            fh.write("".join(line + "\n" for line in lines))
 
 
-def write_json_summary(path, config: dict, results) -> None:
-    """Strict JSON: a NaN or infinite value raises ValueError before the file
-    is opened."""
+def json_summary(config: dict, results) -> str:
+    """The text of a report's JSON summary.  Strict JSON: a NaN or infinite
+    value raises ValueError."""
     payload = {
         "config": _jsonable(config),
         "config_hash": config_hash(config),
         "results": _jsonable(results),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def write_json_summary(path, config: dict, results) -> None:
+    """`json_summary` into `path`; a value it refuses leaves no file."""
+    text = json_summary(config, results)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)

@@ -19,8 +19,8 @@ from optising.anneal import (
 from optising.cli import main
 from optising.experiments import LBL_TRACE, anneal_trace_study, derive_seed
 from optising.graph import WeightedGraph, gen_regular, write_graph
-from optising.ising import brute_force_maxcut, cut_value, from_graph
-from optising.optics import HrvEvaluator, estimate_span
+from optising.ising import brute_force_maxcut, cut_value, from_graph, random_state
+from optising.optics import HrvEvaluator, estimate_span, frames
 from optising.spectral import build_ensemble, eigendecompose
 
 
@@ -391,6 +391,102 @@ def test_flip_signs_fill_the_engine_buffer(tied, single_spin):
     signs = np.empty((BLOCK, R, n))
     assert _flip_signs(keys, m, signs.transpose(1, 0, 2)).base is signs
     assert np.array_equal(signs, _parent_flip_signs(keys.transpose(1, 0, 2), m))
+
+
+def _one_iteration_lockstep(runs, g, s):
+    """The engine stepped one iteration at a time, from the same calls: the
+    reference its windows over a block's iterations must equal bit for bit."""
+    n, R = g.n, len(runs)
+    bounds = [0] + [i for i in range(1, R) if runs[i][0] is not runs[i - 1][0]] + [R]
+    groups = [(slice(a, b), runs[a][0]) for a, b in zip(bounds, bounds[1:])]
+    streams = [np.random.SeedSequence(sd).spawn(3) for _, sd in runs]
+    move_rngs = [np.random.default_rng(ss[0]) for ss in streams]
+    unif_rngs = [np.random.default_rng(ss[1]) for ss in streams]
+    noisy = [(rows, ev.sigma, [np.random.default_rng(ss[2]) for ss in streams[rows]])
+             for rows, ev in groups if ev.sigma > 0]
+    neg_t = (-s.temperatures()).tolist()
+    flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
+    cand, cand_hrv, z = np.empty((R, n)), np.empty(R), np.empty((R, BLOCK))
+
+    def read(j):
+        for rows, ev in groups:
+            out = cand_hrv[rows]
+            np.matmul(frames(ev.ensemble, cand[rows], ev.backend), ev.ensemble.g, out=out)
+            if ev.sigma > 0:
+                out += z[rows, j]
+
+    x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
+    for rows, sigma, rngs in noisy:
+        z[rows, 0] = [rng.normal(0.0, sigma) for rng in rngs]
+    cand[:] = x
+    read(0)
+    cur = cand_hrv.copy()
+    keys, signs, u = np.empty((R, BLOCK, n)), np.empty((BLOCK, R, n)), np.empty((R, BLOCK))
+    hrv, delta_e, states = np.empty((BLOCK, R)), np.empty((BLOCK, R)), np.empty((BLOCK, R, n))
+    accepted = np.empty((BLOCK, R), dtype=bool)
+    for b0 in range(0, s.iters, BLOCK):
+        nb = min(BLOCK, s.iters - b0)
+        for r in range(R):
+            move_rngs[r].random(out=keys[r])
+            unif_rngs[r].random(out=u[r])
+        for rows, sigma, rngs in noisy:
+            z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
+        _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(nb):
+                np.multiply(x, signs[j], out=cand)
+                read(j)
+                delta_e[j] = cur - cand_hrv
+                p = np.exp(np.fmin(delta_e[j] / neg_t[b0 + j], 0.0))
+                accepted[j] = ok = u[:, j] < p
+                x[ok] = cand[ok]
+                cur[ok] = cand_hrv[ok]
+                hrv[j] = cur
+                states[j] = x
+        yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
+               states[:nb])
+
+
+def _window_case(R, mix):
+    """(runs, the most iterations one window may read) on an n=16 instance."""
+    g = gen_regular(16, 3, 0.0, 1.0, seed=0)
+    span = estimate_span(make_evaluator(g).ensemble, samples=200, rng=np.random.default_rng(0))
+    if mix == "analytic":
+        groups = [(make_evaluator(g, 11), R)]
+    elif mix == "noisy":  # analytic K=3, then noisy full-K rows
+        noisy = make_evaluator(g, sigma=0.02 * span)
+        groups = [(make_evaluator(g, 3), R // 2), (noisy, R - R // 2)]
+    else:  # a field group makes the batch step one iteration at a time
+        groups = [(make_evaluator(g, 3), 2), (make_evaluator(g, backend="field"), R - 2)]
+    runs = [(ev, 100 * i + r) for i, (ev, size) in enumerate(groups) for r in range(size)]
+    return g, span, runs, max(1, BLOCK // R) if mix != "field" else 1
+
+
+@pytest.mark.parametrize("t0, rate, iters", [
+    (None, 0.98, 300),  # hot to frozen; the last block is partial
+    (1e-300, 0.5, 150),  # temperatures underflow to 0.0
+])
+@pytest.mark.parametrize("R, mix", [(1, "analytic"), (2, "analytic"), (5, "analytic"),
+                                    (31, "analytic"), (33, "analytic"), (64, "analytic"),
+                                    (7, "noisy"), (40, "noisy"), (5, "field")])
+def test_windows_equal_one_iteration_steps(monkeypatch, R, mix, t0, rate, iters):
+    engine = importlib.import_module("optising.anneal")
+    g, span, runs, deep = _window_case(R, mix)
+    s = Schedule(t0=span if t0 is None else t0, rate=rate, iters=iters)
+    widths = []
+    read = engine.frames
+    monkeypatch.setattr(engine, "frames", lambda ens, X, *a, **k: widths.append(
+        X.shape[0] if X.ndim == 3 else 1) or read(ens, X, *a, **k))
+    blocks = 0
+    for got, want in zip(engine._lockstep(runs, g, s), _one_iteration_lockstep(runs, g, s)):
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        blocks += 1
+    assert blocks == -(-iters // BLOCK)
+    assert max(widths) <= deep
+    assert (max(widths) > 1) == (deep > 1)  # the frozen stretches are read in windows
 
 
 def _reference_accepts(tr):

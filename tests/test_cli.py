@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from optising import cli
 from optising.cli import (
     _STUDY_SCHEMA,
     EXIT_GUARD,
@@ -267,6 +268,26 @@ def test_solve_field_backend_stdout_is_pinned(tmp_path, capsys, n, degree, iters
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+@pytest.mark.parametrize("extra, stdout_sha1, trace_sha1", [
+    (["--oracle", "--trace-out", "trace.csv"], "d09aaf7202eccaac370a24bfd3c185de453de59f",
+     "dfd7cf8bc1aefc3a64a83eb2912d5005a524dd0d"),
+    (["--noise-level", 0.02], "245f1322092bf42738485e8d5c5cf3dc046004a4", None),
+])
+def test_solve_stdout_and_trace_are_pinned(tmp_path, monkeypatch, capsys, extra, stdout_sha1,
+                                           trace_sha1):
+    # sha1 of the outputs of one analytic run stepped one iteration at a
+    # time; the engine's windows over a block's iterations must keep every
+    # bit.  Relative paths keep tmp_path out of stdout.
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--n", 22, "--degree", 5, "--seed", 0, "--out", "."]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["solve", "--graph", "graph.rud", "--iters", 3000, "--seed", 0,
+                *extra]) == EXIT_OK
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == stdout_sha1
+    if trace_sha1 is not None:
+        assert hashlib.sha1((tmp_path / "trace.csv").read_bytes()).hexdigest() == trace_sha1
+
+
 _STUDY_REPORT_SHA1 = {
     "prob": {
         "prob.csv": "c9d47301304970e183b34b10d17e51d90e215af3",
@@ -418,6 +439,24 @@ def test_zero_readout_span_asks_for_t0(tmp_path, capsys):
         assert not out.exists()
         assert run([*argv, "--t0", 1, "--out", out]) == EXIT_OK
         capsys.readouterr()
+
+
+def test_non_finite_result_leaves_no_report(tmp_path, monkeypatch, capsys):
+    # the JSON summary is checked before the report directory is made, so
+    # a result it refuses leaves no half-written report behind
+    def run_prob(cfg):
+        return [("prob.csv", ["K", "probability"], [(1, 0.5)])], {"probability": [float("inf")]}
+
+    monkeypatch.setattr(cli, "_run_prob", run_prob)
+    gpath = tmp_path / "edge.rud"
+    gpath.write_text("2 1\n1 2 1.0\n")
+    out = tmp_path / "out"
+    assert run(["experiment", "prob", "--instance", gpath, "--runs", 2, "--iters", 10,
+                "--out", out]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_solve_trace_out(tmp_path):

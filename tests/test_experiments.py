@@ -10,6 +10,7 @@ from optising.anneal import BLOCK, RUN_CHUNK, Schedule, _lockstep, anneal
 from optising.experiments import (
     LBL_STATES,
     LBL_TRACE,
+    _fmt,
     _k_list,
     anneal_trace_study,
     config_hash,
@@ -407,6 +408,25 @@ def test_write_csv_repr_floats(tmp_path):
     write_csv(p, ["a", "b"], [(1, 0.1), (2, np.float64(0.25))])
     text = p.read_text()
     assert text == "a,b\n1,0.1\n2,0.25\n"
+
+
+def test_write_csv_formats_columns_like_each_value(tmp_path):
+    # one column per kind of cell, 600 rows, so the 256-row chunks see
+    # columns of one scalar type and columns that mix them
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(600):
+        mixed = [i, float(i) / 7, np.int64(i), np.float64(-0.0), np.bool_(i % 2), True][i % 6]
+        rows.append((i, float(i) / 3, np.int64(-i), np.float64(rng.normal()), np.bool_(i % 3 == 0),
+                     i % 2 == 0, [-0.0, float("inf"), float("nan")][i % 3],
+                     np.float32(i) / 9, "s" if i < 300 else i, mixed if i >= 256 else i))
+    p = tmp_path / "t.csv"
+    write_csv(p, list("abcdefghij"), iter(rows))
+    want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    assert p.read_text() == "a,b,c,d,e,f,g,h,i,j\n" + want
+    # ragged rows keep their own lengths
+    write_csv(p, ["a"], [(1,), (2, 0.5), ()])
+    assert p.read_text() == "a\n1\n2,0.5\n\n"
 
 
 def test_write_json_summary_round_trip(tmp_path):
