@@ -1,59 +1,49 @@
 """Simulated annealing on spin states with the optical readout as energy.
 
-Energy is minus the accumulated readout, so larger readouts win.  The move
-size is coupled to temperature: a move flips max(1, round(n*T/t0)) distinct
-spins, which decays from whole-state shakes at the start to single-spin
-refinement near the freeze.
+Energy is minus the accumulated readout, so larger readouts win.  A move
+flips max(1, round(n*T/t0)) distinct spins: whole-state shakes at the
+start, single-spin refinement near the freeze.
 
-One engine core, `_lockstep`, steps every run of a batch in lock-step.  The
+One engine core, `_lockstep`, steps every run of a batch in lock-step; the
 flip count of an iteration comes from the schedule, so it is the same for
-every run.  The runs of a batch may read out through different evaluators:
-each step reads the candidate states of each evaluator's contiguous rows
-with one `optics.frames` call and takes one vectorised Metropolis step
-over the whole batch, reading into buffers made once per batch.  The core
-keeps one BLOCK of iterations in memory: the per-run draws are run-major,
-as each run's generator fills its own rows, and the flip signs, readouts,
-decisions and states are iteration-major, so each iteration reads and
-writes contiguous (R,) and (R, n) rows.
+every run.  Runs may read out through different evaluators: a step reads
+each evaluator's contiguous rows with one `optics.frames` call and takes
+one vectorised Metropolis step over the batch.  The core keeps one BLOCK
+of iterations in memory, the draws run-major and the flip signs, readouts,
+decisions and states iteration-major.
 
-A step is one iteration or a window of the block's next w iterations.  The
-flip signs, Metropolis draws and noise of a whole block exist before its
-first iteration runs, so a window applies each of its iterations' flips
-to the current states, reads the (w, R, n) candidates with one `frames`
-call per evaluator group and tests them with one Metropolis step.  It
-keeps the iterations up to the first one in which any run accepted,
-applies that accept and starts the next step after it; the later
-iterations read states that this accept changes, and a later step reads
-them again.  A kept iteration is bit-equal to one read on its own: a
-stacked matmul over (w, rows, n) makes the same BLAS call per plane as
-the (rows, n) product of one iteration, and `divide`, `fmin`, `exp` and
-`less` give the same bits at any position in an array.  A flattened
-(w * rows, n) product would not: the kernel's blocking depends on the
-product's shape, and the readouts would move in the last bits.  The
-window doubles after a step without an accept and drops to that step's
-advance after an accept, so a hot schedule, which accepts most moves,
-steps one iteration at a time and the frozen phase skips its rejected
-stretches in a few steps.  A window is at most deep = max(1, BLOCK // R)
-iterations, so it holds at most max(BLOCK, R) candidate rows, and once
-R > BLOCK / 2 the buffers are one iteration's (R, n): the hit path
-(HIT_CHUNK runs) and the trace study (RUN_CHUNK runs) step one iteration
-at a time.  So does any batch with a field-backend evaluator: a field
-readout costs no less per state in a block than alone, so a window of
-them only adds the readouts it throws away.
+Windows.  A block's flip signs, draws and noise exist before its first
+iteration runs, so a step reads the candidates of the next w iterations
+against the current states and keeps the iterations up to the first in
+which any run accepted, then applies that accept.  w doubles after a step
+without an accept and drops to the step's advance after one.  A window
+reads at most ROWS candidate rows and one block, deep = max(1, min(BLOCK,
+ROWS // R)) iterations; a batch with a field evaluator steps one iteration
+at a time, as a field readout costs no less per state in a block.  A kept
+iteration is bit-equal to one read alone: a stacked (w, rows, n) product
+makes the same BLAS call per plane as one iteration's (rows, n) product,
+where a flattened (w * rows, n) product would move the last bits.
 
-Three callers drive it:
+Freeze stop.  `optimal_hits` keeps only final states, so it stops a batch
+at a block end once the batch is proved frozen: every evaluator is
+noiseless, every remaining flip count is 1, and each run's n single-spin
+neighbours have d_e > 40 * T for the largest T still to come.  Then
+exp(-d_e / T) < 2**-53, below every positive draw, and no later move is
+accepted unless its draw is exactly 0.0.  The remaining draws are read
+ahead and every generator is put back; a 0.0 among them makes the batch
+step to the end.  The neighbours are read through the step's own path,
+deep (rows, n) planes at a time, so each d_e is bit-equal to the one a
+later step would compute, even where T is below the readout's rounding.
+At T = 0.0 the bound is d_e > 0, so a level move blocks the stop.
 
-* `anneal` steps the runs of one evaluator and copies every block into the
-  full per-iteration history of an `AnnealTrace`.
+Callers:
+
+* `anneal` steps the runs of one evaluator and records every iteration.
 * `optimal_hits` steps the runs of many (evaluator, seeds) cells that share
-  a schedule, HIT_CHUNK = 256 runs per batch, and keeps only the final
-  states.  A run's hit does not depend on the batch size, and a larger
-  batch costs less per run-iteration.
-* `experiments.anneal_trace_study` steps each K's runs RUN_CHUNK = 64 at a
-  time and sums every block over its runs.  Its curves add the runs of each
-  batch first, so their last bits depend on the batch size, and RUN_CHUNK
-  stays at 64 to keep the reports.  Like `optimal_hits`, it keeps no
-  per-iteration history, so its memory does not grow with the iterations.
+  a schedule, HIT_CHUNK runs per batch, and keeps only the final states.
+* `experiments.anneal_trace_study` steps each K's runs RUN_CHUNK at a time
+  and sums every block over its runs.  Its curves add the runs of a batch
+  first, so their last bits depend on the batch size.
 
 RNG contract (v2).  `SeedSequence(seed_r).spawn(3)` gives run r three
 streams:
@@ -75,13 +65,11 @@ Metropolis rule.  A move with energy step d_e at temperature T is accepted
 when u < exp(min(0, -d_e / T)): always when d_e <= 0, never when d_e > 0
 and T has underflowed to 0.0.  This equals the bounded rule
 (d_e <= 0) | ((d_e <= 700 T) & (u < exp(-d_e / T))) for every draw u > 0,
-since exp(-700) is far below the smallest positive draw, 2**-53.  Only a
-draw of exactly 0.0 with 700 < d_e / T <= ~745 is accepted here and was
-rejected by the bound.  The step is four ufunc calls into preallocated
-buffers.  Dividing by an underflowed or tiny T raises numpy's divide,
-invalid (0 / -0.0) and overflow flags, which the rule maps to the right
-decision, so one `np.errstate` per block silences them around the
-iterations (never around a `yield`).
+since exp(-700) is far below the smallest positive draw, 2**-53.  Dividing
+by an underflowed or tiny T raises numpy's divide, invalid (0 / -0.0) and
+overflow flags, which the rule maps to the right decision, so one
+`np.errstate` per block silences them around the iterations (never around
+a `yield`).
 """
 
 from __future__ import annotations
@@ -111,6 +99,7 @@ CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
 RUN_CHUNK = 64   # runs per batch of the trace study; its summed curves depend on it
 HIT_CHUNK = 256  # most runs a batch of `optimal_hits` holds
+ROWS = 1024      # most candidate rows one window reads
 
 
 @dataclass(frozen=True)
@@ -203,7 +192,25 @@ def _metropolis(d_e, neg_t, u, p, out):
     return np.less(u, p, out=out)
 
 
-def _lockstep(runs, g: WeightedGraph, s: Schedule):
+def _depth(R: int, analytic: bool) -> int:
+    """Most iterations one window of an R-run batch reads: ROWS candidate
+    rows and one block at most, and one for a batch with a field evaluator."""
+    return max(1, min(BLOCK, ROWS // R)) if analytic else 1
+
+
+def _draws_zero(rngs, count: int) -> bool:
+    """Whether any generator of `rngs` draws an exact 0.0 among its next
+    `count` uniforms.  Every generator is left where it was."""
+    for rng in rngs:
+        state = rng.bit_generator.state
+        zero = not rng.random(count).all()
+        rng.bit_generator.state = state
+        if zero:
+            return True
+    return False
+
+
+def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     """Step `runs`, a list of (evaluator, seed), as one batch, one row each.
 
     Every step reads each stretch of rows that share an evaluator object
@@ -213,7 +220,9 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     to the first accept (module docstring).  Yields, per block of BLOCK
     iterations, (slice of the block's iterations, hrv, accepted, delta_e,
     u, states), u the raw Metropolis draws: iteration-major (nb, R) and
-    (nb, R, n) arrays that the next block overwrites.
+    (nb, R, n) arrays that the next block overwrites.  With `stop_frozen`,
+    the last block yielded may end before `s.iters`: the batch was proved
+    frozen there, so its states are the final ones.
     """
     n = g.n
     R = len(runs)
@@ -235,10 +244,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
     # the last block's keys past `iters` are drawn anyway; giving them the
     # last flip count lets every block select flips on whole buffers
     flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
-    # a window holds at most max(BLOCK, R) candidate rows; field readouts
-    # step one iteration at a time (module docstring)
-    analytic = all(ev.backend == "analytic" for _, ev in groups)
-    deep = max(1, BLOCK // R) if analytic else 1
+    deep = _depth(R, all(ev.backend == "analytic" for _, ev in groups))
     cand = np.empty((deep, R, n))
     cand_hrv = np.empty((deep, R))
     p = np.empty((deep, R))  # acceptance probabilities
@@ -266,6 +272,23 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
             if noisy_rows:
                 out += z[rows, j:j + w].T
 
+    def frozen(k):
+        # the freeze certificate from iteration k on (module docstring); the
+        # neighbours are read as a step reads, so their d_e are its bits
+        bound = 40.0 * -float(neg_t[k:].min())  # the largest T still to come
+        neighbours = 1.0 - 2.0 * np.eye(n)[:, None, :]  # plane i flips spin i
+        for i in range(0, n, deep):
+            w = min(deep, n - i)
+            np.multiply(x, neighbours[i:i + w], out=cand[:w])
+            if w == 1:
+                read(0)
+            else:
+                read_window(0, w)
+            if not (np.subtract(cur, cand_hrv[:w], out=p[:w]) > bound).all():
+                return False
+        return True
+
+    stop = stop_frozen and not noisy
     x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
     for rows, sigma, rngs in noisy:
         z[rows, 0] = [rng.normal(0.0, sigma) for rng in rngs]
@@ -336,6 +359,11 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule):
                     width = min(2 * width, deep)
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
+        k = b0 + BLOCK
+        if stop and k < s.iters and (flip_counts[k:] == 1).all() and frozen(k):
+            if not _draws_zero(unif_rngs, s.iters - k):
+                return
+            stop = False  # a 0.0 draw may accept an uphill move: step to the end
 
 
 def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> AnnealTrace:
@@ -378,7 +406,8 @@ def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[i
     the cell's runs, one per seed, end in a cut equal to `optimum`.
 
     The runs of all cells are stepped together, HIT_CHUNK at a time, and
-    only their final states are kept.
+    only their final states are kept; a batch stops once it is proved
+    frozen (module docstring).
     """
     runs = [(ev, sd) for ev, seeds in cells for sd in seeds]
     owner = np.repeat(np.arange(len(cells)), [len(seeds) for _, seeds in cells])
@@ -386,7 +415,7 @@ def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[i
     half_total = g.total_weight() / 2.0
     hit = np.zeros(len(runs), dtype=bool)
     for i in range(0, len(runs), HIT_CHUNK):
-        for *_, states in _lockstep(runs[i:i + HIT_CHUNK], g, s):
+        for *_, states in _lockstep(runs[i:i + HIT_CHUNK], g, s, stop_frozen=True):
             pass
         cut = half_total - hamiltonian(model, states[-1]) / 2.0
         hit[i:i + HIT_CHUNK] = np.abs(cut - optimum) <= CUT_MATCH_TOL

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from optising.anneal import (
     HIT_CHUNK,
     RUN_CHUNK,
     Schedule,
+    _depth,
+    _draws_zero,
     _flip_signs,
     anneal,
     optimal_hits,
@@ -279,6 +282,23 @@ def test_anneal_needs_a_seed(small_graph):
         anneal(make_evaluator(small_graph), small_graph, Schedule(t0=1.0, rate=0.9, iters=5), [])
 
 
+def _hit_cells(g, span, sizes):
+    """`optimal_hits` cells from (K, noise level, runs) triples."""
+    return [(make_evaluator(g, K, sigma=level * span), range(100 * i, 100 * i + runs))
+            for i, (K, level, runs) in enumerate(sizes)]
+
+
+def _spy_finals(monkeypatch):
+    """Patch the engine's one exact-energy call per hit batch to record the
+    final states it sees."""
+    engine = importlib.import_module("optising.anneal")
+    finals = []
+    exact = engine.hamiltonian
+    monkeypatch.setattr(engine, "hamiltonian",
+                        lambda model, x: finals.append(np.array(x)) or exact(model, x))
+    return finals
+
+
 def check_mixed_cells(monkeypatch, rate, iters, sizes):
     """Cells of (K, noise level, runs), noiseless and noisy, stacked in one
     `optimal_hits` call whose third cell straddles a HIT_CHUNK boundary.  A
@@ -290,13 +310,9 @@ def check_mixed_cells(monkeypatch, rate, iters, sizes):
     span = estimate_span(make_evaluator(g).ensemble, samples=1000, rng=np.random.default_rng(1))
     s = Schedule(t0=span, rate=rate, iters=iters)
     assert sum(n for *_, n in sizes[:2]) < chunk < sum(n for *_, n in sizes[:3])
-    cells = [(make_evaluator(g, K, sigma=level * span), range(100 * i, 100 * i + runs))
-             for i, (K, level, runs) in enumerate(sizes)]
+    cells = _hit_cells(g, span, sizes)
 
-    finals = []
-    exact = engine.hamiltonian
-    monkeypatch.setattr(engine, "hamiltonian",
-                        lambda model, x: finals.append(np.array(x)) or exact(model, x))
+    finals = _spy_finals(monkeypatch)
     hits = optimal_hits(cells, g, s, best)
     monkeypatch.undo()
 
@@ -459,7 +475,7 @@ def _window_case(R, mix):
     else:  # a field group makes the batch step one iteration at a time
         groups = [(make_evaluator(g, 3), 2), (make_evaluator(g, backend="field"), R - 2)]
     runs = [(ev, 100 * i + r) for i, (ev, size) in enumerate(groups) for r in range(size)]
-    return g, span, runs, max(1, BLOCK // R) if mix != "field" else 1
+    return g, span, runs, _depth(R, mix != "field")
 
 
 @pytest.mark.parametrize("t0, rate, iters", [
@@ -548,3 +564,147 @@ def test_hit_path_memory_does_not_grow_with_iters():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * BLOCK * HIT_CHUNK * g.n * 8
+
+
+def _spy_batches(monkeypatch):
+    """Patch the engine so each batch records the end of its last block:
+    `s.iters` for a batch stepped to the end, less for one that stopped."""
+    engine = importlib.import_module("optising.anneal")
+    ends = []
+    step = engine._lockstep
+
+    def spy(*args, **kwargs):
+        for out in step(*args, **kwargs):
+            yield out
+        ends.append(out[0].stop)
+
+    monkeypatch.setattr(engine, "_lockstep", spy)
+    return ends
+
+
+def _even_cycle(n):
+    # every maximum cut alternates the spins; flipping one spin of it costs
+    # its two unit edges, so each single-spin neighbour reads 4 below it
+    return WeightedGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+
+
+_CYCLE_SCHEDULE = Schedule(t0=8.0, rate=0.99, iters=768)
+
+
+def _gap_block(s, n, gap):
+    """The first block end from which every move flips one spin and every
+    temperature lies below gap / 40."""
+    t, m = s.temperatures(), s.flip_counts(n)
+    return next(k for k in range(BLOCK, s.iters, BLOCK) if 40.0 * t[k] < gap and (m[k:] == 1).all())
+
+
+def test_freeze_stop_fires_at_the_block_the_gap_predicts(monkeypatch):
+    n, gap = 8, 4.0
+    g = _even_cycle(n)
+    ev = make_evaluator(g)
+    alt = np.array([1.0, -1.0] * (n // 2))
+    ens = ev.ensemble
+    near = alt * (1.0 - 2.0 * np.eye(n))
+    readouts = frames(ens, np.vstack([alt, near])) @ ens.g
+    assert np.allclose(readouts[0] - readouts[1:], gap, rtol=0, atol=1e-12)
+    s = _CYCLE_SCHEDULE
+    fires = _gap_block(s, n, gap)
+    t = s.temperatures()
+    assert 40.0 * t[fires - BLOCK] > 1.5 * gap and 40.0 * t[fires] < 0.9 * gap
+    seeds = range(12)
+    trace = anneal(ev, g, s, seeds)
+    # every run holds a maximum cut a block earlier: only the bound on T
+    # holds the stop back until `fires`
+    assert (trace.cut[:, fires - BLOCK - 1] == n).all()
+
+    ends = _spy_batches(monkeypatch)
+    finals = _spy_finals(monkeypatch)
+    assert optimal_hits([(ev, seeds)], g, s, float(n)) == [len(seeds)]
+    assert ends == [fires]
+    assert np.array_equal(finals[0], trace.final_state)
+
+
+@pytest.mark.parametrize("rate, iters", [(0.97, 600), (0.98, 900)])
+def test_frozen_batches_stop_with_the_final_states_of_single_runs(monkeypatch, rate, iters):
+    # noiseless cells in two batches of HIT_CHUNK = 32; the spy on the
+    # engine records the main call only, as the check undoes every patch
+    monkeypatch.setattr(importlib.import_module("optising.anneal"), "HIT_CHUNK", 32)
+    ends = _spy_batches(monkeypatch)
+    check_mixed_cells(monkeypatch, rate, iters, [(3, 0.0, 10), (13, 0.0, 20), (20, 0.0, 30)])
+    assert len(ends) == 2 and max(ends) < iters  # both batches stopped
+
+
+def test_batches_that_cannot_be_proved_frozen_step_to_the_end(monkeypatch):
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    best, _ = brute_force_maxcut(g)
+    span = estimate_span(make_evaluator(g).ensemble, samples=1000, rng=np.random.default_rng(1))
+    noiseless = [(3, 0.0, 20), (13, 0.0, 20), (20, 0.0, 20)]
+    frozen = Schedule(t0=span, rate=0.97, iters=600)
+    ends = _spy_batches(monkeypatch)
+    optimal_hits(_hit_cells(g, span, noiseless), g, frozen, best)
+    # the same batch with one noisy row
+    optimal_hits(_hit_cells(g, span, noiseless + [(13, 0.02, 1)]), g, frozen, best)
+    # a 4-cycle settles in a maximum cut, every single-spin neighbour 4
+    # above it, but every move flips 2 spins or more to the end
+    square = _even_cycle(4)
+    many = Schedule(t0=1e-6, rate=0.999, iters=640)
+    assert many.flip_counts(4)[-1] == 2
+    assert optimal_hits([(make_evaluator(square), range(12))], square, many, 4.0) == [12]
+    # at T = 0.0 the cycle's runs settle in a maximum cut and stop, while
+    # an edgeless graph has only level moves, which are always accepted
+    underflow = Schedule(t0=1e-300, rate=0.5, iters=640)
+    cycle, edgeless = _even_cycle(8), WeightedGraph(8)
+    assert optimal_hits([(make_evaluator(cycle), range(12))], cycle, underflow, 8.0) == [12]
+    optimal_hits([(make_evaluator(edgeless), range(12))], edgeless, underflow, 0.0)
+    # the 8-cycle once more, with a ninth, isolated vertex: flipping it is
+    # a level move, so the batch steps on, and that spin keeps changing
+    lone = WeightedGraph(9, cycle.edges)
+    ev = make_evaluator(lone)
+    finals = _spy_finals(monkeypatch)
+    assert optimal_hits([(ev, range(12))], lone, _CYCLE_SCHEDULE, 8.0) == [12]
+    assert np.array_equal(finals[0], anneal(ev, lone, _CYCLE_SCHEDULE, range(12)).final_state)
+    assert ends[0] < 600 and ends[1:3] == [600, 640]
+    assert ends[3] < 640 and ends[4:6] == [640, _CYCLE_SCHEDULE.iters]
+
+
+def test_a_zero_draw_ahead_steps_the_batch_to_the_end(monkeypatch):
+    engine = importlib.import_module("optising.anneal")
+    g = _even_cycle(8)
+    ev = make_evaluator(g)
+    s = _CYCLE_SCHEDULE
+    fires = _gap_block(s, 8, 4.0)
+    cells = [(ev, range(12))]
+    ends = _spy_batches(monkeypatch)
+    finals = _spy_finals(monkeypatch)
+    optimal_hits(cells, g, s, 8.0)
+    # the certificate holds, and a 0.0 draw is said to lie ahead: the batch
+    # steps on, from the streams where the check found them, to the end
+    checks = []
+    draws_zero = engine._draws_zero
+    monkeypatch.setattr(engine, "_draws_zero", lambda rngs, count: checks.append(count)
+                        or draws_zero(rngs, count) or True)
+    optimal_hits(cells, g, s, 8.0)
+    assert ends == [fires, s.iters] and checks == [s.iters - fires]
+    assert np.array_equal(finals[0], finals[1])
+    assert np.array_equal(finals[1], anneal(ev, g, s, range(12)).final_state)
+
+
+def test_draws_zero_finds_an_exact_zero_and_moves_no_stream():
+    class ZeroAhead:
+        # a stand-in generator whose next uniforms hold one exact 0.0
+        def __init__(self):
+            self.bit_generator = types.SimpleNamespace(state="here")
+
+        def random(self, count):
+            self.bit_generator.state = "moved"
+            return np.r_[0.5, 0.0, np.full(count - 2, 0.25)]
+
+    rngs = [np.random.default_rng(sd) for sd in range(3)]
+    want = [rng.bit_generator.state for rng in rngs]
+    assert not _draws_zero(rngs, 1000)
+    assert _draws_zero(rngs + [ZeroAhead()], 1000)
+    assert [rng.bit_generator.state for rng in rngs] == want
+    assert [rng.random() for rng in rngs] == [np.random.default_rng(sd).random() for sd in range(3)]
+    zero = ZeroAhead()
+    _draws_zero([zero], 10)
+    assert zero.bit_generator.state == "here"
