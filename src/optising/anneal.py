@@ -157,27 +157,24 @@ class AnnealTrace:
 def _flip_signs(keys: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill `out`, shaped like keys (R, B, n), with +-1 factors: at iteration
     b, every run flips the m[b] spins with the smallest keys.  A key tied
-    with the m[b]-th smallest ranks by position, as argsort does, so a move
-    still flips exactly m[b] spins.  `out` may be any view of that shape;
-    the engine passes its iteration-major buffer transposed."""
+    with the m[b]-th smallest ranks by position, so a move still flips
+    exactly m[b] spins.  `out` may be any view of that shape; the engine
+    passes its iteration-major buffer transposed."""
     if m.max() == 1:
-        # single-spin blocks, most of a cool schedule, need no sort or argmin:
-        # a running minimum over the key columns marks each smallest key
+        # single-spin blocks, most of a cool schedule, need no sort: a
+        # running minimum over the key columns marks each smallest key
         low = keys[..., 0].copy()
         for i in range(1, keys.shape[-1]):
             np.minimum(low, keys[..., i], out=low)
         flip = keys == low[..., None]
-        if np.count_nonzero(flip) != low.size:
-            # a tied minimum: the first one flips, as argmin picks it
-            flip = np.arange(keys.shape[-1]) == keys.argmin(axis=-1)[..., None]
     else:
         np.copyto(out, keys)
         out.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
         flip = keys <= np.take_along_axis(out, (m - 1)[None, :, None], axis=-1)
-        if (flip.sum(axis=-1) != m).any():
-            flip = keys.argsort(axis=-1).argsort(axis=-1) < m[:, None]
-            one = m == 1
-            flip[:, one] = np.arange(keys.shape[-1]) == keys[:, one].argmin(axis=-1)[..., None]
+    # every row marks at least its m[b] smallest keys, so the count is exact
+    # only where no row ties at its threshold; stable ranks order the ties
+    if np.count_nonzero(flip) != keys.shape[0] * m.sum():
+        flip = keys.argsort(axis=-1, kind="stable").argsort(axis=-1, kind="stable") < m[:, None]
     np.copyto(out, flip)  # 1 where a spin flips, then 1 - 2 * flip
     out *= -2.0
     out += 1.0
@@ -280,10 +277,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
         for i in range(0, n, deep):
             w = min(deep, n - i)
             np.multiply(x, neighbours[i:i + w], out=cand[:w])
-            if w == 1:
-                read(0)
-            else:
-                read_window(0, w)
+            read_window(0, w)
             if not (np.subtract(cur, cand_hrv[:w], out=p[:w]) > bound).all():
                 return False
         return True

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -161,35 +160,27 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
     given = set()
     errors = []
 
+    # (source, key, value): the config file's values, then the flags'
+    given_values = []
     if config_path is not None:
         try:
             with open(config_path) as fh:
                 raw = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError([f"cannot read config: {exc}"]) from None
-        for key, value in raw.items():
-            if key not in schema:
-                errors.append(f"unknown config key {key!r}")
-                continue
-            given.add(key)
-            parser = schema[key][0]
-            try:
-                cfg[key] = parser(value)
-            except ValueError:
-                errors.append(f"config key {key!r}: cannot parse {value!r}")
-
-    for key, value in overrides.items():
-        if value is None:
-            continue
+        given_values += [("config key", key, value) for key, value in raw.items()]
+    given_values += [("option", key, value) for key, value in overrides.items()
+                     if value is not None]
+    for source, key, value in given_values:
         if key not in schema:
-            errors.append(f"option {key!r} does not apply to study {study!r}")
+            errors.append(f"unknown config key {key!r}" if source == "config key"
+                          else f"option {key!r} does not apply to study {study!r}")
             continue
         given.add(key)
-        parser = schema[key][0]
         try:
-            cfg[key] = parser(value)
+            cfg[key] = schema[key][0](value)
         except ValueError:
-            errors.append(f"option {key!r}: cannot parse {value!r}")
+            errors.append(f"{source} {key!r}: cannot parse {value!r}")
 
     if cfg.get("instance") is None:
         if (cfg.get("degree") is None) == (cfg.get("density") is None):
@@ -505,7 +496,7 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_PARSE
-    except (GraphFormatError, MatrixFormatError, json.JSONDecodeError) as exc:
+    except (GraphFormatError, MatrixFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GraphError, ValueError, IndexError) as exc:

@@ -56,7 +56,6 @@ __all__ = [
     "config_hash",
     "write_csv",
     "json_summary",
-    "write_json_summary",
     "LBL_STATES",
     "LBL_GRAPH",
     "LBL_PROB",
@@ -385,15 +384,14 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if not 1 <= K <= g.n:
-        raise ValueError(f"K must lie in 1..{g.n}")
     levels = sorted({float(lv) for lv in levels})
     if any(not (lv >= 0 and math.isfinite(lv)) for lv in levels):
         raise ValueError("noise levels must be finite and non-negative")
 
-    optimum, _ = brute_force_maxcut(g)
+    # the ensemble refuses a K outside 1..n before the oracle enumerates
     b = eigendecompose(from_graph(g))
     ens = build_ensemble(b, K)
+    optimum, _ = brute_force_maxcut(g)
 
     span = readout_span(ens, seed, span_samples)
 
@@ -544,10 +542,3 @@ def json_summary(config: dict, results) -> str:
         "results": _jsonable(results),
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def write_json_summary(path, config: dict, results) -> None:
-    """`json_summary` into `path`; a value it refuses leaves no file."""
-    text = json_summary(config, results)
-    with open(path, "w") as fh:
-        fh.write(text)

@@ -278,8 +278,8 @@ def _parse_rudy(text) -> WeightedGraph:
 def _parse_json(text) -> WeightedGraph:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
+        raise GraphFormatError(f"invalid JSON: {exc}", line=getattr(exc, "lineno", None)) from None
     # text starting with '{' loads as a dict; exact types keep bools out of ints
     n, edges = payload.get("n"), payload.get("edges")
     if type(n) is not int or not isinstance(edges, list) or not all(

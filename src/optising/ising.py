@@ -30,7 +30,6 @@ __all__ = [
     "random_state",
     "random_states",
     "read_matrix",
-    "write_matrix",
     "BRUTE_FORCE_MAX_N",
 ]
 
@@ -192,7 +191,7 @@ def read_matrix(path) -> IsingModel:
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer past Python's digit limit
             raise MatrixFormatError(f"invalid JSON: {exc}") from None
         # text starting with '{' loads as a dict; exact types keep bools out of ints
         rows = payload.get("J")
@@ -228,17 +227,3 @@ def read_matrix(path) -> IsingModel:
     J = (J + J.T) / 2.0
     np.fill_diagonal(J, 0.0)
     return IsingModel(J)
-
-
-def write_matrix(m: IsingModel, path, fmt: str = "json") -> None:
-    if fmt == "json":
-        payload = {"n": m.n, "J": [[float(v) for v in row] for row in m.J]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    elif fmt == "csv":
-        with open(path, "w") as fh:
-            for row in m.J:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")

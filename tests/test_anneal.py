@@ -367,15 +367,27 @@ def test_anneal_histories_are_pinned(backend, level, R):
 
 
 def _parent_flip_signs(keys, m):
-    """The rank rule on (B, R, n) keys: argmin for single-spin iterations,
-    argsort ranks otherwise (the reference for tied keys)."""
-    R = keys.shape[1]
-    flip = np.zeros(keys.shape, dtype=bool)
-    one = np.flatnonzero(m == 1)
-    flip[one[:, None], np.arange(R), keys[one].argmin(axis=-1)] = True
-    many = m > 1
-    flip[many] = keys[many].argsort(axis=-1).argsort(axis=-1) < m[many, None, None]
-    return np.where(flip, -1.0, 1.0)
+    """The rank rule on (B, R, n) keys: stable argsort ranks, so tied keys
+    rank by position (the reference for tied keys)."""
+    rank = keys.argsort(axis=-1, kind="stable").argsort(axis=-1)
+    return np.where(rank < m[:, None, None], -1.0, 1.0)
+
+
+# the five smallest keys are three 0.125s and two of the three 0.25s
+_TIED_ROW = [0.5, 1.0, 0.875, 0.375, 0.25, 0.75, 0.125, 0.375, 0.875, 0.875,
+             0.25, 0.125, 0.75, 0.625, 0.25, 0.5, 0.125, 0.75, 0.5, 0.75]
+
+
+@pytest.mark.parametrize("counts", [[1], [5], [5, 1]])
+def test_flip_signs_break_ties_by_position(counts):
+    # [1] takes the running-minimum path, [5] and [5, 1] the sort path
+    m = np.resize(counts, BLOCK)
+    keys = np.broadcast_to(np.array(_TIED_ROW), (3, BLOCK, len(_TIED_ROW))).copy()
+    signs = _flip_signs(keys, m, np.empty(keys.shape))
+    want = {1: [6], 5: [4, 6, 10, 11, 16]}
+    for r in range(3):
+        for b in range(BLOCK):
+            assert np.flatnonzero(signs[r, b] == -1.0).tolist() == want[m[b]]
 
 
 @pytest.mark.parametrize("tied", [False, True])

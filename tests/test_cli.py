@@ -21,7 +21,6 @@ from optising.cli import (
     resolve_config,
 )
 from optising.graph import read_graph
-from optising.ising import IsingModel, write_matrix
 
 
 def run(args):
@@ -146,6 +145,7 @@ def test_graph_without_vertices_is_a_parse_error(tmp_path, capsys, name, text):
 
 
 _HUGE_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+_LONG_INT = "1" + "0" * 5000  # past Python's 4300-digit int parsing limit
 
 
 @pytest.mark.parametrize("flag, text", [
@@ -161,7 +161,9 @@ _HUGE_INT = "1" + "0" * 400  # a JSON integer beyond the float range
     ("--matrix", '{"J": [[0, 1], [1]]}'),
     ("--matrix", '{"J": [[0, true], [true, 0]]}'),
     ("--matrix", '{"J": [[0, %s], [%s, 0]]}' % (_HUGE_INT, _HUGE_INT)),
-], ids=lambda v: v.replace(_HUGE_INT, "1e400-int"))
+    ("--graph", '{"n": %s, "edges": []}' % _LONG_INT),
+    ("--matrix", '{"J": [[0, %s], [1, 0]]}' % _LONG_INT),
+], ids=lambda v: v.replace(_LONG_INT, "5001-digit-int").replace(_HUGE_INT, "1e400-int"))
 def test_malformed_json_input_is_a_parse_error(tmp_path, capsys, flag, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -194,9 +196,9 @@ def test_file_content_not_its_name_picks_the_reader(tmp_path, capsys):
         outputs[name] = (capsys.readouterr().out.split("wrote")[0], (out / "prob.csv").read_text())
     assert outputs["json_text.rud"] == outputs["g.rud"] == outputs["rudy_text.json"]
 
-    m = IsingModel(np.array([[0.0, 0.5, -1.0], [0.5, 0.0, 0.25], [-1.0, 0.25, 0.0]]))
-    write_matrix(m, tmp_path / "m.txt", "csv")
-    write_matrix(m, tmp_path / "m.csv", "json")
+    J = [[0.0, 0.5, -1.0], [0.5, 0.0, 0.25], [-1.0, 0.25, 0.0]]
+    (tmp_path / "m.txt").write_text("".join(",".join(map(repr, row)) + "\n" for row in J))
+    (tmp_path / "m.csv").write_text(json.dumps({"n": 3, "J": J}))
     tables = []
     for name in ("m.txt", "m.csv"):
         assert run(["decompose", "--matrix", tmp_path / name]) == EXIT_OK

@@ -16,6 +16,7 @@ from optising.experiments import (
     config_hash,
     derive_seed,
     fit_exponential,
+    json_summary,
     linear_fit,
     noise_sweep,
     probability_vs_k,
@@ -23,7 +24,6 @@ from optising.experiments import (
     rmse_vs_k,
     wilson_interval,
     write_csv,
-    write_json_summary,
 )
 from optising.graph import WeightedGraph, gen_density, gen_regular
 from optising.ising import from_graph, hamiltonian, random_states
@@ -429,22 +429,19 @@ def test_write_csv_formats_columns_like_each_value(tmp_path):
     assert p.read_text() == "a\n1\n2,0.5\n\n"
 
 
-def test_write_json_summary_round_trip(tmp_path):
-    p = tmp_path / "s.json"
+def test_json_summary_round_trip():
     cfg = {"seed": 3, "ks": [1, 2]}
-    write_json_summary(p, cfg, {"value": np.float64(1.5), "arr": np.arange(3)})
-    payload = json.loads(p.read_text())
+    text = json_summary(cfg, {"value": np.float64(1.5), "arr": np.arange(3)})
+    payload = json.loads(text)
     assert payload["config"] == cfg
     assert payload["config_hash"] == config_hash(cfg)
     assert payload["results"]["arr"] == [0, 1, 2]
-    # byte-identical on rewrite
-    before = p.read_bytes()
-    write_json_summary(p, cfg, {"value": np.float64(1.5), "arr": np.arange(3)})
-    assert p.read_bytes() == before
+    # the same text on a second call
+    assert json_summary(cfg, {"value": np.float64(1.5), "arr": np.arange(3)}) == text
 
 
-def test_write_json_summary_rejects_nan_and_leaves_no_file(tmp_path):
-    p = tmp_path / "s.json"
+def test_json_summary_rejects_nan():
+    # the report directory is made only after this check, which
+    # tests/test_cli.py::test_non_finite_result_leaves_no_report covers
     with pytest.raises(ValueError):
-        write_json_summary(p, {"seed": 3}, {"rmse_relative": [1.0, float("nan")]})
-    assert not p.exists()
+        json_summary({"seed": 3}, {"rmse_relative": [1.0, float("nan")]})
