@@ -28,13 +28,12 @@ Freeze stop.  `optimal_hits` keeps only final states, so it stops a batch
 at a block end once the batch is proved frozen: every evaluator is
 noiseless, every remaining flip count is 1, and each run's n single-spin
 neighbours have d_e > 40 * T for the largest T still to come.  Then
-exp(-d_e / T) < 2**-53, below every positive draw, and no later move is
-accepted unless its draw is exactly 0.0.  The remaining draws are read
-ahead and every generator is put back; a 0.0 among them makes the batch
-step to the end.  The neighbours are read through the step's own path,
-deep (rows, n) planes at a time, so each d_e is bit-equal to the one a
-later step would compute, even where T is below the readout's rounding.
-At T = 0.0 the bound is d_e > 0, so a level move blocks the stop.
+exp(-d_e / T) < e**-40 < 2**-53, below every draw, so no later move is
+accepted, whatever the streams hold.  The neighbours are read through the
+step's own path, deep (rows, n) planes at a time, so each d_e is bit-equal
+to the one a later step would compute, even where T is below the
+readout's rounding.  At T = 0.0 the bound is d_e > 0, so a level move
+blocks the stop.
 
 Callers:
 
@@ -50,8 +49,8 @@ streams:
 
 * moves: the start state, then one key per spin and iteration; iteration k
   flips the `flip_counts[k]` spins with the smallest keys;
-* Metropolis: one uniform u per iteration, recorded where the proposal was
-  uphill;
+* Metropolis: one uniform u per iteration, floored at 2**-53, recorded
+  where the proposal was uphill;
 * noise: one Gaussian per readout, the start state's first, drawn only when
   the evaluator has a positive noise sigma.
 
@@ -64,8 +63,8 @@ states, flips and acceptance decisions are the same.
 Metropolis rule.  A move with energy step d_e at temperature T is accepted
 when u < exp(min(0, -d_e / T)): always when d_e <= 0, never when d_e > 0
 and T has underflowed to 0.0.  This equals the bounded rule
-(d_e <= 0) | ((d_e <= 700 T) & (u < exp(-d_e / T))) for every draw u > 0,
-since exp(-700) is far below the smallest positive draw, 2**-53.  Dividing
+(d_e <= 0) | ((d_e <= 700 T) & (u < exp(-d_e / T))) for every draw, since
+exp(-700) is far below the floor of the draws, 2**-53.  Dividing
 by an underflowed or tiny T raises numpy's divide, invalid (0 / -0.0) and
 overflow flags, which the rule maps to the right decision, so one
 `np.errstate` per block silences them around the iterations (never around
@@ -133,9 +132,9 @@ class AnnealTrace:
     `temperature` and `flips` follow the schedule and are shared by every
     run.  For one run the histories have shape (iters,), `final_state` (n,)
     and `final_hrv`/`final_cut` are floats; for R runs every one of them
-    gains a leading run axis.  `uniform` holds the Metropolis draw for
-    uphill proposals and NaN where the proposal was not uphill, so
-    acceptance decisions can be audited after the fact.
+    gains a leading run axis.  `uniform` holds the Metropolis draw, floored
+    at 2**-53, for uphill proposals and NaN where the proposal was not
+    uphill, so acceptance decisions can be audited after the fact.
     """
 
     temperature: np.ndarray
@@ -195,18 +194,6 @@ def _depth(R: int, analytic: bool) -> int:
     return max(1, min(BLOCK, ROWS // R)) if analytic else 1
 
 
-def _draws_zero(rngs, count: int) -> bool:
-    """Whether any generator of `rngs` draws an exact 0.0 among its next
-    `count` uniforms.  Every generator is left where it was."""
-    for rng in rngs:
-        state = rng.bit_generator.state
-        zero = not rng.random(count).all()
-        rng.bit_generator.state = state
-        if zero:
-            return True
-    return False
-
-
 def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     """Step `runs`, a list of (evaluator, seed), as one batch, one row each.
 
@@ -216,10 +203,10 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     iterations read against the current states, of which it keeps those up
     to the first accept (module docstring).  Yields, per block of BLOCK
     iterations, (slice of the block's iterations, hrv, accepted, delta_e,
-    u, states), u the raw Metropolis draws: iteration-major (nb, R) and
-    (nb, R, n) arrays that the next block overwrites.  With `stop_frozen`,
-    the last block yielded may end before `s.iters`: the batch was proved
-    frozen there, so its states are the final ones.
+    u, states), u the Metropolis draws floored at 2**-53: iteration-major
+    (nb, R) and (nb, R, n) arrays that the next block overwrites.  With
+    `stop_frozen`, the last block yielded may end before `s.iters`: the
+    batch was proved frozen there, so its states are the final ones.
     """
     n = g.n
     R = len(runs)
@@ -306,6 +293,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
         for r in range(R):
             move_rngs[r].random(out=keys[r])
             unif_rngs[r].random(out=u[r])
+        np.maximum(u, 2.0 ** -53, out=u)  # only a 0.0 moves; the freeze stop rests on it
         for rows, sigma, rngs in noisy:
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
         _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
@@ -355,9 +343,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
                states[:nb])
         k = b0 + BLOCK
         if stop and k < s.iters and (flip_counts[k:] == 1).all() and frozen(k):
-            if not _draws_zero(unif_rngs, s.iters - k):
-                return
-            stop = False  # a 0.0 draw may accept an uphill move: step to the end
+            return
 
 
 def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> AnnealTrace:

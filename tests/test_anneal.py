@@ -2,7 +2,6 @@ import hashlib
 import importlib
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ from optising.anneal import (
     RUN_CHUNK,
     Schedule,
     _depth,
-    _draws_zero,
     _flip_signs,
+    _metropolis,
     anneal,
     optimal_hits,
 )
@@ -538,7 +537,7 @@ def test_metropolis_matches_the_reference_rule(small_graph, t0, rate, iters):
     if t0 is None:
         t0 = estimate_span(ev.ensemble, samples=200, rng=np.random.default_rng(0))
     tr = anneal(ev, small_graph, Schedule(t0=t0, rate=rate, iters=iters), range(40, 56))
-    # the engine's rule differs only for a draw of exactly 0.0
+    # every draw is floored at 2**-53, so the two rules have no exception
     assert not np.any(tr.uniform == 0.0)
     assert np.array_equal(tr.accepted, _reference_accepts(tr))
     uphill = tr.delta_e > 0
@@ -549,6 +548,16 @@ def test_metropolis_matches_the_reference_rule(small_graph, t0, rate, iters):
         assert uphill.any() and tr.accepted.all()
     else:
         assert (tr.accepted & uphill).any() and (~tr.accepted & uphill).any()
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0 ** -20])
+def test_the_draw_floor_rejects_what_the_freeze_stop_rules_out(t):
+    # at the floor u = 2**-53, d_e / T = 36 accepts and 37 rejects, as
+    # ln 2**53 ~ 36.7, so the stop's bound d_e > 40 T has margin
+    d_e = t * np.array([36.0, 37.0, np.nextafter(40.0, 41.0)])
+    u = np.full(3, 2.0 ** -53)
+    ok = _metropolis(d_e, -t, u, np.empty(3), np.empty(3, dtype=bool))
+    assert ok.tolist() == [True, False, False]
 
 
 def test_level_moves_are_accepted_at_zero_temperature():
@@ -679,44 +688,44 @@ def test_batches_that_cannot_be_proved_frozen_step_to_the_end(monkeypatch):
     assert ends[3] < 640 and ends[4:6] == [640, _CYCLE_SCHEDULE.iters]
 
 
-def test_a_zero_draw_ahead_steps_the_batch_to_the_end(monkeypatch):
-    engine = importlib.import_module("optising.anneal")
+def test_a_zero_draw_is_floored_and_the_batch_still_stops(monkeypatch):
     g = _even_cycle(8)
     ev = make_evaluator(g)
     s = _CYCLE_SCHEDULE
     fires = _gap_block(s, 8, 4.0)
-    cells = [(ev, range(12))]
+    seeds = range(12)
+    plain = anneal(ev, g, s, seeds)
+
+    class ZeroAt(np.random.Generator):
+        # a stream whose draw at iteration `fires` is exactly 0.0
+        drawn = 0
+
+        def random(self, *args, out=None, **kwargs):
+            u = super().random(*args, out=out, **kwargs)
+            if self.drawn <= fires < self.drawn + u.size:
+                u[fires - self.drawn] = 0.0
+            self.drawn += u.size
+            return u
+
+    default_rng = np.random.default_rng
+
+    def rng(seed=None):
+        # a run's Metropolis stream is the second its seed spawns
+        if isinstance(seed, np.random.SeedSequence) and seed.spawn_key == (1,):
+            return ZeroAt(np.random.PCG64(seed))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
     ends = _spy_batches(monkeypatch)
     finals = _spy_finals(monkeypatch)
-    optimal_hits(cells, g, s, 8.0)
-    # the certificate holds, and a 0.0 draw is said to lie ahead: the batch
-    # steps on, from the streams where the check found them, to the end
-    checks = []
-    draws_zero = engine._draws_zero
-    monkeypatch.setattr(engine, "_draws_zero", lambda rngs, count: checks.append(count)
-                        or draws_zero(rngs, count) or True)
-    optimal_hits(cells, g, s, 8.0)
-    assert ends == [fires, s.iters] and checks == [s.iters - fires]
-    assert np.array_equal(finals[0], finals[1])
-    assert np.array_equal(finals[1], anneal(ev, g, s, range(12)).final_state)
-
-
-def test_draws_zero_finds_an_exact_zero_and_moves_no_stream():
-    class ZeroAhead:
-        # a stand-in generator whose next uniforms hold one exact 0.0
-        def __init__(self):
-            self.bit_generator = types.SimpleNamespace(state="here")
-
-        def random(self, count):
-            self.bit_generator.state = "moved"
-            return np.r_[0.5, 0.0, np.full(count - 2, 0.25)]
-
-    rngs = [np.random.default_rng(sd) for sd in range(3)]
-    want = [rng.bit_generator.state for rng in rngs]
-    assert not _draws_zero(rngs, 1000)
-    assert _draws_zero(rngs + [ZeroAhead()], 1000)
-    assert [rng.bit_generator.state for rng in rngs] == want
-    assert [rng.random() for rng in rngs] == [np.random.default_rng(sd).random() for sd in range(3)]
-    zero = ZeroAhead()
-    _draws_zero([zero], 10)
-    assert zero.bit_generator.state == "here"
+    assert optimal_hits([(ev, seeds)], g, s, 8.0) == [len(seeds)]
+    assert ends == [fires]
+    assert np.array_equal(finals[0], plain.final_state)
+    # the floored 0.0 rejects an uphill move that a raw 0.0 would accept,
+    # as its p = exp(-d_e / T), about e**-45, is above 0
+    tr = anneal(ev, g, s, seeds)
+    assert (tr.uniform[:, fires] == 2.0 ** -53).all() and (tr.delta_e[:, fires] > 0).all()
+    p = np.exp(-tr.delta_e[:, fires] / tr.temperature[fires])
+    assert ((0.0 < p) & (p < 2.0 ** -53)).all()
+    assert not tr.accepted[:, fires].any()
+    assert np.array_equal(tr.final_state, plain.final_state)
