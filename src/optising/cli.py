@@ -29,7 +29,7 @@ import numpy as np
 
 from . import experiments as xp
 from .anneal import CUT_MATCH_TOL, DEFAULT_ITERS, Schedule, anneal
-from .graph import GraphError, GraphFormatError, WeightedGraph, density, gen_density, gen_regular, read_graph, write_graph
+from .graph import GraphFormatError, WeightedGraph, density, gen_density, gen_regular, read_graph, write_graph
 from .ising import MatrixFormatError, brute_force_maxcut, from_graph, read_matrix
 from .optics import HrvEvaluator
 from .spectral import build_ensemble, dump_bundle, eigendecompose, error_ratio, splits_cluster
@@ -208,10 +208,8 @@ def _load_instance(cfg) -> WeightedGraph:
 
 def _ks(cfg, n: int, default: list[int]) -> list[int]:
     """The study's ks, checked against 1..n by the studies' own rule before
-    any parsed range is expanded.  K=0 is refused for every study: its
-    relative RMSE is infinite, which the strict JSON summary cannot hold.
-    The expanded list replaces the ranges in `cfg`, so the report echoes
-    the ks themselves."""
+    any parsed range is expanded.  The expanded list replaces the ranges in
+    `cfg`, so the report echoes the ks themselves."""
     if cfg["ks"] is None:
         return default
     ks = xp._k_list(cfg["ks"], n)
@@ -360,7 +358,6 @@ def _run_rmse(cfg):
     ks = _ks(cfg, n, list(range(1, n + 1)))
     if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
-        ks = [rec.K for rec in rep.records]
         mean_rmse, mean_rel, mean_r2 = np.array(
             [(rec.rmse, rec.rmse_relative, rec.r2) for rec in rep.records]).T
     else:
@@ -499,7 +496,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, MatrixFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GraphError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:

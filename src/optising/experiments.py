@@ -104,14 +104,14 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _k_list(ks, n: int, low: int = 1) -> list[int]:
-    """The distinct ks in ascending order, each checked against low..n.
+def _k_list(ks, n: int) -> list[int]:
+    """The distinct ks in ascending order, each checked against 1..n.
 
     An entry may be a `range`, as the CLI parses 'a..b'; its ends are
     checked before it is expanded, so a huge range is refused at once."""
     parts = [k if isinstance(k, range) else range(int(k), int(k) + 1) for k in ks]
-    if any(r and (r[0] < low or r[-1] > n) for r in parts):
-        raise ValueError(f"ks must lie in {low}..{n}")
+    if any(r and (r[0] < 1 or r[-1] > n) for r in parts):
+        raise ValueError(f"ks must lie in 1..{n}")
     return sorted({k for r in parts for k in r})
 
 
@@ -192,7 +192,7 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
     if samples < 2:
         raise ValueError("need at least 2 samples")
     n = m.n
-    ks = _k_list(ks, n, low=0)
+    ks = _k_list(ks, n)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_STATES]))
     X = random_states(n, samples, rng).astype(float)
@@ -202,15 +202,13 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
     intensities = frames(ens, X)
     del X
     intensities *= ens.g
-    cum = np.zeros((samples, n + 1))  # column K: readout with K frames
-    np.cumsum(intensities, axis=1, out=cum[:, 1:])
-    del intensities
+    np.cumsum(intensities, axis=1, out=intensities)  # column K-1: readout with K frames
 
     # row j: minus the readout with ks[j] frames.  Advanced indexing lays the
     # rows out C-contiguous, and a contiguous row reduces as the 1-D column
     # of one K would.
-    x = cum.T[ks]
-    del cum
+    x = intensities.T[np.subtract(ks, 1)]
+    del intensities
     np.negative(x, out=x)
     resid = np.subtract(x, ham)
     rmse = np.sqrt(np.mean(np.square(resid, out=resid), axis=1))
@@ -238,7 +236,7 @@ def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
         raise ValueError("specify exactly one of degree or density")
     if graph_seeds < 1:
         raise ValueError("graph_seeds must be >= 1")
-    ks = _k_list(ks, n, low=0)
+    ks = _k_list(ks, n)
     stats = np.empty((graph_seeds, len(ks), 3))
     for gs in range(graph_seeds):
         gseed = derive_seed(seed, LBL_GRAPH, gs)
@@ -418,13 +416,13 @@ class TraceStudy:
     runs: int
     seed: int
     ks: list[int]
-    mean_hrv: dict[int, np.ndarray]
-    mean_cut: dict[int, np.ndarray]
-    final_hrv_mean: dict[int, float]
-    final_hrv_std: dict[int, float]
-    final_cut_mean: dict[int, float]
-    final_cut_std: dict[int, float]
-    split_cluster: dict[int, int]   # K -> splits_cluster
+    mean_hrv: dict[int, np.ndarray] = field(default_factory=dict)
+    mean_cut: dict[int, np.ndarray] = field(default_factory=dict)
+    final_hrv_mean: dict[int, float] = field(default_factory=dict)
+    final_hrv_std: dict[int, float] = field(default_factory=dict)
+    final_cut_mean: dict[int, float] = field(default_factory=dict)
+    final_cut_std: dict[int, float] = field(default_factory=dict)
+    split_cluster: dict[int, int] = field(default_factory=dict)  # K -> splits_cluster
 
 
 def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
@@ -440,9 +438,7 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
     half_total = g.total_weight() / 2.0
     b = eigendecompose(model)
 
-    study = TraceStudy(n=g.n, runs=runs, seed=seed, ks=ks, mean_hrv={}, mean_cut={},
-                       final_hrv_mean={}, final_hrv_std={}, final_cut_mean={},
-                       final_cut_std={}, split_cluster={})
+    study = TraceStudy(n=g.n, runs=runs, seed=seed, ks=ks)
     for K in ks:
         ev = HrvEvaluator(build_ensemble(b, K))
         base = derive_seed(seed, LBL_TRACE, K)
@@ -473,12 +469,6 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
 # ---------------------------------------------------------------------------
 
 def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -492,27 +482,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha1(canon.encode()).hexdigest()
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _fmt_column(values) -> list[str]:
-    """`_fmt` of every value: a column of one scalar type is formatted by
-    that type's rule in one pass, any other column value by value."""
+    """A column of integers (bools included) as digits, or of floats by
+    repr; any other column raises TypeError.  The check is on the set of
+    the column's types, so a column is formatted in one pass."""
     kinds = set(map(type, values))
-    if len(kinds) == 1:
-        (kind,) = kinds
-        if issubclass(kind, (bool, np.bool_, int, np.integer)):
-            return list(map(str, map(int, values)))
-        if issubclass(kind, (float, np.floating)):
-            return list(map(repr, map(float, values)))
-    return list(map(_fmt, values))
+    if all(issubclass(kind, (int, np.integer, np.bool_)) for kind in kinds):
+        return list(map(str, map(int, values)))
+    if all(issubclass(kind, (float, np.floating)) for kind in kinds):
+        return list(map(repr, map(float, values)))
+    raise TypeError(f"a report column must be all integers or all floats, "
+                    f"got {sorted(kind.__name__ for kind in kinds)}")
 
 
 _CSV_CHUNK = 256  # rows formatted together; bounds the strings held at once
@@ -521,15 +501,15 @@ _CSV_CHUNK = 256  # rows formatted together; bounds the strings held at once
 def write_csv(path, header, rows) -> None:
     """One row per cell; floats use repr so reruns are byte-identical.
 
-    Rows are formatted column by column, a chunk of rows at a time."""
+    Rows are formatted column by column, a chunk of rows at a time.  Each
+    column is led by its header name, so a row of any other width raises
+    ValueError."""
     rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := list(map(tuple, itertools.islice(rows, _CSV_CHUNK))):
-            if len(set(map(len, chunk))) == 1 and chunk[0]:
-                lines = map(",".join, zip(*map(_fmt_column, zip(*chunk))))
-            else:  # ragged or empty rows keep their own lengths
-                lines = (",".join(map(_fmt, row)) for row in chunk)
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            columns = (col[1:] for col in zip(header, *chunk, strict=True))
+            lines = map(",".join, zip(*map(_fmt_column, columns)))
             fh.write("".join(line + "\n" for line in lines))
 
 

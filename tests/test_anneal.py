@@ -223,7 +223,7 @@ def test_dump_trace(tmp_path, small_graph):
         assert int(acc) == int(tr.accepted[k])
 
 
-def test_estimate_optimal_probability_trivial_edge():
+def test_optimal_hits_on_a_single_edge():
     g = WeightedGraph(2, ((0, 1, 1.0),))
     ev = make_evaluator(g)
     s = Schedule(t0=2.0, rate=0.9, iters=200)  # frozen well before the end
@@ -456,6 +456,7 @@ def _one_iteration_lockstep(runs, g, s):
         for r in range(R):
             move_rngs[r].random(out=keys[r])
             unif_rngs[r].random(out=u[r])
+        np.maximum(u, 2.0 ** -53, out=u)  # the engine's floor on its draws
         for rows, sigma, rngs in noisy:
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
         _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))

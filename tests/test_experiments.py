@@ -10,7 +10,6 @@ from optising.anneal import BLOCK, RUN_CHUNK, Schedule, _lockstep, anneal
 from optising.experiments import (
     LBL_STATES,
     LBL_TRACE,
-    _fmt,
     _k_list,
     anneal_trace_study,
     config_hash,
@@ -111,12 +110,10 @@ def test_rmse_vs_k_full_truncation_is_exact(rng):
 
 
 def test_rmse_vs_k_zero_truncation_limit(rng):
+    # a machine of no eigenvalues reads nothing: K=0 is refused, as the CLI refuses it
     m = random_symmetric_model(7, rng)
-    rep = rmse_vs_k(m, ks=[0], samples=300, seed=5)
-    rec = rep.by_k(0)
-    _, _, ham = sampled_readouts(m, 300, 5)
-    assert rec.rmse == pytest.approx(float(np.sqrt(np.mean(ham ** 2))), rel=1e-12)
-    assert rec.span == 0.0
+    with pytest.raises(ValueError, match=r"ks must lie in 1\.\.7"):
+        rmse_vs_k(m, ks=[0], samples=300, seed=5)
 
 
 def test_rmse_vs_k_shared_states_across_k(rng):
@@ -160,7 +157,7 @@ def per_k_reference(m, ks, samples, seed):
     _, cum, ham = sampled_readouts(m, samples, seed)
     out = []
     for K in sorted(set(ks)):
-        vals = cum[:, K - 1] if K > 0 else np.zeros(samples)
+        vals = cum[:, K - 1]
         resid = (-vals) - ham
         rmse = float(np.sqrt(np.mean(resid ** 2)))
         span = float(vals.max() - vals.min())
@@ -176,10 +173,10 @@ def test_rmse_vs_k_equals_per_k_reference(graph, samples):
          "density": lambda: gen_density(10, 0.4, -1.0, 1.0, seed=1),
          "edgeless": lambda: WeightedGraph(6)}[graph]()
     m = from_graph(g)
-    rep = rmse_vs_k(m, range(g.n + 1), samples, seed=4)
+    rep = rmse_vs_k(m, range(1, g.n + 1), samples, seed=4)
     got = [(r.K, r.slope, r.intercept, r.r2, r.rmse, r.span, r.rmse_relative)
            for r in rep.records]
-    want = per_k_reference(m, range(g.n + 1), samples, seed=4)
+    want = per_k_reference(m, range(1, g.n + 1), samples, seed=4)
     assert got == want
     # -0.0 == 0.0, so the signs of zeros are compared on their own
     assert [[math.copysign(1.0, v) for v in rec] for rec in got] == \
@@ -202,8 +199,8 @@ def test_k_list_checks_a_range_by_its_ends():
     assert _k_list([range(4, 7), 2, 5], 10) == [2, 4, 5, 6]
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="ks must lie in 0..10"):
-            _k_list([3, range(1, 10**12)], 10, low=0)
+        with pytest.raises(ValueError, match="ks must lie in 1..10"):
+            _k_list([3, range(1, 10**12)], 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,7 +236,7 @@ def test_rmse_curve_averaged_checks_ks_before_any_graph(monkeypatch):
         raise AssertionError("a graph was generated before ks was checked")
 
     monkeypatch.setattr("optising.experiments.gen_regular", counted_gen_regular)
-    with pytest.raises(ValueError, match="ks must lie in 0..20"):
+    with pytest.raises(ValueError, match="ks must lie in 1..20"):
         rmse_curve_averaged(20, [0, 99], 100, 3, 0, degree=3)
     assert calls == []
 
@@ -411,33 +408,46 @@ def test_write_csv_repr_floats(tmp_path):
 
 
 def test_write_csv_formats_columns_like_each_value(tmp_path):
-    # one column per kind of cell, 600 rows, so the 256-row chunks see
-    # columns of one scalar type and columns that mix them
-    rng = np.random.default_rng(0)
-    rows = []
+    # 600 rows, so every column crosses the 256-row chunk boundary; e and f
+    # cycle through every integer and every float kind with their texts
+    ints = [(7, "7"), (np.int64(-3), "-3"), (True, "1"), (np.bool_(False), "0"),
+            (np.uint8(255), "255")]
+    floats = [(0.1, "0.1"), (-0.0, "-0.0"), (math.inf, "inf"), (-math.inf, "-inf"),
+              (math.nan, "nan"), (np.float64(2.5e-300), "2.5e-300"),
+              (np.float32(0.1), "0.10000000149011612"), (np.float32(-0.0), "-0.0"),
+              (1e16, "1e+16")]
+    rows, want = [], ["a,b,c,d,e,f,g,h\n"]
     for i in range(600):
-        mixed = [i, float(i) / 7, np.int64(i), np.float64(-0.0), np.bool_(i % 2), True][i % 6]
-        rows.append((i, float(i) / 3, np.int64(-i), np.float64(rng.normal()), np.bool_(i % 3 == 0),
-                     i % 2 == 0, [-0.0, float("inf"), float("nan")][i % 3],
-                     np.float32(i) / 9, "s" if i < 300 else i, mixed if i >= 256 else i))
+        (iv, itext), (fv, ftext) = ints[i % len(ints)], floats[i % len(floats)]
+        rows.append((i, np.int64(-i), i % 2 == 0, np.bool_(i % 3 == 0), iv, fv,
+                     i / 4, np.float32(i) / 8))
+        quarter = f"{i // 4}.{['0', '25', '5', '75'][i % 4]}"
+        eighth = f"{i // 8}.{['0', '125', '25', '375', '5', '625', '75', '875'][i % 8]}"
+        want.append(f"{i},{-i},{1 - i % 2},{int(i % 3 == 0)},{itext},{ftext},"
+                    f"{quarter},{eighth}\n")
     p = tmp_path / "t.csv"
-    write_csv(p, list("abcdefghij"), iter(rows))
-    want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    assert p.read_text() == "a,b,c,d,e,f,g,h,i,j\n" + want
-    # ragged rows keep their own lengths
-    write_csv(p, ["a"], [(1,), (2, 0.5), ()])
-    assert p.read_text() == "a\n1\n2,0.5\n\n"
+    write_csv(p, list("abcdefgh"), iter(rows))
+    assert p.read_text() == "".join(want)
+    # a column that mixes integers with floats, or holds a str, has no one rule
+    for bad in ([(1,), (2.5,)], [(np.int64(1),), (np.float64(2.5),)], [("s",)],
+                [(1,)] * 300 + [(2,), (0.5,)]):
+        with pytest.raises(TypeError, match="all integers or all floats"):
+            write_csv(p, ["a"], bad)
+    # every row has the header's width
+    for bad in ([(1,), (2, 0.5)], [(1,)] * 300 + [(1, 2)], [()]):
+        with pytest.raises(ValueError, match="zip"):
+            write_csv(p, ["a"], bad)
 
 
 def test_json_summary_round_trip():
     cfg = {"seed": 3, "ks": [1, 2]}
-    text = json_summary(cfg, {"value": np.float64(1.5), "arr": np.arange(3)})
+    text = json_summary(cfg, {"value": np.float64(1.5), "arr": [0, 1, 2]})
     payload = json.loads(text)
     assert payload["config"] == cfg
     assert payload["config_hash"] == config_hash(cfg)
     assert payload["results"]["arr"] == [0, 1, 2]
     # the same text on a second call
-    assert json_summary(cfg, {"value": np.float64(1.5), "arr": np.arange(3)}) == text
+    assert json_summary(cfg, {"value": np.float64(1.5), "arr": [0, 1, 2]}) == text
 
 
 def test_json_summary_rejects_nan():
