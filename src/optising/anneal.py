@@ -1,8 +1,7 @@
 """Simulated annealing on spin states with the optical readout as energy.
 
 Energy is minus the accumulated readout, so larger readouts win.  A move
-flips max(1, round(n*T/t0)) distinct spins: whole-state shakes at the
-start, single-spin refinement near the freeze.
+flips max(1, round(n*T/t0)) distinct spins, a single spin near the freeze.
 
 One engine core, `_lockstep`, steps every run of a batch in lock-step; the
 flip count of an iteration comes from the schedule, so it is the same for
@@ -18,22 +17,24 @@ against the current states and keeps the iterations up to the first in
 which any run accepted, then applies that accept.  w doubles after a step
 without an accept and drops to the step's advance after one.  A window
 reads at most ROWS candidate rows and one block, deep = max(1, min(BLOCK,
-ROWS // R)) iterations; a batch with a field evaluator steps one iteration
-at a time, as a field readout costs no less per state in a block.  A kept
+ROWS // R)) iterations, and a batch with a field evaluator one.  A kept
 iteration is bit-equal to one read alone: a stacked (w, rows, n) product
 makes the same BLAS call per plane as one iteration's (rows, n) product,
 where a flattened (w * rows, n) product would move the last bits.
 
-Freeze stop.  `optimal_hits` keeps only final states, so it stops a batch
-at a block end once the batch is proved frozen: every evaluator is
-noiseless, every remaining flip count is 1, and each run's n single-spin
-neighbours have d_e > 40 * T for the largest T still to come.  Then
-exp(-d_e / T) < e**-40 < 2**-53, below every draw, so no later move is
-accepted, whatever the streams hold.  The neighbours are read through the
-step's own path, deep (rows, n) planes at a time, so each d_e is bit-equal
-to the one a later step would compute, even where T is below the
-readout's rounding.  At T = 0.0 the bound is d_e > 0, so a level move
-blocks the stop.
+Single-spin phase.  `optimal_hits` keeps only final states, so a batch of
+analytic evaluators stops reading at the first block from which every move
+flips one spin, the argmin of a run's keys (`_flip_signs`' tie rule).  The
+readout is x^T J_K x, J_K = xi^T diag(g) xi, so with h = x @ J_K,
+D = 4 x*h - 4 diag(J_K) holds a run's every single-spin d_e.  A block is
+decided in rounds: the Metropolis rule over the live runs' rest of the
+block, then each run's first accept flips spin p, adds -2 x_p J_K[p] to h
+and refreshes its row of D; the runs that accepted go again.  A noisy run
+decides with D_p + off - z, off its reading's noise, which an accept sets
+to that iteration's z.  A noiseless run retires at a block end once its
+row of D exceeds 40 * T for the largest T still to come, as
+exp(-d_e / T) < e**-40 < 2**-53 lies below every draw; it draws nothing
+more.  At T = 0.0 the bound is d_e > 0.  The last retirement ends the batch.
 
 Callers:
 
@@ -55,20 +56,19 @@ streams:
   the evaluator has a positive noise sigma.
 
 Every stream is drawn in fixed blocks of BLOCK iterations whether or not a
-draw is used, so run r depends only on seed_r, never on how many runs share
-its batch or on its position there.  A batched readout is one matrix
-product, whose rounding may differ from a single run's in the last bits;
-states, flips and acceptance decisions are the same.
+draw is used, until the run retires, so run r depends only on seed_r,
+never on how many runs share its batch or on its position there.  A
+batched readout is one matrix product, and a local-field d_e its own sum,
+whose rounding may differ from a single run's in the last bits; states,
+flips and acceptance decisions are the same.
 
 Metropolis rule.  A move with energy step d_e at temperature T is accepted
 when u < exp(min(0, -d_e / T)): always when d_e <= 0, never when d_e > 0
-and T has underflowed to 0.0.  This equals the bounded rule
-(d_e <= 0) | ((d_e <= 700 T) & (u < exp(-d_e / T))) for every draw, since
-exp(-700) is far below the floor of the draws, 2**-53.  Dividing
+and T has underflowed to 0.0.  As exp(-700) is far below the draws' floor,
+it equals (d_e <= 0) | ((d_e <= 700 T) & (u < exp(-d_e / T))).  Dividing
 by an underflowed or tiny T raises numpy's divide, invalid (0 / -0.0) and
 overflow flags, which the rule maps to the right decision, so one
-`np.errstate` per block silences them around the iterations (never around
-a `yield`).
+`np.errstate` per block silences them (never around a `yield`).
 """
 
 from __future__ import annotations
@@ -194,6 +194,30 @@ def _depth(R: int, analytic: bool) -> int:
     return max(1, min(BLOCK, ROWS // R)) if analytic else 1
 
 
+class _LocalFields:
+    """The single-spin phase's view of a batch's states x (module
+    docstring): per run h = x @ J_K and D = 4 x*h - 4 diag(J_K), where D[r, p]
+    is the d_e of flipping spin p of run r."""
+
+    def __init__(self, groups, x):
+        couplings = [(ev.ensemble.xi.T * ev.ensemble.g) @ ev.ensemble.xi for _, ev in groups]
+        self.x = x
+        self.J = np.stack(couplings)
+        self.group = np.repeat(np.arange(len(groups)), [r.stop - r.start for r, _ in groups])
+        self.h = np.empty_like(x)
+        for (rows, _), J in zip(groups, couplings):
+            np.matmul(x[rows], J, out=self.h[rows])
+        self.diag4 = 4.0 * np.diagonal(self.J, axis1=1, axis2=2)[self.group]
+        self.D = 4.0 * x * self.h - self.diag4
+
+    def flip(self, runs, spins):
+        """Flip spin spins[i] of run runs[i] and update those runs' h and D."""
+        xp = self.x[runs, spins]
+        self.h[runs] -= 2.0 * xp[:, None] * self.J[self.group[runs], spins]
+        self.x[runs, spins] = -xp
+        self.D[runs] = 4.0 * self.x[runs] * self.h[runs] - self.diag4[runs]
+
+
 def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     """Step `runs`, a list of (evaluator, seed), as one batch, one row each.
 
@@ -205,8 +229,11 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     iterations, (slice of the block's iterations, hrv, accepted, delta_e,
     u, states), u the Metropolis draws floored at 2**-53: iteration-major
     (nb, R) and (nb, R, n) arrays that the next block overwrites.  With
-    `stop_frozen`, the last block yielded may end before `s.iters`: the
-    batch was proved frozen there, so its states are the final ones.
+    `stop_frozen`, a batch of analytic evaluators takes the single-spin
+    phase (module docstring); a block after the switch yields None for hrv,
+    accepted, delta_e and u, and as states the (1, R, n) view of the states
+    at its end.  The last block yielded ends where the last run retired, or
+    at `s.iters`, and its states are the final ones.
     """
     n = g.n
     R = len(runs)
@@ -228,11 +255,12 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     # the last block's keys past `iters` are drawn anyway; giving them the
     # last flip count lets every block select flips on whole buffers
     flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
-    deep = _depth(R, all(ev.backend == "analytic" for _, ev in groups))
+    analytic = all(ev.backend == "analytic" for _, ev in groups)
+    deep = _depth(R, analytic)
     cand = np.empty((deep, R, n))
     cand_hrv = np.empty((deep, R))
     p = np.empty((deep, R))  # acceptance probabilities
-    z = np.empty((R, BLOCK))  # noise; the start readout's draws borrow column 0
+    z = np.zeros((R, BLOCK))  # noise; the start readout's draws borrow column 0
     readers = [(rows, np.empty((deep, rows.stop - rows.start, ev.K)), ev.ensemble, ev.backend,
                 ev.sigma > 0) for rows, ev in groups]
     # one iteration reads through 2-D plane views: a stacked product on a
@@ -256,20 +284,6 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
             if noisy_rows:
                 out += z[rows, j:j + w].T
 
-    def frozen(k):
-        # the freeze certificate from iteration k on (module docstring); the
-        # neighbours are read as a step reads, so their d_e are its bits
-        bound = 40.0 * -float(neg_t[k:].min())  # the largest T still to come
-        neighbours = 1.0 - 2.0 * np.eye(n)[:, None, :]  # plane i flips spin i
-        for i in range(0, n, deep):
-            w = min(deep, n - i)
-            np.multiply(x, neighbours[i:i + w], out=cand[:w])
-            read_window(0, w)
-            if not (np.subtract(cur, cand_hrv[:w], out=p[:w]) > bound).all():
-                return False
-        return True
-
-    stop = stop_frozen and not noisy
     x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
     for rows, sigma, rngs in noisy:
         z[rows, 0] = [rng.normal(0.0, sigma) for rng in rngs]
@@ -285,15 +299,20 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     delta_e = np.empty((BLOCK, R))
     states = np.empty((BLOCK, R, n))
 
+    # a hit batch of analytic evaluators decides from local fields from the
+    # first block on whose every move flips one spin (module docstring)
+    switch = s.iters
+    if stop_frozen and analytic:  # flip counts never rise
+        switch = next((b0 for b0 in range(0, s.iters, BLOCK) if flip_counts[b0] == 1), s.iters)
     # iterations the next step reads: doubled after a step without an
     # accept, the last advance after one; a block's end may cut a step short
     width = 1
-    for b0 in range(0, s.iters, BLOCK):
+    for b0 in range(0, switch, BLOCK):
         nb = min(BLOCK, s.iters - b0)
         for r in range(R):
             move_rngs[r].random(out=keys[r])
             unif_rngs[r].random(out=u[r])
-        np.maximum(u, 2.0 ** -53, out=u)  # only a 0.0 moves; the freeze stop rests on it
+        np.maximum(u, 2.0 ** -53, out=u)  # only a 0.0 moves; retirement rests on it
         for rows, sigma, rngs in noisy:
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
         _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
@@ -341,9 +360,54 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
                     width = min(2 * width, deep)
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
-        k = b0 + BLOCK
-        if stop and k < s.iters and (flip_counts[k:] == 1).all() and frozen(k):
+    if switch == s.iters:
+        return
+
+    fields = _LocalFields(groups, x)
+    # a noisy row's d_e is D_p + off - z, off the noise of its current reading
+    off = np.zeros(R)
+    noiseless = np.ones(R, dtype=bool)
+    for rows, *_ in noisy:
+        off[rows] = cur[rows] - np.einsum("ij,ij->i", x[rows], fields.h[rows])
+        noiseless[rows] = False
+    live = np.arange(R)
+    for b0 in range(switch, s.iters, BLOCK):
+        bound = 40.0 * -float(neg_t[b0:].min())  # the largest T still to come
+        live = live[~(noiseless[live] & (fields.D[live] > bound).all(axis=1))]
+        if not live.size:
             return
+        nb = min(BLOCK, s.iters - b0)
+        for i, r in enumerate(live):
+            move_rngs[r].random(out=keys[i])
+            unif_rngs[r].random(out=u[i])
+        np.maximum(u[:live.size], 2.0 ** -53, out=u[:live.size])
+        for rows, sigma, rngs in noisy:
+            z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
+        picks = keys[:live.size].argmin(axis=-1)
+        # rounds: each run of `act`, a position in `live`, decides its
+        # iterations from nxt on and takes its first accept
+        nxt = np.zeros(live.size, dtype=np.intp)
+        act = np.arange(live.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while act.size:
+                j0 = int(nxt[act].min())
+                rr = live[act]
+                d_e = fields.D[rr[:, None], picks[act, j0:nb]]
+                if noisy:
+                    d_e += off[rr, None]
+                    d_e -= z[rr, j0:nb]
+                ok = _metropolis(d_e, neg_t[b0 + j0:b0 + nb, 0], u[act, j0:nb], d_e, None)
+                ok &= np.arange(j0, nb) >= nxt[act, None]
+                first = ok.argmax(axis=1)
+                took = ok[np.arange(act.size), first]
+                act, first = act[took], first[took] + j0
+                rr = live[act]
+                fields.flip(rr, picks[act, first])
+                if noisy:
+                    off[rr] = z[rr, first]
+                nxt[act] = first + 1
+                act = act[nxt[act] < nb]
+        yield slice(b0, b0 + nb), None, None, None, None, x[None]
 
 
 def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> AnnealTrace:
@@ -386,8 +450,8 @@ def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[i
     the cell's runs, one per seed, end in a cut equal to `optimum`.
 
     The runs of all cells are stepped together, HIT_CHUNK at a time, and
-    only their final states are kept; a batch stops once it is proved
-    frozen (module docstring).
+    only their final states are kept; a batch of analytic evaluators ends
+    once its last run retires (module docstring).
     """
     runs = [(ev, sd) for ev, seeds in cells for sd in seeds]
     owner = np.repeat(np.arange(len(cells)), [len(seeds) for _, seeds in cells])

@@ -482,15 +482,16 @@ def config_hash(config: dict) -> str:
     return hashlib.sha1(canon.encode()).hexdigest()
 
 
-def _fmt_column(values) -> list[str]:
+def _fmt_column(values) -> tuple[type, list[str]]:
     """A column of integers (bools included) as digits, or of floats by
-    repr; any other column raises TypeError.  The check is on the set of
-    the column's types, so a column is formatted in one pass."""
+    repr, with its kind, int or float; any other column raises TypeError.
+    The check is on the set of the column's types, so a column is formatted
+    in one pass."""
     kinds = set(map(type, values))
     if all(issubclass(kind, (int, np.integer, np.bool_)) for kind in kinds):
-        return list(map(str, map(int, values)))
+        return int, list(map(str, map(int, values)))
     if all(issubclass(kind, (float, np.floating)) for kind in kinds):
-        return list(map(repr, map(float, values)))
+        return float, list(map(repr, map(float, values)))
     raise TypeError(f"a report column must be all integers or all floats, "
                     f"got {sorted(kind.__name__ for kind in kinds)}")
 
@@ -501,16 +502,22 @@ _CSV_CHUNK = 256  # rows formatted together; bounds the strings held at once
 def write_csv(path, header, rows) -> None:
     """One row per cell; floats use repr so reruns are byte-identical.
 
-    Rows are formatted column by column, a chunk of rows at a time.  Each
-    column is led by its header name, so a row of any other width raises
-    ValueError."""
+    Rows are formatted column by column, a chunk of rows at a time, and each
+    column keeps the kind of its first chunk.  Each column is led by its
+    header name, so a row of any other width raises ValueError."""
     rows = iter(rows)
+    first = None  # each column's kind in the first chunk
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
             columns = (col[1:] for col in zip(header, *chunk, strict=True))
-            lines = map(",".join, zip(*map(_fmt_column, columns)))
-            fh.write("".join(line + "\n" for line in lines))
+            kinds, texts = zip(*map(_fmt_column, columns))
+            first = first or kinds
+            for name, was, now in zip(header, first, kinds):
+                if now is not was:
+                    raise TypeError(f"a report column must be all integers or all floats, "
+                                    f"but {name!r} turns from {was.__name__} to {now.__name__}")
+            fh.write("".join(",".join(line) + "\n" for line in zip(*texts)))
 
 
 def json_summary(config: dict, results) -> str:

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_N = 28
-_GROUND_STATE_BLOCK = 1 << 20  # energies evaluated per block, ~8 MB
+_GROUND_STATE_BLOCK = 1 << 17  # energies evaluated per block, ~1 MB
 
 
 class MatrixFormatError(ValueError):

@@ -19,7 +19,7 @@ from optising.anneal import (
     optimal_hits,
 )
 from optising.cli import main
-from optising.experiments import LBL_TRACE, anneal_trace_study, derive_seed
+from optising.experiments import LBL_SPAN, LBL_TRACE, anneal_trace_study, derive_seed
 from optising.graph import WeightedGraph, gen_regular, write_graph
 from optising.ising import brute_force_maxcut, cut_value, from_graph, random_state
 from optising.optics import HrvEvaluator, estimate_span, frames
@@ -730,3 +730,86 @@ def test_a_zero_draw_is_floored_and_the_batch_still_stops(monkeypatch):
     assert ((0.0 < p) & (p < 2.0 ** -53)).all()
     assert not tr.accepted[:, fires].any()
     assert np.array_equal(tr.final_state, plain.final_state)
+
+
+def _paper_case():
+    """The criterion-6 instance and the paper's schedule: t0 the full-K
+    readout span, rate 0.995, 3000 iterations."""
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    rng = np.random.default_rng(np.random.SeedSequence([0, LBL_SPAN, 20]))
+    span = estimate_span(make_evaluator(g).ensemble, samples=1000, rng=rng)
+    return g, brute_force_maxcut(g)[0], span, Schedule(t0=span, rate=0.995, iters=3000)
+
+
+def test_hit_batches_end_where_single_runs_end_at_the_paper_schedule(monkeypatch):
+    # analytic cells, noisy included, take the local-field phase; a field
+    # cell steps every iteration through `frames` to the end
+    g, best, span, s = _paper_case()
+    analytic = _hit_cells(g, span, [(3, 0.0, 16), (13, 0.0, 16), (20, 0.0, 16), (20, 0.02, 16)])
+    field = [(make_evaluator(g, 5, backend="field"), range(500, 503))]
+    ends = _spy_batches(monkeypatch)
+    finals = _spy_finals(monkeypatch)
+    hits = optimal_hits(analytic, g, s, best) + optimal_hits(field, g, s, best)
+    monkeypatch.undo()
+    assert len(finals) == len(ends) == 2 and ends[1] == s.iters
+    singles = [anneal(ev, g, s, seeds) for ev, seeds in analytic + field]
+    assert np.array_equal(np.concatenate(finals),
+                          np.concatenate([tr.final_state for tr in singles]))
+    assert hits == [int(np.sum(np.abs(tr.final_cut - best) <= CUT_MATCH_TOL)) for tr in singles]
+    assert 0 < sum(hits) < 67
+
+
+def test_local_fields_track_the_frames_readout(monkeypatch):
+    # after every accept of the single-spin phase, on a noiseless and a
+    # noisy cell, each accepting run's h is x @ J_K and each entry p of its D
+    # row is the frames-path step readout(x) - readout(x with spin p
+    # flipped), both within 1e-12 * |J_K|_F * n
+    engine = importlib.import_module("optising.anneal")
+    g, best, span, s = _paper_case()
+    cells = _hit_cells(g, span, [(13, 0.0, 6), (13, 0.02, 6)])
+    couplings = [(ev.ensemble.xi.T * ev.ensemble.g) @ ev.ensemble.xi for ev, _ in cells]
+    neighbours = 1.0 - 2.0 * np.eye(g.n)  # row p flips spin p
+    flip = engine._LocalFields.flip
+    accepts = np.zeros(12, dtype=int)
+
+    def checked(fields, runs, spins):
+        flip(fields, runs, spins)
+        for r in runs:
+            ens, J = cells[fields.group[r]][0].ensemble, couplings[fields.group[r]]
+            x = fields.x[r]
+            bound = 1e-12 * np.linalg.norm(J) * g.n
+            assert np.max(np.abs(fields.h[r] - x @ J)) <= bound
+            read = frames(ens, np.vstack([x, x * neighbours])) @ ens.g
+            assert np.max(np.abs(fields.D[r] - (read[0] - read[1:]))) <= bound
+        accepts[runs] += 1
+
+    monkeypatch.setattr(engine._LocalFields, "flip", checked)
+    optimal_hits(cells, g, s, best)
+    assert (accepts > 0).all() and accepts.sum() > 200
+
+
+def test_uphill_decisions_are_far_from_the_readout_rounding():
+    # an uphill move is accepted iff d_e + T ln u < 0, so |d_e + T ln u| is
+    # how far d_e may move before its decision flips.  On the criterion-6
+    # instance every such margin exceeds both a rounding bound on d_e,
+    # 64 n K eps max|readout|, and the drift bound that
+    # test_local_fields_track_the_frames_readout holds the local fields to,
+    # by four orders of magnitude (smallest: 1.4e-5 at K = 3, against 1.5e-11).
+    g, _, _, s = _paper_case()
+    # Excluded: schedules whose T underflows to 0.0, the t0 = 1e-300 cases
+    # of test_metropolis_matches_the_reference_rule,
+    # test_level_moves_are_accepted_at_zero_temperature and
+    # test_batches_that_cannot_be_proved_frozen_step_to_the_end.  There an
+    # uphill margin is d_e itself, and a level move has none.
+    assert (s.temperatures() > 0.0).all()
+    for K in (3, 13, 20):
+        ev = make_evaluator(g, K)
+        tr = anneal(ev, g, s, range(32))
+        uphill = tr.delta_e > 0
+        t = np.broadcast_to(tr.temperature, uphill.shape)[uphill]
+        margin = np.abs(tr.delta_e[uphill] + t * np.log(tr.uniform[uphill]))
+        rounding = 64 * g.n * K * np.finfo(float).eps * np.max(np.abs(tr.hrv))
+        J = (ev.ensemble.xi.T * ev.ensemble.g) @ ev.ensemble.xi
+        drift = 1e-12 * np.linalg.norm(J) * g.n
+        assert uphill.sum() > 50_000
+        assert margin.min() > 1e4 * max(rounding, drift), K

@@ -433,6 +433,10 @@ def test_write_csv_formats_columns_like_each_value(tmp_path):
                 [(1,)] * 300 + [(2,), (0.5,)]):
         with pytest.raises(TypeError, match="all integers or all floats"):
             write_csv(p, ["a"], bad)
+    # a column keeps its first chunk's kind: integers up to the chunk edge,
+    # then a float, is a mixed column too
+    with pytest.raises(TypeError, match="'a' turns from int to float"):
+        write_csv(p, ["a"], [(1,)] * 256 + [(0.5,)])
     # every row has the header's width
     for bad in ([(1,), (2, 0.5)], [(1,)] * 300 + [(1, 2)], [()]):
         with pytest.raises(ValueError, match="zip"):
