@@ -24,7 +24,7 @@ where a flattened (w * rows, n) product would move the last bits.
 
 Single-spin phase.  `optimal_hits` keeps only final states, so a batch of
 analytic evaluators stops reading at the first block from which every move
-flips one spin, the argmin of a run's keys (`_flip_signs`' tie rule).  The
+flips one spin, the run's pick for that iteration (RNG contract).  The
 readout is x^T J_K x, J_K = xi^T diag(g) xi, so with h = x @ J_K,
 D = 4 x*h - 4 diag(J_K) holds a run's every single-spin d_e.  A block is
 decided in rounds: the Metropolis rule over the live runs' rest of the
@@ -45,11 +45,15 @@ Callers:
   and sums every block over its runs.  Its curves add the runs of a batch
   first, so their last bits depend on the batch size.
 
-RNG contract (v2).  `SeedSequence(seed_r).spawn(3)` gives run r three
-streams:
+RNG contract (v3).  Run r draws from the three children of
+`SeedSequence(seed_r).spawn(3)`, child i built alone as
+`SeedSequence(seed_r, spawn_key=(i,))`:
 
-* moves: the start state, then one key per spin and iteration; iteration k
-  flips the `flip_counts[k]` spins with the smallest keys;
+* moves: the start state, then per block either one key per spin and
+  iteration, iteration k flipping the `flip_counts[k]` spins with the
+  smallest keys, or, in a block whose first flip count is 1, one uniform
+  u per iteration, iteration k flipping spin int(n * u), a float64 product
+  truncated;
 * Metropolis: one uniform u per iteration, floored at 2**-53, recorded
   where the proposal was uphill;
 * noise: one Gaussian per readout, the start state's first, drawn only when
@@ -159,17 +163,9 @@ def _flip_signs(keys: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     with the m[b]-th smallest ranks by position, so a move still flips
     exactly m[b] spins.  `out` may be any view of that shape; the engine
     passes its iteration-major buffer transposed."""
-    if m.max() == 1:
-        # single-spin blocks, most of a cool schedule, need no sort: a
-        # running minimum over the key columns marks each smallest key
-        low = keys[..., 0].copy()
-        for i in range(1, keys.shape[-1]):
-            np.minimum(low, keys[..., i], out=low)
-        flip = keys == low[..., None]
-    else:
-        np.copyto(out, keys)
-        out.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
-        flip = keys <= np.take_along_axis(out, (m - 1)[None, :, None], axis=-1)
+    np.copyto(out, keys)
+    out.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
+    flip = keys <= np.take_along_axis(out, (m - 1)[None, :, None], axis=-1)
     # every row marks at least its m[b] smallest keys, so the count is exact
     # only where no row ties at its threshold; stable ranks order the ties
     if np.count_nonzero(flip) != keys.shape[0] * m.sum():
@@ -178,6 +174,11 @@ def _flip_signs(keys: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     out *= -2.0
     out += 1.0
     return out
+
+
+def _picks(draws, n):
+    """int(n * u) per draw u < 1, the spin it flips (RNG contract); scales `draws` in place."""
+    return np.multiply(draws, n, out=draws).astype(np.intp)
 
 
 def _metropolis(d_e, neg_t, u, p, out):
@@ -244,11 +245,13 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     for _, ev in groups:
         if ev.n != n:
             raise ValueError(f"evaluator dimension {ev.n} does not match graph n={n}")
-    streams = [np.random.SeedSequence(sd).spawn(3) for _, sd in runs]
-    move_rngs = [np.random.default_rng(ss[0]) for ss in streams]
-    unif_rngs = [np.random.default_rng(ss[1]) for ss in streams]
-    noisy = [(rows, ev.sigma, [np.random.default_rng(ss[2]) for ss in streams[rows]])
-             for rows, ev in groups if ev.sigma > 0]
+
+    def streams(i, part):
+        # child i of SeedSequence(seed).spawn(3) for each run of `part`, built alone
+        return [np.random.default_rng(np.random.SeedSequence(sd, spawn_key=(i,))) for _, sd in part]
+
+    move_rngs, unif_rngs = streams(0, runs), streams(1, runs)
+    noisy = [(rows, ev.sigma, streams(2, runs[rows])) for rows, ev in groups if ev.sigma > 0]
 
     neg_t = -s.temperatures()[:, None]  # a window divides by a column of it
     neg_t1 = neg_t[:, 0].tolist()  # Python floats: the divisor of one iteration
@@ -292,6 +295,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     cur = hrv1.copy()
 
     keys = np.empty((R, BLOCK, n))
+    draws = keys.reshape(R, -1)[:, :BLOCK]  # a single-spin block's one uniform per iteration
     signs = np.empty((BLOCK, R, n))  # iteration-major, so signs[j] is contiguous
     u = np.empty((R, BLOCK))
     hrv = np.empty((BLOCK, R))
@@ -309,13 +313,18 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     width = 1
     for b0 in range(0, switch, BLOCK):
         nb = min(BLOCK, s.iters - b0)
+        single = flip_counts[b0] == 1
         for r in range(R):
-            move_rngs[r].random(out=keys[r])
+            move_rngs[r].random(out=draws[r] if single else keys[r])
             unif_rngs[r].random(out=u[r])
         np.maximum(u, 2.0 ** -53, out=u)  # only a 0.0 moves; retirement rests on it
         for rows, sigma, rngs in noisy:
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
-        _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
+        if single:
+            signs.fill(1.0)
+            signs[np.arange(BLOCK)[:, None], np.arange(R), _picks(draws, n).T] = -1.0
+        else:
+            _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
         # the Metropolis rule maps a divide by T = 0.0, an overflow and the
         # NaN of 0 / -0.0 to the right decision (module docstring)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -378,12 +387,12 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
             return
         nb = min(BLOCK, s.iters - b0)
         for i, r in enumerate(live):
-            move_rngs[r].random(out=keys[i])
+            move_rngs[r].random(out=draws[i])
             unif_rngs[r].random(out=u[i])
         np.maximum(u[:live.size], 2.0 ** -53, out=u[:live.size])
         for rows, sigma, rngs in noisy:
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
-        picks = keys[:live.size].argmin(axis=-1)
+        picks = _picks(draws[:live.size], n)
         # rounds: each run of `act`, a position in `live`, decides its
         # iterations from nxt on and takes its first accept
         nxt = np.zeros(live.size, dtype=np.intp)
@@ -415,7 +424,7 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
 
     `seed` is one int, giving one run with 1-D histories, or a sequence of
     R ints, giving R runs whose arrays gain a leading run axis.  Run r is
-    the same whatever the other seeds are (RNG contract v2).
+    the same whatever the other seeds are (RNG contract v3).
     """
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)

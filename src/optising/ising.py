@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_N = 28
-_GROUND_STATE_BLOCK = 1 << 17  # energies evaluated per block, ~1 MB
+_GROUND_STATE_BLOCK = 1 << 17  # energies per block, ~1 MB, and at least 64 high-half rows
 
 
 class MatrixFormatError(ValueError):
@@ -145,7 +145,7 @@ def ground_state(J):
     Ea = np.einsum("ij,ij->i", Xa @ J[:a, :a], Xa)
     cross = 2.0 * J[a:, :a] @ Xa.T
     cols, rows = Xa.shape[0], 1 << (n - a)
-    step = max(1, _GROUND_STATE_BLOCK // cols)
+    step = max(64, _GROUND_STATE_BLOCK // cols)
     best_val, best_idx = -np.inf, 0
     for start in range(0, rows, step):
         # x_b reads the high index bits: drop the pinned column of an (n-a+1)-spin state

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import math
@@ -15,6 +16,7 @@ from optising.anneal import (
     _depth,
     _flip_signs,
     _metropolis,
+    _picks,
     anneal,
     optimal_hits,
 )
@@ -341,24 +343,31 @@ def test_mixed_cells_cross_the_hit_chunk_boundary(monkeypatch):
 # sha1 of (hrv, delta_e, final_state) of `anneal` on an n=16, K=11 instance;
 # reading into the engine's preallocated buffers must keep every bit
 _ANNEAL_SHA1 = {
-    ("analytic", 0.0, 1): "c726d71c64fa264114549363c271e1177bd364bc",
-    ("analytic", 0.0, 70): "6d4b6739ce7576291b743c0eaacb4115d3709131",
-    ("analytic", 0.02, 1): "a0fb31d52f5d8a437a9f252fd4cf317d24d8257c",
-    ("analytic", 0.02, 70): "c6320e394a2c1a88a9527071570452486cc189ff",
-    ("field", 0.0, 1): "7913c40e9e9837a9ea09874e114b3b3d9d18a889",
-    ("field", 0.0, 70): "581db7e8b81f4770db3be01bb41b80ac29b5fb63",
-    ("field", 0.02, 1): "15566d9cd54dc6139936dd4a8a034efeb72d1c76",
-    ("field", 0.02, 70): "2d6b739a3a2a74c4f250670dc4a4aa0c50d398c3",
+    ("analytic", 0.0, 1): "2c4478fd1bcd026b2c687f6e167a82d63e7a9040",
+    ("analytic", 0.0, 70): "a015a6799eecc7c7e004c3c66697f6afb3ce6ce5",
+    ("analytic", 0.02, 1): "0b7c5e0c2b8d3f92b50814d4fff5862f377bbd2b",
+    ("analytic", 0.02, 70): "bf08b5d929bd9fe413675f2557bef1ae1f9405e4",
+    ("field", 0.0, 1): "b914f2d436efdc5fea7285355c6ff3371482b31f",
+    ("field", 0.0, 70): "8704353095b0810f0a31cd4bfe6be1d1f53066f5",
+    ("field", 0.02, 1): "66507ef7d1a1eb94f36fe1c61228144751d2320d",
+    ("field", 0.02, 70): "e387b2ed7da14742d3f1b6e067c80383f7789baf",
 }
 
 
-@pytest.mark.parametrize("backend, level, R", list(_ANNEAL_SHA1))
-def test_anneal_histories_are_pinned(backend, level, R):
+@functools.cache
+def _pinned_trace(backend, level, R):
+    """(graph, K, trace) of a pinned history; R = 70 holds the R = 1 run as row 0."""
     g = gen_regular(16, 3, 0.0, 1.0, seed=0)
     ens = make_evaluator(g, 11).ensemble
     span = estimate_span(ens, samples=200, rng=np.random.default_rng(0))
     ev = HrvEvaluator(ens, backend=backend, sigma=level * span)
-    tr = anneal(ev, g, Schedule(t0=span, rate=0.98, iters=200), 5 if R == 1 else range(5, 5 + R))
+    return g, ens.K, anneal(ev, g, Schedule(t0=span, rate=0.98, iters=200),
+                            5 if R == 1 else range(5, 5 + R))
+
+
+@pytest.mark.parametrize("backend, level, R", list(_ANNEAL_SHA1))
+def test_anneal_histories_are_pinned(backend, level, R):
+    tr = _pinned_trace(backend, level, R)[2]
     h = hashlib.sha1()
     for a in (tr.hrv, tr.delta_e, tr.final_state):
         h.update(np.ascontiguousarray(a).tobytes())
@@ -379,7 +388,7 @@ _TIED_ROW = [0.5, 1.0, 0.875, 0.375, 0.25, 0.75, 0.125, 0.375, 0.875, 0.875,
 
 @pytest.mark.parametrize("counts", [[1], [5], [5, 1]])
 def test_flip_signs_break_ties_by_position(counts):
-    # [1] takes the running-minimum path, [5] and [5, 1] the sort path
+    # every count, 1 included, takes the sort path
     m = np.resize(counts, BLOCK)
     keys = np.broadcast_to(np.array(_TIED_ROW), (3, BLOCK, len(_TIED_ROW))).copy()
     signs = _flip_signs(keys, m, np.empty(keys.shape))
@@ -453,13 +462,19 @@ def _one_iteration_lockstep(runs, g, s):
     accepted = np.empty((BLOCK, R), dtype=bool)
     for b0 in range(0, s.iters, BLOCK):
         nb = min(BLOCK, s.iters - b0)
+        single = flip_counts[b0] == 1  # RNG contract v3: one uniform per iteration
         for r in range(R):
-            move_rngs[r].random(out=keys[r])
+            if single:
+                pick = [int(n * v) for v in move_rngs[r].random(BLOCK)]
+                signs[:, r] = np.where(np.arange(n) == np.array(pick)[:, None], -1.0, 1.0)
+            else:
+                move_rngs[r].random(out=keys[r])
             unif_rngs[r].random(out=u[r])
         np.maximum(u, 2.0 ** -53, out=u)  # the engine's floor on its draws
         for rows, sigma, rngs in noisy:
             z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
-        _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
+        if not single:
+            _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for j in range(nb):
                 np.multiply(x, signs[j], out=cand)
@@ -515,6 +530,66 @@ def test_windows_equal_one_iteration_steps(monkeypatch, R, mix, t0, rate, iters)
     assert blocks == -(-iters // BLOCK)
     assert max(widths) <= deep
     assert (max(widths) > 1) == (deep > 1)  # the frozen stretches are read in windows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63 - 1])
+def test_engine_streams_are_the_spawned_children(monkeypatch, seed):
+    # the engine builds child i of SeedSequence(seed).spawn(3) on its own,
+    # and the noise child only for a noisy evaluator
+    engine = importlib.import_module("optising.anneal")
+    g = gen_regular(16, 3, 0.0, 1.0, seed=0)
+    evaluators = [(make_evaluator(g, 5), 2), (make_evaluator(g, 5, sigma=0.1), 3)]
+    default_rng = np.random.default_rng
+    made = []
+
+    def rng(ss=None):
+        gen = default_rng(ss)
+        made.append((ss.spawn_key, gen.bit_generator.state))
+        return gen
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    spawned = np.random.SeedSequence(seed).spawn(3)
+    for ev, streams in evaluators:
+        made.clear()
+        next(engine._lockstep([(ev, seed)], g, Schedule(t0=1.0, rate=0.9, iters=10)))
+        assert made == [((i,), default_rng(spawned[i]).bit_generator.state)
+                        for i in range(streams)]
+
+
+def test_a_pick_lies_below_n_at_the_largest_draw():
+    # Generator.random draws at most 1 - 2**-53, and int(n * u) stays below n
+    u = 1.0 - 2.0 ** -53
+    assert all(_picks(np.array([u]), n)[0] == n - 1 for n in range(1, 2 ** 16))
+
+
+def test_the_move_stream_draws_keys_or_one_uniform_per_iteration(monkeypatch, small_graph):
+    # a block whose first flip count exceeds 1 draws n keys per iteration,
+    # even where its later counts are 1; a block that starts at 1 draws one
+    # uniform per iteration, the partial last block included
+    n = small_graph.n
+    s = Schedule(t0=1.0, rate=0.97, iters=300)
+    counts = s.flip_counts(n)
+    assert counts[0] > 1 and counts[BLOCK - 1] == 1 and s.iters % BLOCK
+    default_rng = np.random.default_rng
+    movers = []
+
+    def rng(ss=None):
+        gen = default_rng(ss)
+        if ss.spawn_key == (0,):
+            movers.append(gen)
+        return gen
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    seeds = [3, 4]
+    anneal(make_evaluator(small_graph), small_graph, s, seeds)
+    monkeypatch.undo()
+    assert len(movers) == len(seeds)
+    for seed, gen in zip(seeds, movers):
+        ref = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
+        random_state(n, ref)
+        for b0 in range(0, s.iters, BLOCK):
+            ref.random(BLOCK if counts[b0] == 1 else (BLOCK, n))
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def _reference_accepts(tr):
@@ -813,3 +888,29 @@ def test_uphill_decisions_are_far_from_the_readout_rounding():
         drift = 1e-12 * np.linalg.norm(J) * g.n
         assert uphill.sum() > 50_000
         assert margin.min() > 1e4 * max(rounding, drift), K
+
+
+@pytest.mark.parametrize("backend, level", [("analytic", 0.0), ("analytic", 0.02),
+                                            ("field", 0.0), ("field", 0.02)])
+def test_pinned_decisions_are_far_from_the_readout_rounding(backend, level):
+    # the audit above on the n = 16, K = 11 instance of the pinned histories:
+    # every uphill margin |d_e + T ln u| exceeds the rounding bound
+    # 64 n K eps max|readout| by 10^4 (smallest: 2.0e-4, against 2.3e-11), and
+    # no downhill or level decision has |d_e| inside it.  Excluded by name:
+    # * T = 0.0 (the t0 = 1e-300 cases listed in the audit above); this
+    #   schedule stays above 0.29;
+    # * the first two iterations, whose moves flip all 16 spins: the readout
+    #   of -x is the readout of x bit for bit, so a noiseless d_e is exactly 0
+    #   and its acceptance needs no margin.
+    g, K, tr = _pinned_trace(backend, level, 70)
+    assert (tr.temperature > 0.0).all()
+    every = tr.flips == g.n
+    assert every.tolist() == [True, True] + [False] * (tr.iters - 2)
+    assert (tr.delta_e[:, every] == 0.0).all() if level == 0.0 else tr.delta_e[:, every].all()
+    d_e, u = tr.delta_e[:, ~every], tr.uniform[:, ~every]
+    t = np.broadcast_to(tr.temperature[~every], d_e.shape)
+    rounding = 64 * g.n * K * np.finfo(float).eps * np.max(np.abs(tr.hrv))
+    uphill = d_e > 0
+    assert uphill.sum() > 9000 and (~uphill).sum() > 3000
+    assert np.abs(d_e[uphill] + t[uphill] * np.log(u[uphill])).min() > 1e4 * rounding
+    assert np.abs(d_e[~uphill]).min() > rounding

@@ -272,14 +272,15 @@ def test_solve_field_backend_stdout_is_pinned(tmp_path, capsys, n, degree, iters
 
 @pytest.mark.parametrize("extra, stdout_sha1, trace_sha1", [
     (["--oracle", "--trace-out", "trace.csv"], "d09aaf7202eccaac370a24bfd3c185de453de59f",
-     "dfd7cf8bc1aefc3a64a83eb2912d5005a524dd0d"),
-    (["--noise-level", 0.02], "245f1322092bf42738485e8d5c5cf3dc046004a4", None),
-])
+     "7153d3b1d379bc6ba04ebb49250da697d2d1b6ad"),
+    (["--noise-level", 0.02], "5497dd70eca5c618a3d9e42f96d05785bab8fbbb", None),
+], ids=["oracle-trace", "noise"])
 def test_solve_stdout_and_trace_are_pinned(tmp_path, monkeypatch, capsys, extra, stdout_sha1,
                                            trace_sha1):
-    # sha1 of the outputs of one analytic run stepped one iteration at a
-    # time; the engine's windows over a block's iterations must keep every
-    # bit.  Relative paths keep tmp_path out of stdout.
+    # sha1 of the outputs of one analytic run under RNG contract v3, whose
+    # windows test_windows_equal_one_iteration_steps holds to one-iteration
+    # steps; they must keep every bit.  Relative paths keep tmp_path out of
+    # stdout.
     monkeypatch.chdir(tmp_path)
     assert run(["gen", "--n", 22, "--degree", 5, "--seed", 0, "--out", "."]) == EXIT_OK
     capsys.readouterr()
@@ -292,20 +293,20 @@ def test_solve_stdout_and_trace_are_pinned(tmp_path, monkeypatch, capsys, extra,
 
 _STUDY_REPORT_SHA1 = {
     "prob": {
-        "prob.csv": "c9d47301304970e183b34b10d17e51d90e215af3",
-        "prob.json": "dffa10125afb8fe1d9ae97ca6639374bb60f80dd",
-        "prob_schedule0.dat": "f933d927c1efb7f21a4dde61f26ac3b63ef37f69",
-        "prob_schedule1.dat": "c46f4250afc71471eae745d57c6a7eed67e0427e",
+        "prob.csv": "f82cfa92fc6ae5dfcf4274d2843d6a5a425b24aa",
+        "prob.json": "df543898861c12bbcf15b2c02853a13b5ce0e60e",
+        "prob_schedule0.dat": "eb6dc6a69aa21bbb507bba6ec84527a1f26909d3",
+        "prob_schedule1.dat": "c5a919b20346b361fe2ebff4bc4771a5b906f220",
     },
     "noise": {
-        "noise.csv": "ad58aef6369085585208423690292601431c67ec",
-        "noise.json": "8aebe980dab661e53eec88f2a2929a253288048d",
-        "prob_vs_noise.dat": "d87a16f2615a512cc1324cacfdc2245f16d95ec7",
+        "noise.csv": "e1c3cfdbe3f662d4141cbf66d83644cbf1dd2013",
+        "noise.json": "16a70e8d39c6803d3e1c0012fb23289678a0adf3",
+        "prob_vs_noise.dat": "b3ecfdbcb4025ea4fd07be211aea7456ee0dfcc0",
     },
     "trace": {
-        "trace.json": "dbf2ef168cef66807c2467fafface7eb65c735c5",
-        "trace_k16.csv": "25e4013f64dfef02d9fbbec32ab1865f16981438",
-        "trace_k8.csv": "7ddf0c45a75d3a527c3044f665ab4a1f28c09ef9",
+        "trace.json": "f3d2e68404f78a4232e0daca5bf3742f59b67908",
+        "trace_k16.csv": "5efd9a1fc34de2a0c51ed82c8b638bf7444135da",
+        "trace_k8.csv": "a797a8175525722b6a15cdae52e9020f7026acda",
     },
 }
 
@@ -316,8 +317,9 @@ _STUDY_REPORT_SHA1 = {
     ("trace", ["--ks", "8,16", "--rate", 0.98]),
 ])
 def test_study_reports_are_pinned(tmp_path, study, extra):
-    # sha1 of the reports of the per-cell engine calls that came before the
-    # study-wide lock-step; 70 runs cross the RUN_CHUNK boundary of 64
+    # sha1 of the reports under RNG contract v3, whose hits
+    # test_hit_batches_end_where_single_runs_end_* holds to per-run `anneal`
+    # calls; 70 runs cross the RUN_CHUNK boundary of 64
     out = tmp_path / study
     assert run(["experiment", study, "--n", 16, "--degree", 3, "--iters", 500, "--runs", 70,
                 "--seed", 1, *extra, "--out", out]) == EXIT_OK
