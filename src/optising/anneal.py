@@ -33,8 +33,10 @@ and refreshes its row of D; the runs that accepted go again.  A noisy run
 decides with D_p + off - z, off its reading's noise, which an accept sets
 to that iteration's z.  A noiseless run retires at a block end once its
 row of D exceeds 40 * T for the largest T still to come, as
-exp(-d_e / T) < e**-40 < 2**-53 lies below every draw; it draws nothing
+exp(-d_e / T) < e**-40 < 2**-53 lies below every draw; it is decided no
 more.  At T = 0.0 the bound is d_e > 0.  The last retirement ends the batch.
+Every n-th block from the switch, each live run fetches the draws of up to
+n blocks with one call per stream, into the buffers the phase leaves idle.
 
 Callers:
 
@@ -59,20 +61,26 @@ RNG contract (v3).  Run r draws from the three children of
 * noise: one Gaussian per readout, the start state's first, drawn only when
   the evaluator has a positive noise sigma.
 
-Every stream is drawn in fixed blocks of BLOCK iterations whether or not a
-draw is used, until the run retires, so run r depends only on seed_r,
-never on how many runs share its batch or on its position there.  A
-batched readout is one matrix product, and a local-field d_e its own sum,
-whose rounding may differ from a single run's in the last bits; states,
-flips and acceptance decisions are the same.
+A stream's values are those of draws in fixed blocks of BLOCK iterations,
+whether or not a draw is used, until the run retires, so run r depends
+only on seed_r, never on how many runs share its batch or on its position
+there.  The single-spin phase fetches up to n blocks per call, the same
+values, as `random` and `standard_normal` consume a stream in order; so a
+retired run's generator may have moved past its retirement, and nothing
+reads it there.  A batched readout is one matrix product, and a local-field
+d_e its own sum, whose rounding may differ from a single run's in the last
+bits; states, flips and acceptance decisions are the same.
 
 Metropolis rule.  A move with energy step d_e at temperature T is accepted
-when u < exp(min(0, -d_e / T)): always when d_e <= 0, never when d_e > 0
-and T has underflowed to 0.0.  As exp(-700) is far below the draws' floor,
-it equals (d_e <= 0) | ((d_e <= 700 T) & (u < exp(-d_e / T))).  Dividing
-by an underflowed or tiny T raises numpy's divide, invalid (0 / -0.0) and
-overflow flags, which the rule maps to the right decision, so one
-`np.errstate` per block silences them (never around a `yield`).
+when u < exp(min(0, -d_e / T)), which in exact arithmetic holds when
+d_e < theta = -T ln u.  The engine computes theta once per block of draws
+and accepts where d_e <= theta, one comparison per step.  The two forms
+round differently, so they can part only where d_e lies within rounding of
+theta, an exact tie included; the tests' margin audit finds every uphill
+decision far from that.  As 2**-53 <= u < 1, theta >= 0: d_e <= 0 always
+accepts, and at T = 0.0 theta is 0, so every d_e > 0 rejects.  At T near
+1e308 theta overflows to inf, which accepts, so the theta product silences
+numpy's overflow flag, the engine's one `np.errstate`.
 """
 
 from __future__ import annotations
@@ -181,12 +189,14 @@ def _picks(draws, n):
     return np.multiply(draws, n, out=draws).astype(np.intp)
 
 
-def _metropolis(d_e, neg_t, u, p, out):
-    """Accept where u < exp(min(0, -d_e / T)), into `out`; `p` is a work buffer."""
-    np.divide(d_e, neg_t, out=p)
-    np.fmin(p, 0.0, out=p)  # fmin drops the NaN of 0 / -0.0
-    np.exp(p, out=p)
-    return np.less(u, p, out=out)
+def _threshold(u, neg_t, out):
+    """Floor the draws u at 2**-53 in place, then theta = -T ln u into `out`,
+    which may be `u`; `neg_t` is -T.  A move with energy step d_e is
+    accepted where d_e <= theta."""
+    np.maximum(u, 2.0 ** -53, out=u)  # only a 0.0 moves; retirement rests on it
+    np.log(u, out=out)
+    with np.errstate(over="ignore"):  # at T near 1e308 theta is inf, which accepts
+        return np.multiply(out, neg_t, out=out)
 
 
 def _depth(R: int, analytic: bool) -> int:
@@ -226,15 +236,20 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     with one `frames` call and adds noise to the rows of noisy evaluators
     only.  A step is one iteration, or a window of the block's next
     iterations read against the current states, of which it keeps those up
-    to the first accept (module docstring).  Yields, per block of BLOCK
+    to the first accept (module docstring).  Each block's draws are floored
+    and turned into thresholds theta = -T ln u once, so a step decides every
+    run by one comparison d_e <= theta.  Yields, per block of BLOCK
     iterations, (slice of the block's iterations, hrv, accepted, delta_e,
     u, states), u the Metropolis draws floored at 2**-53: iteration-major
     (nb, R) and (nb, R, n) arrays that the next block overwrites.  With
     `stop_frozen`, a batch of analytic evaluators takes the single-spin
-    phase (module docstring); a block after the switch yields None for hrv,
-    accepted, delta_e and u, and as states the (1, R, n) view of the states
-    at its end.  The last block yielded ends where the last run retired, or
-    at `s.iters`, and its states are the final ones.
+    phase (module docstring).  That phase fetches n blocks of draws per call
+    into the keys, signs and states buffers, which it leaves idle otherwise,
+    and checks retirement before each fetch, so a batch that stops there
+    leaves the states last yielded intact.  A block after the switch yields
+    None for hrv, accepted, delta_e and u, and as states the (1, R, n) view
+    of the states at its end.  The last block yielded ends where the last
+    run retired, or at `s.iters`, and its states are the final ones.
     """
     n = g.n
     R = len(runs)
@@ -253,8 +268,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     move_rngs, unif_rngs = streams(0, runs), streams(1, runs)
     noisy = [(rows, ev.sigma, streams(2, runs[rows])) for rows, ev in groups if ev.sigma > 0]
 
-    neg_t = -s.temperatures()[:, None]  # a window divides by a column of it
-    neg_t1 = neg_t[:, 0].tolist()  # Python floats: the divisor of one iteration
+    neg_t = -s.temperatures()
     # the last block's keys past `iters` are drawn anyway; giving them the
     # last flip count lets every block select flips on whole buffers
     flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
@@ -262,7 +276,6 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     deep = _depth(R, analytic)
     cand = np.empty((deep, R, n))
     cand_hrv = np.empty((deep, R))
-    p = np.empty((deep, R))  # acceptance probabilities
     z = np.zeros((R, BLOCK))  # noise; the start readout's draws borrow column 0
     readers = [(rows, np.empty((deep, rows.stop - rows.start, ev.K)), ev.ensemble, ev.backend,
                 ev.sigma > 0) for rows, ev in groups]
@@ -270,7 +283,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     # (1, rows, n) view costs more per call
     planes = [(cand[0, rows], intensities[0], cand_hrv[0, rows], z[rows], ens, backend, noisy_rows)
               for rows, intensities, ens, backend, noisy_rows in readers]
-    cand1, hrv1, p1 = cand[0], cand_hrv[0], p[0]
+    cand1, hrv1 = cand[0], cand_hrv[0]
 
     def read(j):
         # readouts of `cand1` into `hrv1`, plus noise column j on noisy rows only
@@ -298,6 +311,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     draws = keys.reshape(R, -1)[:, :BLOCK]  # a single-spin block's one uniform per iteration
     signs = np.empty((BLOCK, R, n))  # iteration-major, so signs[j] is contiguous
     u = np.empty((R, BLOCK))
+    theta = np.empty((BLOCK, R))  # -T ln u: accept where d_e <= theta
     hrv = np.empty((BLOCK, R))
     accepted = np.empty((BLOCK, R), dtype=bool)
     delta_e = np.empty((BLOCK, R))
@@ -317,56 +331,54 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
         for r in range(R):
             move_rngs[r].random(out=draws[r] if single else keys[r])
             unif_rngs[r].random(out=u[r])
-        np.maximum(u, 2.0 ** -53, out=u)  # only a 0.0 moves; retirement rests on it
+        _threshold(u[:, :nb].T, neg_t[b0:b0 + nb, None], theta[:nb])
         for rows, sigma, rngs in noisy:
-            z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
+            for rng, row in zip(rngs, z[rows]):
+                rng.standard_normal(out=row)
+            z[rows] *= sigma  # the bits of rng.normal(0.0, sigma, BLOCK)
         if single:
             signs.fill(1.0)
             signs[np.arange(BLOCK)[:, None], np.arange(R), _picks(draws, n).T] = -1.0
         else:
             _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
-        # the Metropolis rule maps a divide by T = 0.0, an overflow and the
-        # NaN of 0 / -0.0 to the right decision (module docstring)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            j = 0
-            while j < nb:
-                w = min(width, nb - j)
-                if w == 1:
-                    np.multiply(x, signs[j], out=cand1)
-                    read(j)
-                    d_e = np.subtract(cur, hrv1, out=delta_e[j])  # energy = -readout
-                    ok = _metropolis(d_e, neg_t1[b0 + j], u[:, j], p1, accepted[j])
-                    if np.count_nonzero(ok):
-                        np.copyto(x, cand1, where=ok[:, None])
-                        np.copyto(cur, hrv1, where=ok)
-                        width = 1
-                    else:
-                        width = min(2 * width, deep)
-                    hrv[j] = cur
-                    states[j] = x
-                    j += 1
-                    continue
-                np.multiply(x, signs[j:j + w], out=cand[:w])
-                read_window(j, w)
-                d_e = np.subtract(cur, cand_hrv[:w], out=delta_e[j:j + w])
-                ok = _metropolis(d_e, neg_t[b0 + j:b0 + j + w], u[:, j:j + w].T, p[:w],
-                                accepted[j:j + w])
-                # keep the iterations up to the first accept; the later ones
-                # read a state that this accept changes
-                any_ok = np.count_nonzero(ok)
-                f = int(ok.argmax()) // R if any_ok else w
-                hrv[j:j + f] = cur
-                states[j:j + f] = x
-                j += f
-                if any_ok:
-                    np.copyto(x, cand[f], where=ok[f, :, None])
-                    np.copyto(cur, cand_hrv[f], where=ok[f])
-                    hrv[j] = cur
-                    states[j] = x
-                    j += 1
-                    width = f + 1
+        j = 0
+        while j < nb:
+            w = min(width, nb - j)
+            if w == 1:
+                np.multiply(x, signs[j], out=cand1)
+                read(j)
+                d_e = np.subtract(cur, hrv1, out=delta_e[j])  # energy = -readout
+                ok = np.less_equal(d_e, theta[j], out=accepted[j])
+                if np.count_nonzero(ok):
+                    np.copyto(x, cand1, where=ok[:, None])
+                    np.copyto(cur, hrv1, where=ok)
+                    width = 1
                 else:
                     width = min(2 * width, deep)
+                hrv[j] = cur
+                states[j] = x
+                j += 1
+                continue
+            np.multiply(x, signs[j:j + w], out=cand[:w])
+            read_window(j, w)
+            d_e = np.subtract(cur, cand_hrv[:w], out=delta_e[j:j + w])
+            ok = np.less_equal(d_e, theta[j:j + w], out=accepted[j:j + w])
+            # keep the iterations up to the first accept; the later ones
+            # read a state that this accept changes
+            any_ok = np.count_nonzero(ok)
+            f = int(ok.argmax()) // R if any_ok else w
+            hrv[j:j + f] = cur
+            states[j:j + f] = x
+            j += f
+            if any_ok:
+                np.copyto(x, cand[f], where=ok[f, :, None])
+                np.copyto(cur, cand_hrv[f], where=ok[f])
+                hrv[j] = cur
+                states[j] = x
+                j += 1
+                width = f + 1
+            else:
+                width = min(2 * width, deep)
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
     if switch == s.iters:
@@ -379,43 +391,59 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     for rows, *_ in noisy:
         off[rows] = cur[rows] - np.einsum("ij,ij->i", x[rows], fields.h[rows])
         noiseless[rows] = False
-    live = np.arange(R)
+    # every n-th block, each live run fetches up to n blocks of draws into
+    # the buffers this phase leaves idle: moves and thresholds by position in
+    # `live` at the fetch (`pos` maps the live runs there), noise by run
+    moves, thresholds, noise = (a.reshape(R, -1) for a in (keys, signs, states))
+    live = pos = np.arange(R)
     for b0 in range(switch, s.iters, BLOCK):
         bound = 40.0 * -float(neg_t[b0:].min())  # the largest T still to come
-        live = live[~(noiseless[live] & (fields.D[live] > bound).all(axis=1))]
+        keep = ~(noiseless[live] & (fields.D[live] > bound).all(axis=1))
+        live, pos = live[keep], pos[keep]
         if not live.size:
-            return
+            return  # nothing was fetched into `states`, which holds the final states
         nb = min(BLOCK, s.iters - b0)
-        for i, r in enumerate(live):
-            move_rngs[r].random(out=draws[i])
-            unif_rngs[r].random(out=u[i])
-        np.maximum(u[:live.size], 2.0 ** -53, out=u[:live.size])
-        for rows, sigma, rngs in noisy:
-            z[rows] = [rng.normal(0.0, sigma, BLOCK) for rng in rngs]
-        picks = _picks(draws[:live.size], n)
+        c = (b0 - switch) % moves.shape[1]  # this block's first column of the fetch
+        if not c:
+            left = s.iters - b0
+            cols = min(moves.shape[1], -(-left // BLOCK) * BLOCK)  # whole blocks
+            pos = np.arange(live.size)
+            for i, r in enumerate(live):
+                move_rngs[r].random(out=moves[i, :cols])
+                unif_rngs[r].random(out=thresholds[i, :cols])
+            t = thresholds[:live.size, :min(cols, left)]
+            _threshold(t, neg_t[b0:b0 + t.shape[1]], t)
+            if noisy and b0 == switch:
+                noise.fill(0.0)  # noiseless rows subtract 0
+            for rows, sigma, rngs in noisy:
+                for rng, row in zip(rngs, noise[rows, :cols]):
+                    rng.standard_normal(out=row)
+                noise[rows, :cols] *= sigma
+        picks = _picks(moves[pos, c:c + nb], n)
+        theta = thresholds[pos, c:c + nb]
+        z = noise[:, c:c + nb]
         # rounds: each run of `act`, a position in `live`, decides its
         # iterations from nxt on and takes its first accept
         nxt = np.zeros(live.size, dtype=np.intp)
         act = np.arange(live.size)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            while act.size:
-                j0 = int(nxt[act].min())
-                rr = live[act]
-                d_e = fields.D[rr[:, None], picks[act, j0:nb]]
-                if noisy:
-                    d_e += off[rr, None]
-                    d_e -= z[rr, j0:nb]
-                ok = _metropolis(d_e, neg_t[b0 + j0:b0 + nb, 0], u[act, j0:nb], d_e, None)
-                ok &= np.arange(j0, nb) >= nxt[act, None]
-                first = ok.argmax(axis=1)
-                took = ok[np.arange(act.size), first]
-                act, first = act[took], first[took] + j0
-                rr = live[act]
-                fields.flip(rr, picks[act, first])
-                if noisy:
-                    off[rr] = z[rr, first]
-                nxt[act] = first + 1
-                act = act[nxt[act] < nb]
+        while act.size:
+            j0 = int(nxt[act].min())
+            rr = live[act]
+            d_e = fields.D[rr[:, None], picks[act, j0:nb]]
+            if noisy:
+                d_e += off[rr, None]
+                d_e -= z[rr, j0:nb]
+            ok = d_e <= theta[act, j0:nb]
+            ok &= np.arange(j0, nb) >= nxt[act, None]
+            first = ok.argmax(axis=1)
+            took = ok[np.arange(act.size), first]
+            act, first = act[took], first[took] + j0
+            rr = live[act]
+            fields.flip(rr, picks[act, first])
+            if noisy:
+                off[rr] = z[rr, first]
+            nxt[act] = first + 1
+            act = act[nxt[act] < nb]
         yield slice(b0, b0 + nb), None, None, None, None, x[None]
 
 

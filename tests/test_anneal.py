@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from optising.anneal import (
     Schedule,
     _depth,
     _flip_signs,
-    _metropolis,
     _picks,
+    _threshold,
     anneal,
     optimal_hits,
 )
@@ -632,8 +633,38 @@ def test_the_draw_floor_rejects_what_the_freeze_stop_rules_out(t):
     # ln 2**53 ~ 36.7, so the stop's bound d_e > 40 T has margin
     d_e = t * np.array([36.0, 37.0, np.nextafter(40.0, 41.0)])
     u = np.full(3, 2.0 ** -53)
-    ok = _metropolis(d_e, -t, u, np.empty(3), np.empty(3, dtype=bool))
+    ok = d_e <= _threshold(u, -t, np.empty(3))
     assert ok.tolist() == [True, False, False]
+
+
+def test_the_threshold_rule_decides_as_the_exp_form():
+    # accept where d_e <= theta = -T ln u, against the exp form
+    # u < exp(min(0, -d_e / T)), at T = 0.0, a subnormal T and a T whose
+    # theta overflows, on level moves of both signs and 1e-9 either side of
+    # theta.  They must agree wherever d_e is not within rounding of theta.
+    # The exp form rounds p = exp(-d_e / T) near 1 to 2**-53, so it resolves
+    # d_e only to about T * 2**-53 there; the bound holds T for that.
+    grid = []
+    for t in (0.0, 5e-324, 1e-300, 1.0, 1e308):
+        for u in (2.0 ** -53, 0.5, 1.0 - 2.0 ** -53):
+            theta = -t * math.log(u)  # a Python float overflows to inf quietly
+            near = [theta * (1.0 - 1e-9), theta * (1.0 + 1e-9)] if 0.0 < theta < math.inf else []
+            grid += [(t, u, d_e) for d_e in [-1.0, -0.0, 0.0, 5e-324] + near]
+    t, u, d_e = map(np.array, zip(*grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = _threshold(u, -t, np.empty(u.shape))
+        ok = d_e <= theta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = u < np.exp(np.fmin(d_e / -t, 0.0))
+        t_ln_u = t * np.log(u)
+    margin = np.abs(d_e + t_ln_u)
+    decisive = margin > 1e-12 * np.maximum(np.abs(d_e), np.maximum(np.abs(t_ln_u), t))
+    # T = 0.0 and theta = inf leave no margin to compute, and decide exactly
+    decisive |= (t == 0.0) | np.isinf(theta)
+    assert decisive.sum() >= 50 and np.array_equal(ok[decisive], want[decisive])
+    assert np.array_equal(ok[t == 0.0], d_e[t == 0.0] <= 0.0)
+    assert ok[np.isinf(theta)].all() and np.isinf(theta).sum() == 4
 
 
 def test_level_moves_are_accepted_at_zero_temperature():
@@ -807,6 +838,37 @@ def test_a_zero_draw_is_floored_and_the_batch_still_stops(monkeypatch):
     assert np.array_equal(tr.final_state, plain.final_state)
 
 
+def test_fetches_of_n_blocks_step_like_single_runs(monkeypatch):
+    # at n = 8 the single-spin phase fetches 8 blocks of draws per call; here
+    # it runs from iteration 192 to 1500, two whole fetches and a partial one
+    # that ends in a partial block.  The noisy cell keeps the batch stepping
+    # to the end, and noiseless runs retire inside the first fetch and the
+    # second, so the later fetches hold fewer runs than the batch.
+    engine = importlib.import_module("optising.anneal")
+    g = gen_regular(8, 3, 0.0, 1.0, seed=0)
+    best, _ = brute_force_maxcut(g)
+    span = estimate_span(make_evaluator(g).ensemble, samples=200, rng=np.random.default_rng(0))
+    s = Schedule(t0=span, rate=0.99, iters=1500)
+    switch = 3 * BLOCK  # the first block whose moves all flip one spin
+    assert s.flip_counts(g.n)[switch - BLOCK] > 1 == s.flip_counts(g.n)[switch]
+    cells = _hit_cells(g, span, [(3, 0.0, 6), (5, 0.0, 6), (8, 0.02, 2), (8, 0.0, 6)])
+    live = []  # the live runs of each block of the phase
+    picks = engine._picks
+    monkeypatch.setattr(engine, "_picks", lambda draws, n: live.append(len(draws)) or picks(draws, n))
+    finals = _spy_finals(monkeypatch)
+    hits = optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    assert len(live) == -(-(s.iters - switch) // BLOCK) and 2 * g.n < len(live) < 3 * g.n
+    assert s.iters % BLOCK
+    retired = [k for k in range(1, len(live)) if live[k] < live[k - 1]]
+    assert any(k < g.n for k in retired) and any(k > g.n and k % g.n for k in retired)
+    assert live[-1] == 2  # the noisy runs
+    singles = [anneal(ev, g, s, seeds) for ev, seeds in cells]
+    assert np.array_equal(finals[0], np.concatenate([tr.final_state for tr in singles]))
+    assert hits == [int(np.sum(np.abs(tr.final_cut - best) <= CUT_MATCH_TOL)) for tr in singles]
+    assert 0 < sum(hits) < 20
+
+
 def _paper_case():
     """The criterion-6 instance and the paper's schedule: t0 the full-K
     readout span, rate 0.995, 3000 iterations."""
@@ -869,7 +931,8 @@ def test_uphill_decisions_are_far_from_the_readout_rounding():
     # instance every such margin exceeds both a rounding bound on d_e,
     # 64 n K eps max|readout|, and the drift bound that
     # test_local_fields_track_the_frames_readout holds the local fields to,
-    # by four orders of magnitude (smallest: 1.4e-5 at K = 3, against 1.5e-11).
+    # by four orders of magnitude (smallest, under RNG contract v3: 7.4e-5,
+    # 1.1e-3 and 2.9e-4 at K = 3, 13 and 20, against 1.5e-11 to 1.3e-10).
     g, _, _, s = _paper_case()
     # Excluded: schedules whose T underflows to 0.0, the t0 = 1e-300 cases
     # of test_metropolis_matches_the_reference_rule,
