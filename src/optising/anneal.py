@@ -35,8 +35,8 @@ to that iteration's z.  A noiseless run retires at a block end once its
 row of D exceeds 40 * T for the largest T still to come, as
 exp(-d_e / T) < e**-40 < 2**-53 lies below every draw; it is decided no
 more.  At T = 0.0 the bound is d_e > 0.  The last retirement ends the batch.
-Every n-th block from the switch, each live run fetches the draws of up to
-n blocks with one call per stream, into the buffers the phase leaves idle.
+Every n-th block from the switch, each live run fetches up to n blocks of
+draws, one call per stream, into its rows of the phase's idle buffers.
 
 Callers:
 
@@ -73,8 +73,8 @@ bits; states, flips and acceptance decisions are the same.
 
 Metropolis rule.  A move with energy step d_e at temperature T is accepted
 when u < exp(min(0, -d_e / T)), which in exact arithmetic holds when
-d_e < theta = -T ln u.  The engine computes theta once per block of draws
-and accepts where d_e <= theta, one comparison per step.  The two forms
+d_e < theta = -T ln u.  Both phases compute theta once per block and
+accept where d_e <= theta, one comparison per step.  The two forms
 round differently, so they can part only where d_e lies within rounding of
 theta, an exact tie included; the tests' margin audit finds every uphill
 decision far from that.  As 2**-53 <= u < 1, theta >= 0: d_e <= 0 always
@@ -243,13 +243,14 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     u, states), u the Metropolis draws floored at 2**-53: iteration-major
     (nb, R) and (nb, R, n) arrays that the next block overwrites.  With
     `stop_frozen`, a batch of analytic evaluators takes the single-spin
-    phase (module docstring).  That phase fetches n blocks of draws per call
-    into the keys, signs and states buffers, which it leaves idle otherwise,
-    and checks retirement before each fetch, so a batch that stops there
-    leaves the states last yielded intact.  A block after the switch yields
-    None for hrv, accepted, delta_e and u, and as states the (1, R, n) view
-    of the states at its end.  The last block yielded ends where the last
-    run retired, or at `s.iters`, and its states are the final ones.
+    phase (module docstring).  Both phases draw through `fetch`, one row
+    per run; the single-spin phase fetches n blocks per call into the idle
+    keys, signs and states buffers.  Only a batch with noisy runs writes
+    `states` there, and as noisy runs never retire, it never stops early.
+    A block after the switch yields None for hrv, accepted, delta_e and u,
+    and as states the (1, R, n) view of the states at its end.  The last
+    block yielded ends where the last run retired, or at `s.iters`, and its
+    states are the final ones.
     """
     n = g.n
     R = len(runs)
@@ -267,6 +268,17 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
 
     move_rngs, unif_rngs = streams(0, runs), streams(1, runs)
     noisy = [(rows, ev.sigma, streams(2, runs[rows])) for rows, ev in groups if ev.sigma > 0]
+
+    def fetch(part, moves, unif, noise):
+        # row r of each buffer from run r's streams, for each run r of
+        # `part`; every noisy run is in `part`, as noisy runs never retire
+        for r in part:
+            move_rngs[r].random(out=moves[r])
+            unif_rngs[r].random(out=unif[r])
+        for rows, sigma, rngs in noisy:
+            for rng, row in zip(rngs, noise[rows]):
+                rng.standard_normal(out=row)
+            noise[rows] *= sigma  # the bits of rng.normal(0.0, sigma, size)
 
     neg_t = -s.temperatures()
     # the last block's keys past `iters` are drawn anyway; giving them the
@@ -328,14 +340,8 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     for b0 in range(0, switch, BLOCK):
         nb = min(BLOCK, s.iters - b0)
         single = flip_counts[b0] == 1
-        for r in range(R):
-            move_rngs[r].random(out=draws[r] if single else keys[r])
-            unif_rngs[r].random(out=u[r])
+        fetch(range(R), draws if single else keys.reshape(R, -1), u, z)
         _threshold(u[:, :nb].T, neg_t[b0:b0 + nb, None], theta[:nb])
-        for rows, sigma, rngs in noisy:
-            for rng, row in zip(rngs, z[rows]):
-                rng.standard_normal(out=row)
-            z[rows] *= sigma  # the bits of rng.normal(0.0, sigma, BLOCK)
         if single:
             signs.fill(1.0)
             signs[np.arange(BLOCK)[:, None], np.arange(R), _picks(draws, n).T] = -1.0
@@ -392,35 +398,24 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
         off[rows] = cur[rows] - np.einsum("ij,ij->i", x[rows], fields.h[rows])
         noiseless[rows] = False
     # every n-th block, each live run fetches up to n blocks of draws into
-    # the buffers this phase leaves idle: moves and thresholds by position in
-    # `live` at the fetch (`pos` maps the live runs there), noise by run
-    moves, thresholds, noise = (a.reshape(R, -1) for a in (keys, signs, states))
-    live = pos = np.arange(R)
+    # its rows of the buffers this phase leaves idle
+    moves, unif, noise = (a.reshape(R, -1) for a in (keys, signs, states))
+    if noisy:
+        noise.fill(0.0)  # noiseless rows subtract 0
+    live = np.arange(R)
     for b0 in range(switch, s.iters, BLOCK):
         bound = 40.0 * -float(neg_t[b0:].min())  # the largest T still to come
-        keep = ~(noiseless[live] & (fields.D[live] > bound).all(axis=1))
-        live, pos = live[keep], pos[keep]
+        live = live[~(noiseless[live] & (fields.D[live] > bound).all(axis=1))]
         if not live.size:
-            return  # nothing was fetched into `states`, which holds the final states
+            return  # a batch without noisy runs never wrote `states`, the final states
         nb = min(BLOCK, s.iters - b0)
         c = (b0 - switch) % moves.shape[1]  # this block's first column of the fetch
         if not c:
-            left = s.iters - b0
-            cols = min(moves.shape[1], -(-left // BLOCK) * BLOCK)  # whole blocks
-            pos = np.arange(live.size)
-            for i, r in enumerate(live):
-                move_rngs[r].random(out=moves[i, :cols])
-                unif_rngs[r].random(out=thresholds[i, :cols])
-            t = thresholds[:live.size, :min(cols, left)]
-            _threshold(t, neg_t[b0:b0 + t.shape[1]], t)
-            if noisy and b0 == switch:
-                noise.fill(0.0)  # noiseless rows subtract 0
-            for rows, sigma, rngs in noisy:
-                for rng, row in zip(rngs, noise[rows, :cols]):
-                    rng.standard_normal(out=row)
-                noise[rows, :cols] *= sigma
-        picks = _picks(moves[pos, c:c + nb], n)
-        theta = thresholds[pos, c:c + nb]
+            cols = min(moves.shape[1], -(-(s.iters - b0) // BLOCK) * BLOCK)  # whole blocks
+            fetch(live, moves[:, :cols], unif[:, :cols], noise[:, :cols])
+        picks = _picks(moves[live, c:c + nb], n)
+        theta = unif[live, c:c + nb]
+        _threshold(theta, neg_t[b0:b0 + nb], theta)
         z = noise[:, c:c + nb]
         # rounds: each run of `act`, a position in `live`, decides its
         # iterations from nxt on and takes its first accept

@@ -843,7 +843,8 @@ def test_fetches_of_n_blocks_step_like_single_runs(monkeypatch):
     # it runs from iteration 192 to 1500, two whole fetches and a partial one
     # that ends in a partial block.  The noisy cell keeps the batch stepping
     # to the end, and noiseless runs retire inside the first fetch and the
-    # second, so the later fetches hold fewer runs than the batch.
+    # second, so the later fetches hold fewer runs than the batch.  Each
+    # block's move and Metropolis draws are its live runs' own, in run order.
     engine = importlib.import_module("optising.anneal")
     g = gen_regular(8, 3, 0.0, 1.0, seed=0)
     best, _ = brute_force_maxcut(g)
@@ -852,17 +853,43 @@ def test_fetches_of_n_blocks_step_like_single_runs(monkeypatch):
     switch = 3 * BLOCK  # the first block whose moves all flip one spin
     assert s.flip_counts(g.n)[switch - BLOCK] > 1 == s.flip_counts(g.n)[switch]
     cells = _hit_cells(g, span, [(3, 0.0, 6), (5, 0.0, 6), (8, 0.02, 2), (8, 0.0, 6)])
-    live = []  # the live runs of each block of the phase
-    picks = engine._picks
-    monkeypatch.setattr(engine, "_picks", lambda draws, n: live.append(len(draws)) or picks(draws, n))
+    drawn = []  # per block of the phase, its picks' draws and then its Metropolis draws
+    picks, threshold = engine._picks, engine._threshold
+
+    def spy_threshold(u, neg_t, out):
+        if drawn:  # the frames path thresholds before the phase's first pick
+            drawn[-1].append(u.copy())
+        return threshold(u, neg_t, out)
+
+    monkeypatch.setattr(engine, "_picks", lambda draws, n: drawn.append([draws.copy()]) or picks(draws, n))
+    monkeypatch.setattr(engine, "_threshold", spy_threshold)
     finals = _spy_finals(monkeypatch)
     hits = optimal_hits(cells, g, s, best)
     monkeypatch.undo()
+    # run r's stream values after the frames path's blocks
+    cols = -(-(s.iters - switch) // BLOCK) * BLOCK
+    streams = []
+    for _, seeds in cells:
+        for seed in seeds:
+            move, unif = (np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[i]) for i in (0, 1))
+            random_state(g.n, move)
+            move.random((switch, g.n))
+            unif.random(switch)
+            streams.append((move.random(cols), unif.random(cols)))
+    runs = []  # the live runs of each block of the phase
+    for k, (moves, draws) in enumerate(drawn):
+        block = slice(k * BLOCK, k * BLOCK + moves.shape[1])
+        rows = [[r for r, (m, _) in enumerate(streams) if np.array_equal(row, m[block])] for row in moves]
+        assert all(len(row) == 1 for row in rows), k
+        runs.append([row[0] for row in rows])
+        assert runs[-1] == sorted(runs[-1]) and set(runs[-1]) <= set(runs[max(k - 1, 0)])
+        assert np.array_equal(draws, [streams[r][1][block] for r in runs[-1]]), k
+    live = [len(r) for r in runs]
     assert len(live) == -(-(s.iters - switch) // BLOCK) and 2 * g.n < len(live) < 3 * g.n
     assert s.iters % BLOCK
     retired = [k for k in range(1, len(live)) if live[k] < live[k - 1]]
     assert any(k < g.n for k in retired) and any(k > g.n and k % g.n for k in retired)
-    assert live[-1] == 2  # the noisy runs
+    assert runs[0] == list(range(20)) and runs[-1] == [12, 13]  # the noisy runs
     singles = [anneal(ev, g, s, seeds) for ev, seeds in cells]
     assert np.array_equal(finals[0], np.concatenate([tr.final_state for tr in singles]))
     assert hits == [int(np.sum(np.abs(tr.final_cut - best) <= CUT_MATCH_TOL)) for tr in singles]
@@ -894,6 +921,31 @@ def test_hit_batches_end_where_single_runs_end_at_the_paper_schedule(monkeypatch
                           np.concatenate([tr.final_state for tr in singles]))
     assert hits == [int(np.sum(np.abs(tr.final_cut - best) <= CUT_MATCH_TOL)) for tr in singles]
     assert 0 < sum(hits) < 67
+
+
+def test_one_field_cell_steps_the_whole_batch_through_frames(monkeypatch):
+    # the local-field phase is a rule per batch: the analytic cells,
+    # noiseless and noisy, take it on their own, but one field cell in the
+    # same `optimal_hits` call steps every run through `frames` to the end
+    engine = importlib.import_module("optising.anneal")
+    g, best, span, s = _paper_case()
+    analytic = _hit_cells(g, span, [(13, 0.0, 4), (20, 0.02, 4)])
+    cells = analytic + [(make_evaluator(g, 5, backend="field"), range(500, 503))]
+    switches = []
+    fields = engine._LocalFields
+    monkeypatch.setattr(engine, "_LocalFields", lambda *a: switches.append(a) or fields(*a))
+    optimal_hits(analytic, g, s, best)
+    assert len(switches) == 1
+    switches.clear()
+    ends = _spy_batches(monkeypatch)
+    finals = _spy_finals(monkeypatch)
+    hits = optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    assert not switches and ends == [s.iters] and len(finals) == 1
+    singles = [anneal(ev, g, s, sd) for ev, seeds in cells for sd in seeds]
+    assert np.array_equal(finals[0], np.stack([tr.final_state for tr in singles]))
+    per_run = iter(abs(tr.final_cut - best) <= CUT_MATCH_TOL for tr in singles)
+    assert hits == [sum(next(per_run) for _ in seeds) for _, seeds in cells]
 
 
 def test_local_fields_track_the_frames_readout(monkeypatch):
@@ -933,13 +985,19 @@ def test_uphill_decisions_are_far_from_the_readout_rounding():
     # test_local_fields_track_the_frames_readout holds the local fields to,
     # by four orders of magnitude (smallest, under RNG contract v3: 7.4e-5,
     # 1.1e-3 and 2.9e-4 at K = 3, 13 and 20, against 1.5e-11 to 1.3e-10).
+    # No downhill or level decision has |d_e| inside the rounding bound
+    # either (smallest: 1.2e-5, 1.7e-3 and 6.6e-4).
     g, _, _, s = _paper_case()
     # Excluded: schedules whose T underflows to 0.0, the t0 = 1e-300 cases
     # of test_metropolis_matches_the_reference_rule,
     # test_level_moves_are_accepted_at_zero_temperature and
     # test_batches_that_cannot_be_proved_frozen_step_to_the_end.  There an
-    # uphill margin is d_e itself, and a level move has none.
+    # uphill margin is d_e itself, and a level move has none.  Also excluded
+    # by name: the first six iterations, whose moves flip all 20 spins, so a
+    # noiseless d_e is exactly 0, as in the pinned-instance audit below.
     assert (s.temperatures() > 0.0).all()
+    every = s.flip_counts(g.n) == g.n
+    assert every.tolist() == [True] * 6 + [False] * (s.iters - 6)
     for K in (3, 13, 20):
         ev = make_evaluator(g, K)
         tr = anneal(ev, g, s, range(32))
@@ -951,6 +1009,10 @@ def test_uphill_decisions_are_far_from_the_readout_rounding():
         drift = 1e-12 * np.linalg.norm(J) * g.n
         assert uphill.sum() > 50_000
         assert margin.min() > 1e4 * max(rounding, drift), K
+        assert (tr.delta_e[:, every] == 0.0).all()
+        d_e = tr.delta_e[:, ~every]
+        assert (d_e <= 0).sum() > 5000
+        assert np.abs(d_e[d_e <= 0]).min() > rounding, K
 
 
 @pytest.mark.parametrize("backend, level", [("analytic", 0.0), ("analytic", 0.02),
