@@ -3,49 +3,13 @@
 Energy is minus the accumulated readout, so larger readouts win.  A move
 flips max(1, round(n*T/t0)) distinct spins, a single spin near the freeze.
 
-One engine core, `_lockstep`, steps every run of a batch in lock-step; the
-flip count of an iteration comes from the schedule, so it is the same for
-every run.  Runs may read out through different evaluators: a step reads
-each evaluator's contiguous rows with one `optics.frames` call and takes
-one vectorised Metropolis step over the batch.  The core keeps one BLOCK
-of iterations in memory, the draws run-major and the flip signs, readouts,
-decisions and states iteration-major.
-
-Windows.  A block's flip signs, draws and noise exist before its first
-iteration runs, so a step reads the candidates of the next w iterations
-against the current states and keeps the iterations up to the first in
-which any run accepted, then applies that accept.  w doubles after a step
-without an accept and drops to the step's advance after one.  A window
-reads at most ROWS candidate rows and one block, deep = max(1, min(BLOCK,
-ROWS // R)) iterations, and a batch with a field evaluator one.  A kept
-iteration is bit-equal to one read alone: a stacked (w, rows, n) product
-makes the same BLAS call per plane as one iteration's (rows, n) product,
-where a flattened (w * rows, n) product would move the last bits.
-
-Single-spin phase.  `optimal_hits` keeps only final states, so a batch of
-analytic evaluators stops reading at the first block from which every move
-flips one spin, the run's pick for that iteration (RNG contract).  The
-readout is x^T J_K x, J_K = xi^T diag(g) xi, so with h = x @ J_K,
-D = 4 x*h - 4 diag(J_K) holds a run's every single-spin d_e.  A block is
-decided in rounds: the Metropolis rule over the live runs' rest of the
-block, then each run's first accept flips spin p, adds -2 x_p J_K[p] to h
-and refreshes its row of D; the runs that accepted go again.  A noisy run
-decides with D_p + off - z, off its reading's noise, which an accept sets
-to that iteration's z.  A noiseless run retires at a block end once its
-row of D exceeds 40 * T for the largest T still to come, as
-exp(-d_e / T) < e**-40 < 2**-53 lies below every draw; it is decided no
-more.  At T = 0.0 the bound is d_e > 0.  The last retirement ends the batch.
-Every n-th block from the switch, each live run fetches up to n blocks of
-draws, one call per stream, into its rows of the phase's idle buffers.
-
-Callers:
-
-* `anneal` steps the runs of one evaluator and records every iteration.
-* `optimal_hits` steps the runs of many (evaluator, seeds) cells that share
-  a schedule, HIT_CHUNK runs per batch, and keeps only the final states.
-* `experiments.anneal_trace_study` steps each K's runs RUN_CHUNK at a time
-  and sums every block over its runs.  Its curves add the runs of a batch
-  first, so their last bits depend on the batch size.
+One engine core, `_lockstep`, steps every run of a batch in lock-step; its
+windows are described at `_depth` and its single-spin phase at
+`_LocalFields`.  `anneal` records every iteration of one evaluator's runs.
+`optimal_hits` keeps only the final states of many (evaluator, seeds)
+cells, HIT_CHUNK runs per batch.  `experiments.anneal_trace_study` sums
+every block over RUN_CHUNK runs, so its curves' last bits depend on that
+batch size.
 
 RNG contract (v3).  Run r draws from the three children of
 `SeedSequence(seed_r).spawn(3)`, child i built alone as
@@ -201,14 +165,33 @@ def _threshold(u, neg_t, out):
 
 def _depth(R: int, analytic: bool) -> int:
     """Most iterations one window of an R-run batch reads: ROWS candidate
-    rows and one block at most, and one for a batch with a field evaluator."""
+    rows and one block at most, and one for a batch with a field evaluator.
+
+    A block's flip signs, draws and noise exist before its first iteration
+    runs, so a window reads the candidates of the next w iterations against
+    the current states, keeps the iterations up to the first in which any
+    run accepted, and applies that accept.  w doubles after a step without
+    an accept and drops to the step's advance after one.  A kept iteration
+    is bit-equal to one read alone, as a stacked (w, rows, n) product makes
+    the same BLAS call per plane as one iteration's (rows, n) product."""
     return max(1, min(BLOCK, ROWS // R)) if analytic else 1
 
 
 class _LocalFields:
-    """The single-spin phase's view of a batch's states x (module
-    docstring): per run h = x @ J_K and D = 4 x*h - 4 diag(J_K), where D[r, p]
-    is the d_e of flipping spin p of run r."""
+    """The single-spin phase's view of a batch's states x: per run
+    h = x @ J_K and D = 4 x*h - 4 diag(J_K), where D[r, p] is the d_e of
+    flipping spin p of run r, as the readout is x^T J_K x with
+    J_K = xi^T diag(g) xi.
+
+    A batch of analytic evaluators with `stop_frozen` stops reading at the
+    first block from which every move flips one spin.  A block is then decided in
+    rounds: the Metropolis rule over the live runs' rest of the block, then
+    each run's first accept flips its spin; the runs that accepted go again.
+    A noisy run decides with D_p + off - z, off its reading's noise, which
+    an accept sets to that iteration's z.  A noiseless run retires at a
+    block end once its row of D exceeds 40 * T for the largest T still to
+    come, as exp(-d_e / T) < e**-40 < 2**-53 lies below every draw; at
+    T = 0.0 the bound is d_e > 0.  The last retirement ends the batch."""
 
     def __init__(self, groups, x):
         couplings = [(ev.ensemble.xi.T * ev.ensemble.g) @ ev.ensemble.xi for _, ev in groups]
@@ -236,14 +219,14 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     with one `frames` call and adds noise to the rows of noisy evaluators
     only.  A step is one iteration, or a window of the block's next
     iterations read against the current states, of which it keeps those up
-    to the first accept (module docstring).  Each block's draws are floored
+    to the first accept (`_depth`).  Each block's draws are floored
     and turned into thresholds theta = -T ln u once, so a step decides every
     run by one comparison d_e <= theta.  Yields, per block of BLOCK
     iterations, (slice of the block's iterations, hrv, accepted, delta_e,
     u, states), u the Metropolis draws floored at 2**-53: iteration-major
     (nb, R) and (nb, R, n) arrays that the next block overwrites.  With
     `stop_frozen`, a batch of analytic evaluators takes the single-spin
-    phase (module docstring).  Both phases draw through `fetch`, one row
+    phase (`_LocalFields`).  Both phases draw through `fetch`, one row
     per run; the single-spin phase fetches n blocks per call into the idle
     keys, signs and states buffers.  Only a batch with noisy runs writes
     `states` there, and as noisy runs never retire, it never stops early.

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import experiments as xp
 from .anneal import CUT_MATCH_TOL, DEFAULT_ITERS, Schedule, anneal
@@ -270,12 +269,11 @@ def cmd_decompose(args) -> int:
         return EXIT_USAGE
     m = from_graph(read_graph(args.graph)) if args.graph is not None else read_matrix(args.matrix)
     b = eigendecompose(m)
-    rows = []
+    rows = [(rank, lam, sign, error_ratio(b, rank)) for rank, (lam, sign) in
+            enumerate(zip(b.lam[b.order].tolist(), b.signs[b.order].tolist()), start=1)]
     print(f"{'rank':>4} {'eigenvalue':>24} {'sign':>4} {'error_ratio_at_K':>20}")
-    for rank, idx in enumerate(b.order, start=1):
-        mu = error_ratio(b, rank)
-        rows.append((rank, float(b.lam[idx]), int(b.signs[idx]), mu))
-        print(f"{rank:>4} {float(b.lam[idx])!r:>24} {int(b.signs[idx]):>4} {mu!r:>20}")
+    for rank, lam, sign, mu in rows:
+        print(f"{rank:>4} {lam!r:>24} {sign:>4} {mu!r:>20}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         xp.write_csv(os.path.join(args.out, "spectrum.csv"),
@@ -320,8 +318,8 @@ def cmd_solve(args) -> int:
         print(f"optimal_match={int(abs(trace.final_cut - best) <= CUT_MATCH_TOL)}")
     if args.trace_out:
         xp.write_csv(args.trace_out, ["iter", "temperature", "flips", "hrv", "cut", "accepted"],
-                     zip(range(trace.iters), trace.temperature, trace.flips, trace.hrv,
-                         trace.cut, trace.accepted))
+                     zip(range(trace.iters), trace.temperature.tolist(), trace.flips.tolist(),
+                         trace.hrv.tolist(), trace.cut.tolist(), trace.accepted.tolist()))
         print(f"wrote {args.trace_out}")
     return EXIT_OK
 
@@ -358,17 +356,18 @@ def _run_rmse(cfg):
     ks = _ks(cfg, n, list(range(1, n + 1)))
     if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
-        mean_rmse, mean_rel, mean_r2 = np.array(
-            [(rec.rmse, rec.rmse_relative, rec.r2) for rec in rep.records]).T
+        mean_rmse, mean_rel, mean_r2 = map(list, zip(
+            *[(rec.rmse, rec.rmse_relative, rec.r2) for rec in rep.records]))
     else:
-        ks, mean_rmse, mean_rel, mean_r2 = xp.rmse_curve_averaged(
+        ks, *means = xp.rmse_curve_averaged(
             n, ks, cfg["samples"], cfg["graph_seeds"], cfg["seed"],
             degree=cfg["degree"], density=cfg["density"],
             weight_low=cfg["wlow"], weight_high=cfg["whigh"])
+        mean_rmse, mean_rel, mean_r2 = (m.tolist() for m in means)
 
     curve = [(k / n, r) for k, r in zip(ks, mean_rmse)]
-    results = {"ks": list(ks), "rmse": list(mean_rmse), "rmse_relative": list(mean_rel),
-               "fit_r2": list(mean_r2)}
+    results = {"ks": list(ks), "rmse": mean_rmse, "rmse_relative": mean_rel,
+               "fit_r2": mean_r2}
     try:
         fit = xp.fit_exponential(curve)
         results["exp_fit"] = {"A": fit.A, "B": fit.B, "D": fit.D, "r2": fit.r2,
@@ -426,7 +425,8 @@ def _run_trace(cfg):
                "final_cut_std": study.final_cut_std,
                "split_cluster": study.split_cluster}
     return [(f"trace_k{K}.csv", ["iter", "mean_hrv", "mean_cut"],
-             [(i, study.mean_hrv[K][i], study.mean_cut[K][i]) for i in range(schedule.iters)])
+             list(zip(range(schedule.iters), study.mean_hrv[K].tolist(),
+                      study.mean_cut[K].tolist())))
             for K in study.ks], results
 
 
@@ -434,7 +434,9 @@ def _run_trace(cfg):
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; a parse leaves no state in it."""
     # allow_abbrev=False here and on each command: flags are spelled in full
     parser = argparse.ArgumentParser(prog="optising", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -449,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--name", default="graph")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("decompose", help="eigenvalue table with truncation error ratios",
                        allow_abbrev=False)
@@ -457,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--out")
     p.add_argument("--dump-bundle")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("solve", help="anneal one Max-cut instance", allow_abbrev=False)
     p.add_argument("--graph", required=True)
@@ -470,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--trace-out")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("experiment", help="run a study and write reports", allow_abbrev=False)
     p.add_argument("study", choices=list(_STUDY_SCHEMA))
@@ -479,16 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
     for key, parse in _EXPERIMENT_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key,
                        type=parse if parse in (int, float) else None)
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a command patched on the module is the one run
+    command = {"gen": cmd_gen, "decompose": cmd_decompose, "solve": cmd_solve,
+               "experiment": cmd_experiment}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)

@@ -485,15 +485,25 @@ def config_hash(config: dict) -> str:
 def _fmt_column(values) -> tuple[type, list[str]]:
     """A column of integers (bools included) as digits, or of floats by
     repr, with its kind, int or float; any other column raises TypeError.
-    The check is on the set of the column's types, so a column is formatted
-    in one pass."""
+    The check is on the set of the column's types, and each distinct value
+    is formatted once."""
     kinds = set(map(type, values))
     if all(issubclass(kind, (int, np.integer, np.bool_)) for kind in kinds):
-        return int, list(map(str, map(int, values)))
-    if all(issubclass(kind, (float, np.floating)) for kind in kinds):
-        return float, list(map(repr, map(float, values)))
-    raise TypeError(f"a report column must be all integers or all floats, "
-                    f"got {sorted(kind.__name__ for kind in kinds)}")
+        kind, text = int, str
+    elif all(issubclass(kind, (float, np.floating)) for kind in kinds):
+        kind, text = float, repr
+    else:
+        raise TypeError(f"a report column must be all integers or all floats, "
+                        f"got {sorted(kind.__name__ for kind in kinds)}")
+    # a NaN equals nothing, but a dict finds each NaN object by identity
+    distinct = dict.fromkeys(values)
+    if len(distinct) == len(values):  # no value repeats, so no lookups
+        return kind, list(map(text, map(kind, values)))
+    memo = dict(zip(distinct, map(text, map(kind, distinct))))
+    texts = list(map(memo.__getitem__, values))
+    if kind is float and 0 in memo:  # 0.0 and -0.0 are one key but print apart
+        texts = [repr(float(v)) if v == 0 else t for v, t in zip(values, texts)]
+    return kind, texts
 
 
 _CSV_CHUNK = 256  # rows formatted together; bounds the strings held at once
@@ -502,9 +512,10 @@ _CSV_CHUNK = 256  # rows formatted together; bounds the strings held at once
 def write_csv(path, header, rows) -> None:
     """One row per cell; floats use repr so reruns are byte-identical.
 
-    Rows are formatted column by column, a chunk of rows at a time, and each
-    column keeps the kind of its first chunk.  Each column is led by its
-    header name, so a row of any other width raises ValueError."""
+    Rows are formatted column by column, a chunk of rows at a time, each
+    distinct value of a chunk's column once, and each column keeps the kind
+    of its first chunk.  Each column is led by its header name, so a row of
+    any other width raises ValueError."""
     rows = iter(rows)
     first = None  # each column's kind in the first chunk
     with open(path, "w") as fh:

@@ -23,6 +23,7 @@ and serve as references.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,8 +71,11 @@ class MacropixelConfig:
         return self.grid_rows * self.grid_cols
 
     @classmethod
+    @functools.cache
     def for_spins(cls, n: int, block: int = 8) -> "MacropixelConfig":
-        """Smallest square grid holding n spins, padded to the next power of two."""
+        """Smallest square grid holding n spins, padded to the next power of two.
+
+        A layout is frozen, so each one is built once and then shared."""
         side = int(np.ceil(np.sqrt(n)))
         pad = 1
         while pad < side * block:

@@ -255,6 +255,24 @@ def test_solve_deterministic_stdout(tmp_path, capsys):
     assert first == second
 
 
+def test_the_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # main parses with the one parser of the process: a parse leaves nothing
+    # in it for the next, and the command it runs is looked up per call
+    assert build_parser() is build_parser()
+    run(["gen", "--n", 8, "--degree", 3, "--seed", 2, "--out", tmp_path, "--name", "g"])
+    plain = ["solve", "--graph", tmp_path / "g.rud", "--iters", 300, "--seed", 9]
+    outs = []
+    for argv in (plain, [*plain, "--oracle", "--trace-out", tmp_path / "t.csv"], plain):
+        capsys.readouterr()
+        assert run(argv) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert "optimal_cut=" in outs[1] and "wrote" in outs[1]
+    assert "optimal_cut=" not in outs[2] and "wrote" not in outs[2]
+    assert outs[2] == outs[0]
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: 17)
+    assert run(plain) == 17
+
+
 @pytest.mark.parametrize("n, degree, iters, sha1", [
     (22, 5, 200, "45386cbcb7e313c4a19b860a0ef091ed3aa59fce"),
     (40, 3, 50, "8d5c1d88a46d61def76f8ed0f128560b6c6a8166"),

@@ -443,6 +443,25 @@ def test_write_csv_formats_columns_like_each_value(tmp_path):
             write_csv(p, ["a"], bad)
 
 
+def test_write_csv_formats_equal_values_that_print_apart(tmp_path):
+    # each distinct value of a chunk's column is formatted once, so values
+    # that compare equal but print apart (the zeros) or never compare equal
+    # (the NaNs) must still give every cell its own text; the cycles cross
+    # the 256-row chunk edge, the second column in the reverse order
+    floats = [0.0, -0.0, np.float32(-0.0), np.float64(0.0), math.nan, float("nan"),
+              -math.nan, math.inf - math.inf, np.float64("nan"), np.float32("nan"),
+              math.inf, -math.inf, np.float32(-math.inf), np.float32(0.5), 0.5]
+    ints = [True, 1, np.int64(1), np.bool_(True), 0, np.bool_(False)]
+    rows = [(floats[i % len(floats)], floats[-1 - i % len(floats)], ints[i % len(ints)])
+            for i in range(600)]
+    p = tmp_path / "t.csv"
+    write_csv(p, ["a", "b", "c"], rows)
+    want = [f"{float(a)!r},{float(b)!r},{int(c)}" for a, b, c in rows]
+    assert p.read_text().splitlines() == ["a,b,c", *want]
+    assert {line.split(",")[0] for line in want} == {"0.0", "-0.0", "nan", "inf", "-inf", "0.5"}
+    assert {line.split(",")[2] for line in want} == {"0", "1"}
+
+
 def test_json_summary_round_trip():
     cfg = {"seed": 3, "ks": [1, 2]}
     text = json_summary(cfg, {"value": np.float64(1.5), "arr": [0, 1, 2]})

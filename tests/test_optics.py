@@ -71,6 +71,15 @@ def test_macropixel_config_validation():
         MacropixelConfig(block=4, grid_rows=2, grid_cols=2, pad=4)  # too small
 
 
+def test_field_layout_is_built_once_per_n():
+    # the field backend asks for the layout on every read; a frozen layout
+    # is shared, one per (n, block)
+    assert MacropixelConfig.for_spins(22) is MacropixelConfig.for_spins(22)
+    assert MacropixelConfig.for_spins(22) == MacropixelConfig(block=8, grid_rows=5,
+                                                              grid_cols=5, pad=64)
+    assert MacropixelConfig.for_spins(22, block=4).pad == 32
+
+
 def test_hrv_full_matches_quadratic_form(rng):
     for _ in range(40):
         n = int(rng.integers(2, 24))
