@@ -4,8 +4,8 @@ Energy is minus the accumulated readout, so larger readouts win.  A move
 flips max(1, round(n*T/t0)) distinct spins, a single spin near the freeze.
 
 One engine core, `_lockstep`, steps every run of a batch in lock-step; its
-windows are described at `_depth` and its single-spin phase at
-`_LocalFields`.  `anneal` records every iteration of one evaluator's runs.
+docstring states which blocks step in windows, and `_LocalFields` its
+single-spin phase.  `anneal` records every iteration of one evaluator's runs.
 `optimal_hits` keeps only the final states of many (evaluator, seeds)
 cells, HIT_CHUNK runs per batch.  `experiments.anneal_trace_study` sums
 every block over RUN_CHUNK runs, so its curves' last bits depend on that
@@ -163,20 +163,6 @@ def _threshold(u, neg_t, out):
         return np.multiply(out, neg_t, out=out)
 
 
-def _depth(R: int, analytic: bool) -> int:
-    """Most iterations one window of an R-run batch reads: ROWS candidate
-    rows and one block at most, and one for a batch with a field evaluator.
-
-    A block's flip signs, draws and noise exist before its first iteration
-    runs, so a window reads the candidates of the next w iterations against
-    the current states, keeps the iterations up to the first in which any
-    run accepted, and applies that accept.  w doubles after a step without
-    an accept and drops to the step's advance after one.  A kept iteration
-    is bit-equal to one read alone, as a stacked (w, rows, n) product makes
-    the same BLAS call per plane as one iteration's (rows, n) product."""
-    return max(1, min(BLOCK, ROWS // R)) if analytic else 1
-
-
 class _LocalFields:
     """The single-spin phase's view of a batch's states x: per run
     h = x @ J_K and D = 4 x*h - 4 diag(J_K), where D[r, p] is the d_e of
@@ -215,31 +201,43 @@ class _LocalFields:
 def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     """Step `runs`, a list of (evaluator, seed), as one batch, one row each.
 
-    Every step reads each stretch of rows that share an evaluator object
-    with one `frames` call and adds noise to the rows of noisy evaluators
-    only.  A step is one iteration, or a window of the block's next
-    iterations read against the current states, of which it keeps those up
-    to the first accept (`_depth`).  Each block's draws are floored
-    and turned into thresholds theta = -T ln u once, so a step decides every
-    run by one comparison d_e <= theta.  Yields, per block of BLOCK
-    iterations, (slice of the block's iterations, hrv, accepted, delta_e,
-    u, states), u the Metropolis draws floored at 2**-53: iteration-major
-    (nb, R) and (nb, R, n) arrays that the next block overwrites.  With
-    `stop_frozen`, a batch of analytic evaluators takes the single-spin
-    phase (`_LocalFields`).  Both phases draw through `fetch`, one row
-    per run; the single-spin phase fetches n blocks per call into the idle
-    keys, signs and states buffers.  Only a batch with noisy runs writes
-    `states` there, and as noisy runs never retire, it never stops early.
-    A block after the switch yields None for hrv, accepted, delta_e and u,
-    and as states the (1, R, n) view of the states at its end.  The last
-    block yielded ends where the last run retired, or at `s.iters`, and its
-    states are the final ones.
+    Every step reads each stretch of adjacent rows whose evaluators share
+    the ensemble object, backend and noise sigma with one `frames` call and
+    adds noise to the rows of noisy evaluators only.  Each block's draws
+    are floored and turned into thresholds theta = -T ln u once, so a step
+    decides every run by one comparison d_e <= theta.
+
+    A single-spin block (first flip count 1) of a batch that records every
+    iteration, all analytic and without `stop_frozen`, steps in windows,
+    where accepts are rare enough for them to pay: as a block's flip signs,
+    draws and noise exist before it runs, a window reads the candidates of
+    the next w iterations against the current states, keeps the iterations
+    up to the first in which any run accepted, and applies that accept.  w
+    doubles after a window without an accept, up to one block and ROWS
+    candidate rows, and drops to the window's advance after one.  A stacked
+    (w, rows, n) product makes the same BLAS call per plane as a (rows, n)
+    one, so windows are bit-equal to one-iteration steps.  Every other
+    block steps one iteration at a time through 2-D plane reads.
+
+    Yields, per block of BLOCK iterations, (slice of the block's
+    iterations, hrv, accepted, delta_e, u, states), u the Metropolis draws
+    floored at 2**-53: iteration-major (nb, R) and (nb, R, n) arrays that
+    the next block overwrites.  With `stop_frozen`, a batch of analytic
+    evaluators takes the single-spin phase (`_LocalFields`).  Both phases
+    draw through `fetch`, one row per run; the single-spin phase fetches n
+    blocks per call into the idle keys, signs and states buffers.  Only a
+    batch with noisy runs writes `states` there, and as noisy runs never
+    retire, it never stops early.  A block after the switch yields None for
+    hrv, accepted, delta_e and u, and as states the (1, R, n) view of the
+    states at its end.  The last block yielded ends where the last run
+    retired, or at `s.iters`, and its states are the final ones.
     """
     n = g.n
     R = len(runs)
     if not R:
         raise ValueError("need at least one seed")
-    bounds = [0] + [i for i in range(1, R) if runs[i][0] is not runs[i - 1][0]] + [R]
+    readout = [(id(ev.ensemble), ev.backend, ev.sigma) for ev, _ in runs]
+    bounds = [0] + [i for i in range(1, R) if readout[i] != readout[i - 1]] + [R]
     groups = [(slice(a, b), runs[a][0]) for a, b in zip(bounds, bounds[1:])]
     for _, ev in groups:
         if ev.n != n:
@@ -268,7 +266,8 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     # last flip count lets every block select flips on whole buffers
     flip_counts = np.pad(s.flip_counts(n), (0, -s.iters % BLOCK), mode="edge")
     analytic = all(ev.backend == "analytic" for _, ev in groups)
-    deep = _depth(R, analytic)
+    # most iterations one window reads; 1 in a batch that never windows
+    deep = max(1, min(BLOCK, ROWS // R)) if analytic and not stop_frozen else 1
     cand = np.empty((deep, R, n))
     cand_hrv = np.empty((deep, R))
     z = np.zeros((R, BLOCK))  # noise; the start readout's draws borrow column 0
@@ -317,8 +316,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     switch = s.iters
     if stop_frozen and analytic:  # flip counts never rise
         switch = next((b0 for b0 in range(0, s.iters, BLOCK) if flip_counts[b0] == 1), s.iters)
-    # iterations the next step reads: doubled after a step without an
-    # accept, the last advance after one; a block's end may cut a step short
+    # iterations the next window reads (docstring); a block's end may cut it short
     width = 1
     for b0 in range(0, switch, BLOCK):
         nb = min(BLOCK, s.iters - b0)
@@ -330,10 +328,32 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
             signs[np.arange(BLOCK)[:, None], np.arange(R), _picks(draws, n).T] = -1.0
         else:
             _flip_signs(keys, flip_counts[b0:b0 + BLOCK], signs.transpose(1, 0, 2))
-        j = 0
-        while j < nb:
-            w = min(width, nb - j)
-            if w == 1:
+        if single and deep > 1:
+            j = 0
+            while j < nb:
+                w = min(width, nb - j)
+                np.multiply(x, signs[j:j + w], out=cand[:w])
+                read_window(j, w)
+                d_e = np.subtract(cur, cand_hrv[:w], out=delta_e[j:j + w])
+                ok = np.less_equal(d_e, theta[j:j + w], out=accepted[j:j + w])
+                # keep the iterations up to the first accept; the later ones
+                # read a state that this accept changes
+                any_ok = np.count_nonzero(ok)
+                f = int(ok.argmax()) // R if any_ok else w
+                hrv[j:j + f] = cur
+                states[j:j + f] = x
+                j += f
+                if any_ok:
+                    np.copyto(x, cand[f], where=ok[f, :, None])
+                    np.copyto(cur, cand_hrv[f], where=ok[f])
+                    hrv[j] = cur
+                    states[j] = x
+                    j += 1
+                    width = f + 1
+                else:
+                    width = min(2 * width, deep)
+        else:
+            for j in range(nb):
                 np.multiply(x, signs[j], out=cand1)
                 read(j)
                 d_e = np.subtract(cur, hrv1, out=delta_e[j])  # energy = -readout
@@ -341,33 +361,8 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
                 if np.count_nonzero(ok):
                     np.copyto(x, cand1, where=ok[:, None])
                     np.copyto(cur, hrv1, where=ok)
-                    width = 1
-                else:
-                    width = min(2 * width, deep)
                 hrv[j] = cur
                 states[j] = x
-                j += 1
-                continue
-            np.multiply(x, signs[j:j + w], out=cand[:w])
-            read_window(j, w)
-            d_e = np.subtract(cur, cand_hrv[:w], out=delta_e[j:j + w])
-            ok = np.less_equal(d_e, theta[j:j + w], out=accepted[j:j + w])
-            # keep the iterations up to the first accept; the later ones
-            # read a state that this accept changes
-            any_ok = np.count_nonzero(ok)
-            f = int(ok.argmax()) // R if any_ok else w
-            hrv[j:j + f] = cur
-            states[j:j + f] = x
-            j += f
-            if any_ok:
-                np.copyto(x, cand[f], where=ok[f, :, None])
-                np.copyto(cur, cand_hrv[f], where=ok[f])
-                hrv[j] = cur
-                states[j] = x
-                j += 1
-                width = f + 1
-            else:
-                width = min(2 * width, deep)
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
     if switch == s.iters:

@@ -13,8 +13,8 @@ from optising.anneal import (
     CUT_MATCH_TOL,
     HIT_CHUNK,
     RUN_CHUNK,
+    ROWS,
     Schedule,
-    _depth,
     _flip_signs,
     _picks,
     _threshold,
@@ -434,7 +434,8 @@ def _one_iteration_lockstep(runs, g, s):
     """The engine stepped one iteration at a time, from the same calls: the
     reference its windows over a block's iterations must equal bit for bit."""
     n, R = g.n, len(runs)
-    bounds = [0] + [i for i in range(1, R) if runs[i][0] is not runs[i - 1][0]] + [R]
+    readout = [(id(ev.ensemble), ev.backend, ev.sigma) for ev, _ in runs]
+    bounds = [0] + [i for i in range(1, R) if readout[i] != readout[i - 1]] + [R]
     groups = [(slice(a, b), runs[a][0]) for a, b in zip(bounds, bounds[1:])]
     streams = [np.random.SeedSequence(sd).spawn(3) for _, sd in runs]
     move_rngs = [np.random.default_rng(ss[0]) for ss in streams]
@@ -492,7 +493,8 @@ def _one_iteration_lockstep(runs, g, s):
 
 
 def _window_case(R, mix):
-    """(runs, the most iterations one window may read) on an n=16 instance."""
+    """(runs, the most iterations one window may read) on an n=16 instance:
+    ROWS candidate rows and one block at most, and 1 with a field evaluator."""
     g = gen_regular(16, 3, 0.0, 1.0, seed=0)
     span = estimate_span(make_evaluator(g).ensemble, samples=200, rng=np.random.default_rng(0))
     if mix == "analytic":
@@ -503,7 +505,7 @@ def _window_case(R, mix):
     else:  # a field group makes the batch step one iteration at a time
         groups = [(make_evaluator(g, 3), 2), (make_evaluator(g, backend="field"), R - 2)]
     runs = [(ev, 100 * i + r) for i, (ev, size) in enumerate(groups) for r in range(size)]
-    return g, span, runs, _depth(R, mix != "field")
+    return g, span, runs, max(1, min(BLOCK, ROWS // R)) if mix != "field" else 1
 
 
 @pytest.mark.parametrize("t0, rate, iters", [
@@ -517,11 +519,11 @@ def test_windows_equal_one_iteration_steps(monkeypatch, R, mix, t0, rate, iters)
     engine = importlib.import_module("optising.anneal")
     g, span, runs, deep = _window_case(R, mix)
     s = Schedule(t0=span if t0 is None else t0, rate=rate, iters=iters)
-    widths = []
-    read = engine.frames
-    monkeypatch.setattr(engine, "frames", lambda ens, X, *a, **k: widths.append(
-        X.shape[0] if X.ndim == 3 else 1) or read(ens, X, *a, **k))
+    calls = []  # (block being stepped, iterations read, stacked) per `frames` call
     blocks = 0
+    read = engine.frames
+    monkeypatch.setattr(engine, "frames", lambda ens, X, *a, **k: calls.append(
+        (blocks, X.shape[0] if X.ndim == 3 else 1, X.ndim == 3)) or read(ens, X, *a, **k))
     for got, want in zip(engine._lockstep(runs, g, s), _one_iteration_lockstep(runs, g, s)):
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
@@ -529,8 +531,49 @@ def test_windows_equal_one_iteration_steps(monkeypatch, R, mix, t0, rate, iters)
             assert a.tobytes() == b.tobytes()
         blocks += 1
     assert blocks == -(-iters // BLOCK)
+    single = s.flip_counts(g.n)[::BLOCK] == 1
+    # a windowing batch reads every single-spin block in stacked windows and
+    # every multi-spin block in 2-D planes; a field batch never windows
+    assert all(stacked == (single[b] and deep > 1) for b, _, stacked in calls)
+    widths = [w for *_, w, _ in calls]
     assert max(widths) <= deep
     assert (max(widths) > 1) == (deep > 1)  # the frozen stretches are read in windows
+
+
+def test_hit_batches_never_read_windows(monkeypatch):
+    # a hit batch decides its single-spin blocks from local fields, so even
+    # a cold multi-spin stretch of an analytic batch steps one iteration at a time
+    engine = importlib.import_module("optising.anneal")
+    g = gen_regular(16, 3, 0.0, 1.0, seed=0)
+    ev = make_evaluator(g, 11)
+    dims = []
+    read = engine.frames
+    monkeypatch.setattr(engine, "frames", lambda ens, X, *a, **k: dims.append(X.ndim)
+                        or read(ens, X, *a, **k))
+    s = Schedule(t0=1e-3, rate=0.98, iters=300)
+    optimal_hits([(ev, range(120))], g, s, brute_force_maxcut(g)[0])
+    assert dims and set(dims) == {2}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_equal_evaluators_share_one_read(monkeypatch, sigma):
+    # adjacent runs whose evaluators share the ensemble object, backend and
+    # sigma are read together, so `frames` calls do not grow with the number
+    # of equal evaluator objects
+    engine = importlib.import_module("optising.anneal")
+    g = gen_regular(16, 3, 0.0, 1.0, seed=0)
+    ev = make_evaluator(g, 11, sigma=sigma)
+    calls = []
+    read = engine.frames
+    monkeypatch.setattr(engine, "frames", lambda *a, **k: calls.append(1) or read(*a, **k))
+    s = Schedule(t0=2.0, rate=0.98, iters=200)
+    optimum = brute_force_maxcut(g)[0]
+    shared = optimal_hits([(ev, range(40))], g, s, optimum)
+    per_shared = len(calls)
+    calls.clear()
+    copies = [(HrvEvaluator(ev.ensemble, ev.backend, ev.sigma), [r]) for r in range(40)]
+    assert sum(optimal_hits(copies, g, s, optimum)) == shared[0]
+    assert len(calls) == per_shared
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 63 - 1])
