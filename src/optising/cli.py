@@ -28,7 +28,7 @@ import sys
 
 from . import experiments as xp
 from .anneal import CUT_MATCH_TOL, DEFAULT_ITERS, Schedule, anneal
-from .graph import GraphFormatError, WeightedGraph, density, gen_density, gen_regular, read_graph, write_graph
+from .graph import GraphFormatError, WeightedGraph, density, generate, read_graph, write_graph
 from .ising import MatrixFormatError, brute_force_maxcut, from_graph, read_matrix
 from .optics import HrvEvaluator
 from .spectral import build_ensemble, dump_bundle, eigendecompose, error_ratio, splits_cluster
@@ -199,10 +199,8 @@ def _load_instance(cfg) -> WeightedGraph:
         g = read_graph(cfg["instance"])
         cfg["n"] = g.n
         return g
-    seed = xp.derive_seed(cfg["seed"], xp.LBL_GRAPH, 0)
-    if cfg.get("degree") is not None:
-        return gen_regular(cfg["n"], cfg["degree"], cfg["wlow"], cfg["whigh"], seed=seed)
-    return gen_density(cfg["n"], cfg["density"], cfg["wlow"], cfg["whigh"], seed=seed)
+    return generate(cfg["n"], cfg["degree"], cfg["density"], cfg["wlow"], cfg["whigh"],
+                    seed=xp.derive_seed(cfg["seed"], xp.LBL_GRAPH, 0))
 
 
 def _ks(cfg, n: int, default: list[int]) -> list[int]:
@@ -248,10 +246,7 @@ def cmd_gen(args) -> int:
         print("gen: specify exactly one of --degree or --density", file=sys.stderr)
         return EXIT_USAGE
     _check_seed(args.seed)
-    if args.degree is not None:
-        g = gen_regular(args.n, args.degree, args.wlow, args.whigh, seed=args.seed)
-    else:
-        g = gen_density(args.n, args.density, args.wlow, args.whigh, seed=args.seed)
+    g = generate(args.n, args.degree, args.density, args.wlow, args.whigh, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     rudy_path = os.path.join(args.out, f"{args.name}.rud")
     json_path = os.path.join(args.out, f"{args.name}.json")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anneal import RUN_CHUNK, Schedule, _lockstep, optimal_hits
-from .graph import WeightedGraph, gen_density, gen_regular
+from .graph import WeightedGraph, generate
 from .ising import IsingModel, brute_force_maxcut, from_graph, hamiltonian, random_states
 from .optics import HrvEvaluator, estimate_span, frames
 from .spectral import IntensityEnsemble, build_ensemble, eigendecompose, splits_cluster
@@ -228,22 +228,17 @@ def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
     """Mean RMSE / relative RMSE / fit R^2 per K over freshly generated graphs.
 
     Exactly one of `degree` (regular graphs) or `density` (uniform edge
-    sampling) selects the generator.  Returns (ks, mean_rmse, mean_rel,
-    mean_r2), ks sorted and distinct, with means taken across `graph_seeds`
-    instances.
+    sampling) selects the generator, by `graph.generate`.  Returns (ks,
+    mean_rmse, mean_rel, mean_r2), ks sorted and distinct, with means taken
+    across `graph_seeds` instances.
     """
-    if (degree is None) == (density is None):
-        raise ValueError("specify exactly one of degree or density")
     if graph_seeds < 1:
         raise ValueError("graph_seeds must be >= 1")
     ks = _k_list(ks, n)
     stats = np.empty((graph_seeds, len(ks), 3))
     for gs in range(graph_seeds):
-        gseed = derive_seed(seed, LBL_GRAPH, gs)
-        if degree is not None:
-            g = gen_regular(n, degree, weight_low, weight_high, seed=gseed)
-        else:
-            g = gen_density(n, density, weight_low, weight_high, seed=gseed)
+        g = generate(n, degree, density, weight_low, weight_high,
+                     seed=derive_seed(seed, LBL_GRAPH, gs))
         rep = rmse_vs_k(from_graph(g), ks, samples, seed=derive_seed(seed, LBL_STATES, gs))
         for j, rec in enumerate(rep.records):  # the records are `ks`, in order
             stats[gs, j] = rec.rmse, rec.rmse_relative, rec.r2
@@ -312,6 +307,15 @@ class ProbTable:
         raise KeyError(f"no cell for schedule {schedule_index}, K={K}")
 
 
+def _tally(hits, runs: int):
+    """Each cell's runs, hits, probability and Wilson band, from the hits
+    `optimal_hits` counts for cells of `runs` runs each."""
+    for h in hits:
+        lo, hi = wilson_interval(h, runs)
+        yield {"runs": runs, "hits": h, "probability": h / runs,
+               "wilson_low": lo, "wilson_high": hi}
+
+
 def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int) -> ProbTable:
     """Optimal-solution probability per (schedule, K) cell with Wilson bands.
 
@@ -332,11 +336,8 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int) -> P
     for si, s in enumerate(schedules):
         cell_seeds = [derive_seed(seed, LBL_PROB, si, K) for K in ks]
         cells = [(ev, range(cs, cs + runs)) for ev, cs in zip(evaluators, cell_seeds)]
-        for K, hits in zip(ks, optimal_hits(cells, g, s, optimum)):
-            lo, hi = wilson_interval(hits, runs)
-            table.cells.append(ProbCell(schedule_index=si, rate=s.rate, K=K, runs=runs,
-                                        hits=hits, probability=hits / runs,
-                                        wilson_low=lo, wilson_high=hi,
+        for K, tally in zip(ks, _tally(optimal_hits(cells, g, s, optimum), runs)):
+            table.cells.append(ProbCell(schedule_index=si, rate=s.rate, K=K, **tally,
                                         is_reference=(K == n)))
     return table
 
@@ -398,11 +399,9 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
     cell_seed = derive_seed(seed, LBL_PROB, 0, K)
     evaluators = [HrvEvaluator(ens, sigma=lv * span) for lv in levels]
     cells = [(ev, range(cell_seed, cell_seed + runs)) for ev in evaluators]
-    for lv, ev, hits in zip(levels, evaluators, optimal_hits(cells, g, schedule, optimum)):
-        lo, hi = wilson_interval(hits, runs)
-        table.cells.append(NoiseCell(level=lv, sigma=ev.sigma, K=K, runs=runs,
-                                     hits=hits, probability=hits / runs,
-                                     wilson_low=lo, wilson_high=hi))
+    hits = optimal_hits(cells, g, schedule, optimum)
+    for lv, ev, tally in zip(levels, evaluators, _tally(hits, runs)):
+        table.cells.append(NoiseCell(level=lv, sigma=ev.sigma, K=K, **tally))
     return table
 
 

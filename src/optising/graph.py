@@ -19,6 +19,7 @@ __all__ = [
     "GraphFormatError",
     "gen_regular",
     "gen_density",
+    "generate",
     "density",
     "read_graph",
     "write_graph",
@@ -204,6 +205,17 @@ def gen_density(n: int, d: float, weight_low: float = 0.0, weight_high: float = 
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pairs = [all_pairs[i] for i in sorted(chosen)]
     return WeightedGraph(n, _assign_weights(pairs, weight_low, weight_high, rng))
+
+
+def generate(n: int, degree: int | None = None, d: float | None = None,
+             weight_low: float = 0.0, weight_high: float = 1.0, seed: int = 0) -> WeightedGraph:
+    """A `degree`-regular graph (`gen_regular`) or one of density `d`
+    (`gen_density`); exactly one of the two must be given."""
+    if (degree is None) == (d is None):
+        raise GraphError("specify exactly one of degree or density")
+    if degree is not None:
+        return gen_regular(n, degree, weight_low, weight_high, seed=seed)
+    return gen_density(n, d, weight_low, weight_high, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ from optising.cli import (
     parse_config_text,
     resolve_config,
 )
+from optising.experiments import LBL_GRAPH, derive_seed
 from optising.graph import read_graph
+from optising.ising import from_graph
+from optising.spectral import eigendecompose
 
 
 def run(args):
@@ -129,6 +132,55 @@ def test_decompose_non_finite_matrix_guard(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "J must be finite" in captured.err
+
+
+@pytest.mark.parametrize("sources", [[], ["--graph", "g.rud", "--matrix", "m.csv"]],
+                         ids=["neither", "both"])
+def test_decompose_needs_exactly_one_source(capsys, sources):
+    assert run(["decompose", *sources]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "decompose: specify exactly one of --graph or --matrix\n"
+
+
+def test_decompose_dump_bundle_holds_the_decomposition(tmp_path, capsys):
+    assert run(["gen", "--n", 8, "--degree", 3, "--seed", 2, "--out", tmp_path]) == EXIT_OK
+    bundle = tmp_path / "bundle.json"
+    assert run(["decompose", "--graph", tmp_path / "graph.rud", "--dump-bundle", bundle]) == EXIT_OK
+    b = eigendecompose(from_graph(read_graph(tmp_path / "graph.rud")))
+    assert json.loads(bundle.read_text()) == {"lambda": b.lam.tolist(), "Q": b.vectors.tolist(),
+                                              "order": b.order.tolist()}
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--graph", "", "empty file"),
+    ("--graph", "3 x\n", "line 1: header must hold two integers"),
+    ("--graph", "3 1\n\n1 2\n", "line 3: edge line must be 'u v w'"),
+    ("--graph", "3 1\n1 2 heavy\n", "line 2: cannot parse edge '1 2 heavy'"),
+    ("--graph", "3 1\n2 2 0.5\n", "line 2: self-loop at vertex 2"),
+    ("--matrix", '{"n": 3, "J": [[0, 1], [1, 0]]}', "declared n=3 does not match J's 2 rows"),
+    ("--matrix", "0,1\n1,x\n", "line 2: non-numeric entry"),
+    ("--matrix", "0,0.5\n\n0.5,x\n", "line 3: non-numeric entry"),
+    ("--matrix", "", "empty matrix file"),
+], ids=["rudy-empty", "rudy-header", "rudy-two-fields", "rudy-weight", "rudy-self-loop",
+        "matrix-declared-n", "csv-entry", "csv-entry-after-blank", "matrix-empty"])
+def test_file_parse_refusals_name_their_line(tmp_path, capsys, flag, text, message):
+    path = tmp_path / "bad"
+    path.write_text(text)
+    assert run(["decompose", flag, path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
+def test_blank_csv_lines_are_skipped(tmp_path, capsys):
+    tables = []
+    for name, text in (("plain.csv", "0,0.5\n0.5,0\n"), ("blank.csv", "\n0,0.5\n\n0.5,0\n\n")):
+        (tmp_path / name).write_text(text)
+        assert run(["decompose", "--matrix", tmp_path / name]) == EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 3
 
 
 @pytest.mark.parametrize("name, text", [
@@ -515,6 +567,37 @@ def test_experiment_config_validation_lists_everything(tmp_path, capsys):
     assert "unknown_key" in err
     assert "samples" in err
     assert "degree/density" in err  # neither generator nor instance given
+
+
+def test_experiment_missing_config_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run(["experiment", "prob", "--config", tmp_path / "absent.cfg", "--out", out]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot read config: ")
+    assert not out.exists()
+
+
+def test_unwritable_output_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["gen", "--n", 6, "--degree", 3, "--out", blocker / "sub"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error: ")
+
+
+def test_experiment_prob_density_studies_the_generated_graph(tmp_path, capsys):
+    common = ["--ks", "2,4", "--rates", "0.99", "--iters", 80, "--runs", 3, "--seed", 5]
+    assert run(["experiment", "prob", "--n", 8, "--density", 0.5, *common,
+                "--out", tmp_path / "d"]) == EXIT_OK
+    assert json.loads((tmp_path / "d" / "prob.json").read_text())["config"]["density"] == 0.5
+    # the same graph, written by `gen` from the study's graph stream
+    assert run(["gen", "--n", 8, "--density", 0.5, "--seed", derive_seed(5, LBL_GRAPH, 0),
+                "--out", tmp_path, "--name", "g"]) == EXIT_OK
+    assert run(["experiment", "prob", "--instance", tmp_path / "g.rud", *common,
+                "--out", tmp_path / "i"]) == EXIT_OK
+    assert (tmp_path / "d" / "prob.csv").read_bytes() == (tmp_path / "i" / "prob.csv").read_bytes()
 
 
 def test_experiment_rmse_reports(tmp_path):

@@ -235,7 +235,7 @@ def test_rmse_curve_averaged_checks_ks_before_any_graph(monkeypatch):
         calls.append(args)
         raise AssertionError("a graph was generated before ks was checked")
 
-    monkeypatch.setattr("optising.experiments.gen_regular", counted_gen_regular)
+    monkeypatch.setattr("optising.graph.gen_regular", counted_gen_regular)
     with pytest.raises(ValueError, match="ks must lie in 1..20"):
         rmse_curve_averaged(20, [0, 99], 100, 3, 0, degree=3)
     assert calls == []
@@ -311,13 +311,20 @@ def test_studies_reject_no_runs_before_any_work(small_instance, monkeypatch):
         calls.append(g)
         raise AssertionError("brute force ran before runs was checked")
 
+    def counted_eigendecompose(m):
+        calls.append(m)
+        raise AssertionError("the graph was decomposed before runs was checked")
+
     monkeypatch.setattr("optising.experiments.brute_force_maxcut", counted_brute_force)
+    monkeypatch.setattr("optising.experiments.eigendecompose", counted_eigendecompose)
     s = Schedule(t0=4.0, rate=0.99, iters=20)
     for runs in (0, -1):
         with pytest.raises(ValueError, match="runs must be >= 1"):
             probability_vs_k(small_instance, [3], [s], runs=runs, seed=0)
         with pytest.raises(ValueError, match="runs must be >= 1"):
             noise_sweep(small_instance, K=6, levels=[0.0], schedule=s, runs=runs, seed=0)
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            anneal_trace_study(small_instance, [3], s, runs=runs, seed=0)
     assert calls == []
 
 

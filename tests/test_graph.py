@@ -12,6 +12,7 @@ from optising.graph import (
     density,
     gen_density,
     gen_regular,
+    generate,
     read_graph,
     write_graph,
 )
@@ -185,6 +186,31 @@ def test_gen_density_rejects_bad_density(d):
         gen_density(10, d, seed=0)
 
 
+def test_gen_density_rejects_too_few_vertices_and_zero_edges():
+    with pytest.raises(GraphError, match="need at least 2 vertices"):
+        gen_density(1, 0.5, seed=0)
+    with pytest.raises(GraphError, match="rounds to zero edges"):
+        gen_density(10, 0.01, seed=0)  # 0.01 * 45 pairs rounds to 0
+
+
+def test_generate_picks_the_generator_its_setting_names(monkeypatch):
+    assert generate(12, degree=3, weight_low=-1.0, weight_high=2.0, seed=4) == \
+        gen_regular(12, 3, -1.0, 2.0, seed=4)
+    assert generate(10, d=0.4, weight_low=-1.0, weight_high=2.0, seed=4) == \
+        gen_density(10, 0.4, -1.0, 2.0, seed=4)
+    # called through the module, so a patch on it sees every call
+    calls = []
+    monkeypatch.setattr(graph_module, "gen_regular", lambda *a, **kw: calls.append(a))
+    generate(12, degree=3)
+    assert calls == [(12, 3, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("settings", [{}, {"degree": 3, "d": 0.5}], ids=["neither", "both"])
+def test_generate_needs_exactly_one_setting(settings):
+    with pytest.raises(GraphError, match="specify exactly one of degree or density"):
+        generate(12, **settings)
+
+
 def test_gen_density_rounding_property():
     # density differs from the request only by the rounding of E
     rng = np.random.default_rng(0)
@@ -204,6 +230,11 @@ def test_density_values():
     k4 = WeightedGraph(4, tuple((u, v, 1.0) for u in range(4) for v in range(u + 1, 4)))
     assert density(k4) == 1.0
     assert density(WeightedGraph(2, ((0, 1, 1.0),))) == 1.0
+
+
+def test_density_needs_two_vertices():
+    with pytest.raises(GraphError, match="at least 2 vertices"):
+        density(WeightedGraph(1))
 
 
 def test_graph_invariants_rejected():
@@ -235,6 +266,13 @@ def test_json_round_trip(tmp_path):
     p = tmp_path / "g.json"
     write_graph(g, p, "json")
     assert read_graph(p) == g
+
+
+def test_write_graph_rejects_an_unknown_format(tmp_path):
+    p = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match="unknown graph format 'txt'"):
+        write_graph(gen_regular(6, 3, seed=0), p, "txt")
+    assert not p.exists()
 
 
 def test_rudy_vertex_out_of_range(tmp_path):

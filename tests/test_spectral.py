@@ -198,6 +198,14 @@ def test_tail_frobenius_examples():
     assert tail_frobenius(b, 1) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("metric", [error_ratio, tail_frobenius])
+def test_truncation_metrics_reject_k_outside_0_to_n(metric):
+    b = eigendecompose(TWO_SPIN)
+    for K in (-1, 3):
+        with pytest.raises(ValueError, match="K must lie in 0..2"):
+            metric(b, K)
+
+
 def test_tail_frobenius_monotone_and_matches_truncation(rng):
     for _ in range(20):
         n = int(rng.integers(2, 12))
