@@ -75,8 +75,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 def _parse_int_list(s):
     """Comma list of ints; 'a..b' is the inclusive range a..b (b >= a).
 
-    Every part stays an unexpanded `range`, so a study can check its bounds
-    against n before it expands it (`experiments._k_list`)."""
+    Every part stays an unexpanded `range`, which the study checks against
+    1..n before it expands it."""
     out = []
     for part in s.split(","):
         part = part.strip()
@@ -181,8 +181,8 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
         except ValueError:
             errors.append(f"{source} {key!r}: cannot parse {value!r}")
 
-    if cfg.get("instance") is None:
-        if (cfg.get("degree") is None) == (cfg.get("density") is None):
+    if cfg["instance"] is None:
+        if (cfg["degree"] is None) == (cfg["density"] is None):
             errors.append("specify exactly one of degree/density (or an instance path)")
     else:
         errors.extend(f"{key!r} does not apply next to an instance"
@@ -195,23 +195,12 @@ def resolve_config(study: str, config_path: str | None, overrides: dict) -> dict
 
 def _load_instance(cfg) -> WeightedGraph:
     """The study's graph.  An instance file sets the echoed `n`."""
-    if cfg.get("instance"):
+    if cfg["instance"] is not None:
         g = read_graph(cfg["instance"])
         cfg["n"] = g.n
         return g
     return generate(cfg["n"], cfg["degree"], cfg["density"], cfg["wlow"], cfg["whigh"],
                     seed=xp.derive_seed(cfg["seed"], xp.LBL_GRAPH, 0))
-
-
-def _ks(cfg, n: int, default: list[int]) -> list[int]:
-    """The study's ks, checked against 1..n by the studies' own rule before
-    any parsed range is expanded.  The expanded list replaces the ranges in
-    `cfg`, so the report echoes the ks themselves."""
-    if cfg["ks"] is None:
-        return default
-    ks = xp._k_list(cfg["ks"], n)
-    cfg["ks"] = [k for r in cfg["ks"] for k in r]
-    return ks
 
 
 def _schedules(cfg, g, rates, K) -> list[Schedule]:
@@ -291,11 +280,8 @@ def cmd_solve(args) -> int:
     K = args.k if args.k is not None else g.n
     ens = build_ensemble(b, K)
 
-    span = None
-    if args.t0 is None or args.noise_level > 0:
-        span = xp.readout_span(ens, args.seed)
-    sigma = args.noise_level * span if args.noise_level > 0 else 0.0
-    evaluator = HrvEvaluator(ens, backend=args.backend, sigma=sigma)
+    span = xp.readout_span(ens, args.seed)
+    evaluator = HrvEvaluator(ens, backend=args.backend, sigma=args.noise_level * span)
     t0 = args.t0 if args.t0 is not None else _span_t0(span)
     schedule = Schedule(t0=float(t0), rate=args.rate, iters=args.iters)
     # the oracle runs first, so a graph too large to enumerate fails before
@@ -326,6 +312,9 @@ def cmd_experiment(args) -> int:
     runner = {"rmse": _run_rmse, "prob": _run_prob, "noise": _run_noise,
               "trace": _run_trace}[args.study]
     tables, results = runner(cfg)
+    # the studies expand the parsed ranges once they are checked; echo the ks
+    if cfg.get("ks") is not None:
+        cfg["ks"] = [k for r in cfg["ks"] for k in r]
     # the report directory is made only once the study has run and its
     # summary is known to be strict JSON, so a study that fails its checks
     # or yields a non-finite result leaves nothing behind
@@ -346,13 +335,13 @@ def cmd_experiment(args) -> int:
 # every CSV report in write order, and the `results` of the JSON summary.
 
 def _run_rmse(cfg):
-    g = _load_instance(cfg) if cfg.get("instance") else None
-    n = g.n if g is not None else cfg["n"]
-    ks = _ks(cfg, n, list(range(1, n + 1)))
+    g = _load_instance(cfg) if cfg["instance"] is not None else None
+    n = cfg["n"]
+    ks = cfg["ks"] or [range(1, n + 1)]
     if g is not None:
         rep = xp.rmse_vs_k(from_graph(g), ks, cfg["samples"], cfg["seed"])
-        mean_rmse, mean_rel, mean_r2 = map(list, zip(
-            *[(rec.rmse, rec.rmse_relative, rec.r2) for rec in rep.records]))
+        ks, mean_rmse, mean_rel, mean_r2 = map(list, zip(
+            *[(rec.K, rec.rmse, rec.rmse_relative, rec.r2) for rec in rep.records]))
     else:
         ks, *means = xp.rmse_curve_averaged(
             n, ks, cfg["samples"], cfg["graph_seeds"], cfg["seed"],
@@ -361,7 +350,7 @@ def _run_rmse(cfg):
         mean_rmse, mean_rel, mean_r2 = (m.tolist() for m in means)
 
     curve = [(k / n, r) for k, r in zip(ks, mean_rmse)]
-    results = {"ks": list(ks), "rmse": mean_rmse, "rmse_relative": mean_rel,
+    results = {"ks": ks, "rmse": mean_rmse, "rmse_relative": mean_rel,
                "fit_r2": mean_r2}
     try:
         fit = xp.fit_exponential(curve)
@@ -376,9 +365,9 @@ def _run_rmse(cfg):
 
 def _run_prob(cfg):
     g = _load_instance(cfg)
-    ks = _ks(cfg, g.n, list(range(1, g.n + 1)))
     schedules = _schedules(cfg, g, cfg["rates"], g.n)
-    table = xp.probability_vs_k(g, ks, schedules, cfg["runs"], cfg["seed"])
+    table = xp.probability_vs_k(g, cfg["ks"] or [range(1, g.n + 1)], schedules, cfg["runs"],
+                                cfg["seed"])
 
     results = {"optimum": table.optimum,
                "schedules": [vars(s) for s in schedules],
@@ -409,9 +398,8 @@ def _run_noise(cfg):
 
 def _run_trace(cfg):
     g = _load_instance(cfg)
-    ks = _ks(cfg, g.n, [g.n])
     (schedule,) = _schedules(cfg, g, [cfg["rate"]], g.n)
-    study = xp.anneal_trace_study(g, ks, schedule, cfg["runs"], cfg["seed"])
+    study = xp.anneal_trace_study(g, cfg["ks"] or [g.n], schedule, cfg["runs"], cfg["seed"])
     results = {"ks": study.ks,
                "schedule": vars(schedule),
                "final_hrv_mean": study.final_hrv_mean,

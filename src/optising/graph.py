@@ -201,9 +201,14 @@ def gen_density(n: int, d: float, weight_low: float = 0.0, weight_high: float = 
     _check_weight_bounds(weight_low, weight_high)
 
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(m_all, size=n_edges, replace=False)
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pairs = [all_pairs[i] for i in sorted(chosen)]
+    chosen = np.sort(rng.choice(m_all, size=n_edges, replace=False))
+    # pair i of the lexicographic order lies in row u, the last row that
+    # starts at or before it, so memory grows with the edges, not the pairs
+    rows = np.arange(n)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2
+    u = np.searchsorted(starts, chosen, side="right") - 1
+    v = chosen - starts[u] + u + 1
+    pairs = list(zip(u.tolist(), v.tolist()))
     return WeightedGraph(n, _assign_weights(pairs, weight_low, weight_high, rng))
 
 

@@ -952,3 +952,21 @@ def test_experiment_reports_byte_identical_reruns(tmp_path, study, extra):
     for name in b1:
         if name.endswith(".json"):
             json.loads(b1[name], parse_constant=reject)
+
+
+@pytest.mark.parametrize("study", list(_STUDY_SCHEMA))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_instance_path_is_an_io_error(tmp_path, capsys, study, source):
+    # an empty path is a given instance: it is opened, not taken for a
+    # missing one that would fall back to the (dropped) generator settings
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("instance =\n")
+    argv = (["experiment", study, "--instance", ""] if source == "flag"
+            else ["experiment", study, "--config", cfg])
+    out = tmp_path / study
+    assert run([*argv, "--out", out]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -99,6 +99,12 @@ def test_wilson_interval_bounds():
     assert 0.0 <= lo <= 3 / 7 <= hi <= 1.0
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_wilson_interval_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        wilson_interval(0, trials)
+
+
 def test_rmse_vs_k_full_truncation_is_exact(rng):
     m = random_symmetric_model(10, rng)
     rep = rmse_vs_k(m, ks=[10], samples=400, seed=3)
@@ -295,6 +301,25 @@ def test_noise_sweep_level_zero_reproduces_noiseless(small_instance):
     assert noisy.by_level(0.0).probability == clean.cell(0, 6).probability
     assert noisy.by_level(0.0).sigma == 0.0
     assert noisy.by_level(0.05).sigma == pytest.approx(0.05 * noisy.span)
+
+
+def test_report_lookups_refuse_an_absent_key(small_instance):
+    s = Schedule(t0=4.0, rate=0.99, iters=50)
+    rep = rmse_vs_k(from_graph(small_instance), [2, 4], samples=10, seed=0)
+    assert rep.by_k(4).K == 4
+    with pytest.raises(KeyError, match="no record for K=3"):
+        rep.by_k(3)
+    table = probability_vs_k(small_instance, [2], [s], runs=2, seed=0)
+    assert table.cell(0, 2).K == 2
+    with pytest.raises(KeyError, match="no cell for schedule 0, K=3"):
+        table.cell(0, 3)
+    with pytest.raises(KeyError, match="no cell for schedule 1, K=2"):
+        table.cell(1, 2)
+    noisy = noise_sweep(small_instance, K=6, levels=[0.0], schedule=s, runs=2, seed=0,
+                        span_samples=20)
+    assert noisy.by_level(0.0).level == 0.0
+    with pytest.raises(KeyError, match="no cell for level=0.01"):
+        noisy.by_level(0.01)
 
 
 def test_noise_sweep_validation(small_instance):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -156,6 +157,14 @@ def test_gen_regular_repair_budget_grows_with_the_pairing(monkeypatch):
     assert list(g.degrees()) == [31] * 64
 
 
+def test_gen_regular_gives_up_when_no_pairing_repairs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graph_module, "_repair_pairing", lambda *a: calls.append(1))
+    with pytest.raises(GraphError, match="pairing model failed to produce a simple graph"):
+        gen_regular(10, 3, seed=0)
+    assert len(calls) == graph_module._MAX_RESTARTS
+
+
 def test_gen_regular_complement_spreads_over_labelled_cycles():
     # K4 holds three labelled 4-cycles; pairing the complement (a perfect
     # matching) must reach each of them about equally often.
@@ -222,6 +231,40 @@ def test_gen_density_rounding_property():
             continue
         g = gen_density(n, d, seed=int(rng.integers(1 << 30)))
         assert abs(density(g) - d) <= 1.0 / m_all + 1e-12
+
+
+def _gen_density_by_enumeration(n, d, weight_low, weight_high, seed):
+    """Reference: every pair listed in lexicographic order, picked by the same draw."""
+    m_all = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(m_all, size=int(round(d * m_all)), replace=False)
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = sorted(all_pairs[i] for i in chosen)
+    w = rng.uniform(weight_low, weight_high, size=len(pairs))
+    return WeightedGraph(n, tuple((u, v, float(wi)) for (u, v), wi in zip(pairs, w)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])
+def test_gen_density_picks_the_pairs_the_enumeration_picks(n):
+    for d in (0.05, 0.3, 0.5, 0.99, 1.0):
+        if round(d * n * (n - 1) / 2) < 1:
+            continue
+        for seed in range(3):
+            assert gen_density(n, d, -1.0, 2.0, seed=seed) == \
+                _gen_density_by_enumeration(n, d, -1.0, 2.0, seed)
+
+
+def test_gen_density_memory_does_not_grow_with_all_pairs():
+    # n = 4000 has about 8 million pairs; listed, they alone take ~750 MB,
+    # while the 7998 picked edges need a few MB
+    tracemalloc.start()
+    try:
+        g = gen_density(4000, 0.001, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 7998
+    assert peak < 16_000_000
 
 
 def test_density_values():

@@ -149,6 +149,12 @@ def test_cut_value_examples():
     assert cut_value(K3, [1, 1, -1]) == 2.0
 
 
+@pytest.mark.parametrize("x", [[1, -1], [1, -1, 1, 1], [[1, -1, 1]]])
+def test_cut_value_rejects_a_state_of_the_wrong_length(x):
+    with pytest.raises(ValueError, match="does not match n=3"):
+        cut_value(K3, x)
+
+
 def test_cut_identity_fuzzed(rng):
     # W == total/2 - H/2 with the graph's coupling matrix
     for _ in range(200):

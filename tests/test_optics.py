@@ -71,6 +71,18 @@ def test_macropixel_config_validation():
         MacropixelConfig(block=4, grid_rows=2, grid_cols=2, pad=4)  # too small
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0), (-1, 2)])
+def test_macropixel_config_needs_a_grid(rows, cols):
+    with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
+        MacropixelConfig(block=2, grid_rows=rows, grid_cols=cols, pad=4)
+
+
+def test_field_intensity_rejects_mismatched_shapes():
+    cfg = MacropixelConfig(block=2, grid_rows=2, grid_cols=2, pad=4)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        field_intensity([1.0, 0.5], [1, -1, 1], cfg)
+
+
 def test_field_layout_is_built_once_per_n():
     # the field backend asks for the layout on every read; a frozen layout
     # is shared, one per (n, block)
