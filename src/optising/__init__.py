@@ -36,7 +36,7 @@ from .optics import (
     frames,
     hrv,
 )
-from .anneal import AnnealTrace, Schedule, anneal
+from .anneal import AnnealTrace, Schedule
 from .experiments import (
     ExpFit,
     MatchReport,

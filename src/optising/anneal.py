@@ -7,9 +7,7 @@ One engine core, `_lockstep`, steps every run of a batch in lock-step; its
 docstring states which blocks step in windows, and `_LocalFields` its
 single-spin phase.  `anneal` records every iteration of one evaluator's runs.
 `optimal_hits` keeps only the final states of many (evaluator, seeds)
-cells, HIT_CHUNK runs per batch.  `experiments.anneal_trace_study` sums
-every block over RUN_CHUNK runs, so its curves' last bits depend on that
-batch size.
+cells, HIT_CHUNK runs per batch.
 
 RNG contract (v3).  Run r draws from the three children of
 `SeedSequence(seed_r).spawn(3)`, child i built alone as
@@ -65,14 +63,12 @@ __all__ = [
     "DEFAULT_ITERS",
     "CUT_MATCH_TOL",
     "BLOCK",
-    "RUN_CHUNK",
     "HIT_CHUNK",
 ]
 
 DEFAULT_ITERS = 3000
 CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
-RUN_CHUNK = 64   # runs per batch of the trace study; its summed curves depend on it
 HIT_CHUNK = 256  # most runs a batch of `optimal_hits` holds
 ROWS = 1024      # most candidate rows one window reads
 

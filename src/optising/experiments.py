@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anneal import RUN_CHUNK, Schedule, _lockstep, optimal_hits
+from .anneal import Schedule, _lockstep, optimal_hits
 from .graph import WeightedGraph, generate
 from .ising import IsingModel, brute_force_maxcut, from_graph, hamiltonian, random_states
 from .optics import HrvEvaluator, estimate_span, frames
@@ -62,6 +62,7 @@ __all__ = [
     "LBL_TRACE",
     "LBL_SPAN",
     "SPAN_SAMPLES",
+    "RUN_CHUNK",
 ]
 
 # Fixed labels keeping subsystem RNG streams apart under one master seed.
@@ -73,6 +74,9 @@ LBL_SPAN = 105
 
 # Random states behind every readout span estimate.
 SPAN_SAMPLES = 1000
+
+# Runs per batch of the trace study; its summed curves depend on it.
+RUN_CHUNK = 64
 
 _Z95 = 1.959963984540054
 
@@ -168,9 +172,6 @@ class KMatch:
 
 @dataclass
 class MatchReport:
-    n: int
-    samples: int
-    seed: int
     records: list[KMatch] = field(default_factory=list)
 
     def by_k(self, K: int) -> KMatch:
@@ -219,7 +220,7 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
 
     stats = (slope, intercept, r2, rmse, span, rel)  # in KMatch's field order
     records = [KMatch(*rec) for rec in zip(ks, *(a.tolist() for a in stats))]
-    return MatchReport(n=n, samples=samples, seed=seed, records=records)
+    return MatchReport(records=records)
 
 
 def rmse_curve_averaged(n: int, ks, samples: int, graph_seeds: int, seed: int,
@@ -411,9 +412,6 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
 
 @dataclass
 class TraceStudy:
-    n: int
-    runs: int
-    seed: int
     ks: list[int]
     mean_hrv: dict[int, np.ndarray] = field(default_factory=dict)
     mean_cut: dict[int, np.ndarray] = field(default_factory=dict)
@@ -429,7 +427,8 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
     """Average per-iteration readout and cut value across runs for each K.
 
     Each K's runs are stepped RUN_CHUNK at a time and every block is summed
-    over its runs as it comes, so only the (iters,) curves outlive a block."""
+    over its runs as it comes, so only the (iters,) curves outlive a block,
+    and the curves' last bits depend on that batch size."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ks = _k_list(ks, g.n)
@@ -437,7 +436,7 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
     half_total = g.total_weight() / 2.0
     b = eigendecompose(model)
 
-    study = TraceStudy(n=g.n, runs=runs, seed=seed, ks=ks)
+    study = TraceStudy(ks=ks)
     for K in ks:
         ev = HrvEvaluator(build_ensemble(b, K))
         base = derive_seed(seed, LBL_TRACE, K)

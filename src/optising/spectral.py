@@ -52,9 +52,6 @@ class EigenBundle:
     def n(self) -> int:
         return self.lam.size
 
-    def lam_by_magnitude(self) -> np.ndarray:
-        return self.lam[self.order]
-
 
 @dataclass(frozen=True)
 class IntensityEnsemble:
@@ -114,7 +111,7 @@ def error_ratio(b: EigenBundle, K: int) -> float:
     """Spectral-mass truncation error: 1 - sum of K leading |lam| / sum of all |lam|."""
     if not 0 <= K <= b.n:
         raise ValueError(f"K must lie in 0..{b.n}, got {K}")
-    vals = np.abs(b.lam_by_magnitude())
+    vals = np.abs(b.lam[b.order])
     total = float(np.sum(vals))
     if total == 0.0:
         return 0.0
@@ -125,8 +122,7 @@ def tail_frobenius(b: EigenBundle, K: int) -> float:
     """Frobenius norm of the part of J dropped by keeping K components."""
     if not 0 <= K <= b.n:
         raise ValueError(f"K must lie in 0..{b.n}, got {K}")
-    lam = b.lam_by_magnitude()
-    return float(np.sqrt(np.sum(lam[K:] ** 2)))
+    return float(np.sqrt(np.sum(b.lam[b.order[K:]] ** 2)))
 
 
 def splits_cluster(b: EigenBundle, K: int) -> bool:

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import importlib
 import math
 import tracemalloc
 import warnings
@@ -8,11 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+import optising.anneal as engine
 from optising.anneal import (
     BLOCK,
     CUT_MATCH_TOL,
     HIT_CHUNK,
-    RUN_CHUNK,
     ROWS,
     Schedule,
     _flip_signs,
@@ -22,7 +21,7 @@ from optising.anneal import (
     optimal_hits,
 )
 from optising.cli import main
-from optising.experiments import LBL_SPAN, LBL_TRACE, anneal_trace_study, derive_seed
+from optising.experiments import LBL_SPAN, LBL_TRACE, RUN_CHUNK, anneal_trace_study, derive_seed
 from optising.graph import WeightedGraph, gen_regular, write_graph
 from optising.ising import brute_force_maxcut, cut_value, from_graph, random_state
 from optising.optics import HrvEvaluator, estimate_span, frames
@@ -293,7 +292,6 @@ def _hit_cells(g, span, sizes):
 def _spy_finals(monkeypatch):
     """Patch the engine's one exact-energy call per hit batch to record the
     final states it sees."""
-    engine = importlib.import_module("optising.anneal")
     finals = []
     exact = engine.hamiltonian
     monkeypatch.setattr(engine, "hamiltonian",
@@ -305,7 +303,6 @@ def check_mixed_cells(monkeypatch, rate, iters, sizes):
     """Cells of (K, noise level, runs), noiseless and noisy, stacked in one
     `optimal_hits` call whose third cell straddles a HIT_CHUNK boundary.  A
     spy on the one exact-energy call per batch sees every run's final state."""
-    engine = importlib.import_module("optising.anneal")  # the package exports the function
     chunk = engine.HIT_CHUNK
     g = gen_regular(20, 5, 0.0, 1.0, seed=0)
     best, _ = brute_force_maxcut(g)
@@ -332,7 +329,7 @@ def check_mixed_cells(monkeypatch, rate, iters, sizes):
 
 
 def test_mixed_cells_step_like_single_runs(monkeypatch):
-    monkeypatch.setattr(importlib.import_module("optising.anneal"), "HIT_CHUNK", 64)
+    monkeypatch.setattr(engine, "HIT_CHUNK", 64)
     check_mixed_cells(monkeypatch, 0.985, 300, [(3, 0.0, 20), (13, 0.02, 30), (20, 0.0, 25),
                                                 (13, 0.0, 5), (3, 0.05, 1), (20, 0.02, 12)])
 
@@ -516,7 +513,6 @@ def _window_case(R, mix):
                                     (31, "analytic"), (33, "analytic"), (64, "analytic"),
                                     (7, "noisy"), (40, "noisy"), (5, "field")])
 def test_windows_equal_one_iteration_steps(monkeypatch, R, mix, t0, rate, iters):
-    engine = importlib.import_module("optising.anneal")
     g, span, runs, deep = _window_case(R, mix)
     s = Schedule(t0=span if t0 is None else t0, rate=rate, iters=iters)
     calls = []  # (block being stepped, iterations read, stacked) per `frames` call
@@ -543,7 +539,6 @@ def test_windows_equal_one_iteration_steps(monkeypatch, R, mix, t0, rate, iters)
 def test_hit_batches_never_read_windows(monkeypatch):
     # a hit batch decides its single-spin blocks from local fields, so even
     # a cold multi-spin stretch of an analytic batch steps one iteration at a time
-    engine = importlib.import_module("optising.anneal")
     g = gen_regular(16, 3, 0.0, 1.0, seed=0)
     ev = make_evaluator(g, 11)
     dims = []
@@ -560,7 +555,6 @@ def test_equal_evaluators_share_one_read(monkeypatch, sigma):
     # adjacent runs whose evaluators share the ensemble object, backend and
     # sigma are read together, so `frames` calls do not grow with the number
     # of equal evaluator objects
-    engine = importlib.import_module("optising.anneal")
     g = gen_regular(16, 3, 0.0, 1.0, seed=0)
     ev = make_evaluator(g, 11, sigma=sigma)
     calls = []
@@ -580,7 +574,6 @@ def test_equal_evaluators_share_one_read(monkeypatch, sigma):
 def test_engine_streams_are_the_spawned_children(monkeypatch, seed):
     # the engine builds child i of SeedSequence(seed).spawn(3) on its own,
     # and the noise child only for a noisy evaluator
-    engine = importlib.import_module("optising.anneal")
     g = gen_regular(16, 3, 0.0, 1.0, seed=0)
     evaluators = [(make_evaluator(g, 5), 2), (make_evaluator(g, 5, sigma=0.1), 3)]
     default_rng = np.random.default_rng
@@ -740,7 +733,6 @@ def test_hit_path_memory_does_not_grow_with_iters():
 def _spy_batches(monkeypatch):
     """Patch the engine so each batch records the end of its last block:
     `s.iters` for a batch stepped to the end, less for one that stopped."""
-    engine = importlib.import_module("optising.anneal")
     ends = []
     step = engine._lockstep
 
@@ -799,7 +791,7 @@ def test_freeze_stop_fires_at_the_block_the_gap_predicts(monkeypatch):
 def test_frozen_batches_stop_with_the_final_states_of_single_runs(monkeypatch, rate, iters):
     # noiseless cells in two batches of HIT_CHUNK = 32; the spy on the
     # engine records the main call only, as the check undoes every patch
-    monkeypatch.setattr(importlib.import_module("optising.anneal"), "HIT_CHUNK", 32)
+    monkeypatch.setattr(engine, "HIT_CHUNK", 32)
     ends = _spy_batches(monkeypatch)
     check_mixed_cells(monkeypatch, rate, iters, [(3, 0.0, 10), (13, 0.0, 20), (20, 0.0, 30)])
     assert len(ends) == 2 and max(ends) < iters  # both batches stopped
@@ -888,7 +880,6 @@ def test_fetches_of_n_blocks_step_like_single_runs(monkeypatch):
     # to the end, and noiseless runs retire inside the first fetch and the
     # second, so the later fetches hold fewer runs than the batch.  Each
     # block's move and Metropolis draws are its live runs' own, in run order.
-    engine = importlib.import_module("optising.anneal")
     g = gen_regular(8, 3, 0.0, 1.0, seed=0)
     best, _ = brute_force_maxcut(g)
     span = estimate_span(make_evaluator(g).ensemble, samples=200, rng=np.random.default_rng(0))
@@ -970,7 +961,6 @@ def test_one_field_cell_steps_the_whole_batch_through_frames(monkeypatch):
     # the local-field phase is a rule per batch: the analytic cells,
     # noiseless and noisy, take it on their own, but one field cell in the
     # same `optimal_hits` call steps every run through `frames` to the end
-    engine = importlib.import_module("optising.anneal")
     g, best, span, s = _paper_case()
     analytic = _hit_cells(g, span, [(13, 0.0, 4), (20, 0.02, 4)])
     cells = analytic + [(make_evaluator(g, 5, backend="field"), range(500, 503))]
@@ -996,7 +986,6 @@ def test_local_fields_track_the_frames_readout(monkeypatch):
     # noisy cell, each accepting run's h is x @ J_K and each entry p of its D
     # row is the frames-path step readout(x) - readout(x with spin p
     # flipped), both within 1e-12 * |J_K|_F * n
-    engine = importlib.import_module("optising.anneal")
     g, best, span, s = _paper_case()
     cells = _hit_cells(g, span, [(13, 0.0, 6), (13, 0.02, 6)])
     couplings = [(ev.ensemble.xi.T * ev.ensemble.g) @ ev.ensemble.xi for ev, _ in cells]

@@ -2,7 +2,10 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +70,20 @@ def test_gen_requires_exactly_one_generator(tmp_path):
     assert run(["gen", "--n", 6, "--out", tmp_path]) == EXIT_USAGE
     assert run(["gen", "--n", 6, "--degree", 2, "--density", 0.5,
                 "--out", tmp_path]) == EXIT_USAGE
+
+
+def test_module_entry_point_exits_with_main_code(tmp_path):
+    # `python -m optising.cli` runs `main` and exits with its code
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "optising.cli", "gen", "--n"]
+    bad = subprocess.run([*cmd, "5"], env=env, capture_output=True, text=True)
+    assert bad.returncode == EXIT_USAGE
+    assert "gen: specify exactly one of --degree or --density" in bad.stderr
+    ok = subprocess.run([*cmd, "6", "--degree", "3", "--out", str(tmp_path)],
+                        env=env, capture_output=True, text=True)
+    assert ok.returncode == EXIT_OK
+    assert read_graph(tmp_path / "graph.rud").num_edges == 9
 
 
 def test_gen_bad_params_guard(tmp_path, capsys):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_model
-from optising.anneal import BLOCK, RUN_CHUNK, Schedule, _lockstep, anneal
+from optising.anneal import BLOCK, Schedule, _lockstep, anneal
 from optising.experiments import (
     LBL_STATES,
     LBL_TRACE,
+    RUN_CHUNK,
     _k_list,
     anneal_trace_study,
     config_hash,

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,14 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"optising.{info.name}")
         missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
         assert not missing, f"optising.{info.name}.__all__ names {missing}"
+
+
+def test_engine_module_is_importable_by_name(monkeypatch):
+    import optising.anneal as engine
+
+    assert engine is sys.modules["optising.anneal"]
+    monkeypatch.setattr("optising.anneal.HIT_CHUNK", 32)
+    assert engine.HIT_CHUNK == 32
 
 
 def test_readme_library_example_runs(capsys):
