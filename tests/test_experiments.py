@@ -1,13 +1,18 @@
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import optising.experiments as experiments
 from conftest import random_symmetric_model
 from optising.anneal import BLOCK, Schedule, _lockstep, anneal
 from optising.experiments import (
+    LBL_GRAPH,
     LBL_STATES,
     LBL_TRACE,
     RUN_CHUNK,
@@ -25,7 +30,7 @@ from optising.experiments import (
     wilson_interval,
     write_csv,
 )
-from optising.graph import WeightedGraph, gen_density, gen_regular
+from optising.graph import GraphError, WeightedGraph, gen_density, gen_regular
 from optising.ising import from_graph, hamiltonian, random_states
 from optising.optics import HrvEvaluator, frames, hrv
 from optising.spectral import build_ensemble, eigendecompose
@@ -85,6 +90,18 @@ def test_linear_fit_rows_equal_one_sample_fits(rng):
         assert linear_fit(row, y) == want
         assert tuple(float(a[i]) for a in rows) == want
     assert linear_fit(x[0], np.full(9, 0.5)) == scalar_linear_fit(x[0], np.full(9, 0.5))
+
+
+def test_linear_fit_holds_one_scratch_block():
+    x = np.random.default_rng(5).normal(size=(128, 1000))
+    y = x[0] - 0.5 * x[1]
+    tracemalloc.start()
+    try:
+        linear_fit(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes
 
 
 def test_wilson_interval_against_reference():
@@ -233,6 +250,87 @@ def test_rmse_curve_averaged_shapes():
     assert np.all(rel >= 0)
     with pytest.raises(ValueError):
         rmse_curve_averaged(8, [2], 100, 2, 1)  # neither degree nor density
+
+
+@pytest.mark.parametrize("graph_seeds", [1, 2, 3, 5])
+def test_rmse_curve_averaged_equals_serial_loop(graph_seeds):
+    ks, samples, seed = [1, 3, 7, 12], 150, 8
+    got = rmse_curve_averaged(12, ks, samples, graph_seeds, seed, degree=3)
+    assert got[0] == ks
+    stats = np.empty((graph_seeds, len(ks), 3))
+    for gs in range(graph_seeds):
+        g = gen_regular(12, 3, 0.0, 1.0, seed=derive_seed(seed, LBL_GRAPH, gs))
+        rep = rmse_vs_k(from_graph(g), ks, samples, seed=derive_seed(seed, LBL_STATES, gs))
+        stats[gs] = [(r.rmse, r.rmse_relative, r.r2) for r in rep.records]
+    for a, b in zip(got[1:], stats.mean(axis=0).T):
+        assert a.tobytes() == b.tobytes()
+    again = rmse_curve_averaged(12, ks, samples, graph_seeds, seed, degree=3)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1:], again[1:]))
+
+
+def test_rmse_curve_averaged_raises_the_first_failing_graph(monkeypatch):
+    real_generate = experiments.generate
+    failing = {derive_seed(0, LBL_GRAPH, gs): gs for gs in (1, 3)}
+    calls = []
+
+    def generate(*args, seed, **kwargs):
+        calls.append(seed)
+        if seed in failing:
+            raise GraphError(f"graph {failing[seed]}")
+        return real_generate(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate", generate)
+    before = threading.active_count()
+    with pytest.raises(GraphError, match=r"^graph 1$"):
+        rmse_curve_averaged(10, [2, 10], 100, 5, 0, degree=3)
+    assert threading.active_count() == before
+    assert len(calls) <= 1 + min(5, experiments._usable_cpus())
+
+
+def test_each_on_threads_runs_every_index_once(monkeypatch):
+    # more threads than cores and a short switch interval, so that a lost
+    # or doubled index would show
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        experiments._each_on_threads(lambda i: ran.append((i, float(np.ones(50).sum()))), 400)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == [(i, 50.0) for i in range(400)]
+
+
+def test_each_on_threads_raises_the_lowest_failing_index(monkeypatch):
+    # both threads are inside a failing item before either raises
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    both_in = threading.Barrier(2, timeout=10)
+
+    def work(i):
+        both_in.wait()
+        raise ValueError(i)
+
+    with pytest.raises(ValueError) as info:
+        experiments._each_on_threads(work, 4)
+    assert info.value.args == (0,)
+
+
+def test_each_on_threads_joins_its_workers_on_an_interrupt(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    caller = threading.current_thread()
+    ran = []
+
+    def work(i):
+        ran.append(i)
+        if threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        time.sleep(0.01)
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        experiments._each_on_threads(work, 1000)
+    assert threading.active_count() == before
+    assert len(ran) < 1000  # no index starts once the caller is interrupted
 
 
 def test_rmse_curve_averaged_checks_ks_before_any_graph(monkeypatch):

@@ -1,7 +1,9 @@
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +28,16 @@ def test_engine_module_is_importable_by_name(monkeypatch):
     assert engine is sys.modules["optising.anneal"]
     monkeypatch.setattr("optising.anneal.HIT_CHUNK", 32)
     assert engine.HIT_CHUNK == 32
+
+
+def test_import_leaves_out_concurrent_futures_and_logging():
+    # either would add its import time to every CLI start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, optising, optising.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_readme_library_example_runs(capsys):
