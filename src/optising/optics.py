@@ -8,9 +8,12 @@ caller's buffer.  Two backends produce the reading:
 
 * analytic  -- closed form (X @ xi^T)^2, exact.
 * field     -- real macropixel plane, read at the zero-frequency bin of
-               its 2D DFT, rescaled to the analytic value.  The DFT runs
-               separably: rfft of the distinct plane rows, then fft of the
-               one column holding the bin.
+               its 2D DFT, rescaled to the analytic value.  The n spins
+               fill a square grid of side ceil(sqrt(n)) row-major, each a
+               block x block square, and the plane is zero-padded to pad x
+               pad, pad the smallest power of two >= side * block.  The DFT
+               runs separably: rfft of the distinct plane rows, then fft of
+               the one column holding the bin.
 
 Accumulating the K frame intensities with their eigenvalue signs,
 `frames(...) @ g`, gives the Hamiltonian surrogate (`hrv`).  Detector noise
@@ -48,39 +51,33 @@ class MacropixelConfig:
     """Layout of spins on the modulator plane.
 
     Spin i occupies a block x block square of uniform amplitude, placed
-    row-major on a grid_rows x grid_cols grid; the plane is zero-padded to
-    pad x pad (power of two) before the transform.
+    row-major on a square side x side grid; the plane is zero-padded to
+    pad x pad, pad the smallest power of two >= side * block, before the
+    transform.
     """
 
+    side: int
     block: int = 8
-    grid_rows: int = 1
-    grid_cols: int = 1
-    pad: int = 1
 
     def __post_init__(self):
-        if self.block < 1:
-            raise ValueError("block must be >= 1")
-        if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        need = max(self.grid_rows, self.grid_cols) * self.block
-        if self.pad < need or self.pad & (self.pad - 1):
-            raise ValueError(f"pad must be a power of two >= {need}, got {self.pad}")
+        if self.side < 1 or self.block < 1:
+            raise ValueError(f"side and block must be >= 1, got {self.side} and {self.block}")
+
+    @property
+    def pad(self) -> int:
+        return 1 << (self.side * self.block - 1).bit_length()
 
     @property
     def capacity(self) -> int:
-        return self.grid_rows * self.grid_cols
+        return self.side * self.side
 
     @classmethod
     @functools.cache
     def for_spins(cls, n: int, block: int = 8) -> "MacropixelConfig":
-        """Smallest square grid holding n spins, padded to the next power of two.
+        """Smallest square grid holding n spins: side ceil(sqrt(n)).
 
         A layout is frozen, so each one is built once and then shared."""
-        side = int(np.ceil(np.sqrt(n)))
-        pad = 1
-        while pad < side * block:
-            pad *= 2
-        return cls(block=block, grid_rows=side, grid_cols=side, pad=pad)
+        return cls(side=int(np.ceil(np.sqrt(n))), block=block)
 
 
 def analytic_intensity(xi, x) -> float:
@@ -117,8 +114,8 @@ def field_intensity(xi, x, cfg: MacropixelConfig) -> float:
     plane = np.zeros((cfg.pad, cfg.pad), dtype=complex)
     amp = xi * x
     for i in range(n):
-        r = (i // cfg.grid_cols) * b
-        c = (i % cfg.grid_cols) * b
+        r = (i // cfg.side) * b
+        c = (i % cfg.side) * b
         plane[r:r + b, c:c + b] = amp[i]
     center = np.fft.fft2(plane)[0, 0]
     return float(np.abs(center) ** 2) / float(b * b) ** 2
@@ -146,21 +143,21 @@ def frames(ensemble: IntensityEnsemble, X, backend: str = "analytic",
         if X.shape[-1:] != (ensemble.n,):
             raise ValueError(f"state shape {X.shape} does not end in n={ensemble.n}")
         cfg = MacropixelConfig.for_spins(ensemble.n)
-        rows, cols, b, pad = cfg.grid_rows, cfg.grid_cols, cfg.block, cfg.pad
-        # A plane repeats each of its `rows` distinct rows b times and is
+        side, b, pad = cfg.side, cfg.block, cfg.pad
+        # A plane repeats each of its `side` distinct rows b times and is
         # zero below the grid.  Spins fill the grid row-major, and each grid
-        # cell is broadcast into its b entries of a (rows, cols, b) view.
+        # cell is broadcast into its b entries of a (side, side, b) view.
         amp = ensemble.xi * X[..., None, :]
         lead = amp.shape[:-1]
         grid = np.zeros(lead + (cfg.capacity,))
         grid[..., :ensemble.n] = amp
-        line = np.zeros(lead + (rows, pad))
-        cells = line[..., :cols * b].reshape(lead + (rows, cols, b), copy=False)
-        cells[...] = grid.reshape(lead + (rows, cols, 1))
+        line = np.zeros(lead + (side, pad))
+        cells = line[..., :side * b].reshape(lead + (side, side, b), copy=False)
+        cells[...] = grid.reshape(lead + (side, side, 1))
         # rfft2 is rfft along the rows, then fft down each column; bin [0, 0]
         # reads only column 0, whose pad entries are the rows' zero bins
         column = np.zeros(lead + (pad,), dtype=complex)
-        column[..., :rows * b].reshape(lead + (rows, b), copy=False)[...] = (
+        column[..., :side * b].reshape(lead + (side, b), copy=False)[...] = (
             np.fft.rfft(line)[..., :1])
         center = np.fft.fft(column)[..., 0]
         return np.divide(np.abs(center) ** 2, float(b * b) ** 2, out=out)
@@ -175,11 +172,19 @@ def hrv(ensemble: IntensityEnsemble, x, backend: str = "analytic") -> float:
 
 def estimate_span(ensemble: IntensityEnsemble, samples: int,
                   rng: np.random.Generator) -> float:
-    """max - min of the noiseless readout over `samples` uniform random states."""
+    """max - min of the noiseless readout over `samples` uniform random states.
+
+    A span that is not finite, because the readouts overflow the float
+    range, is refused."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    vals = frames(ensemble, random_states(ensemble.n, samples, rng)) @ ensemble.g
-    return float(np.max(vals) - np.min(vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = frames(ensemble, random_states(ensemble.n, samples, rng)) @ ensemble.g
+        span = float(np.max(vals) - np.min(vals))
+    if not math.isfinite(span):
+        raise ValueError(f"the K={ensemble.K} readout overflows the float range, so its "
+                         "span is not finite: scale the weights down")
+    return span
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,30 @@ def test_zero_readout_span_asks_for_t0(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_overflowing_readout_span_is_refused(tmp_path, capsys):
+    # weights near the float limit make a valid graph whose readouts
+    # overflow: the span estimate refuses it by name before any annealing,
+    # and no numpy warning escapes (the test settings make one an error)
+    assert run(["gen", "--n", 6, "--degree", 3, "--wlow", "1e307", "--whigh", "1e308",
+                "--out", tmp_path, "--name", "g"]) == EXIT_OK
+    capsys.readouterr()
+    gpath = tmp_path / "g.rud"
+    message = ("error: the K=6 readout overflows the float range, so its span is not "
+               "finite: scale the weights down\n")
+    assert run(["solve", "--graph", gpath, "--iters", 20, "--t0", 1]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    for study in ("prob", "noise", "trace"):
+        out = tmp_path / study
+        assert run(["experiment", study, "--instance", gpath, "--runs", 2, "--iters", 20,
+                    "--out", out]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+        assert not out.exists()
+
+
 def test_non_finite_result_leaves_no_report(tmp_path, monkeypatch, capsys):
     # the JSON summary is checked before the report directory is made, so
     # a result it refuses leaves no half-written report behind
@@ -863,6 +887,19 @@ def test_experiment_noise_reports(tmp_path):
     assert len(lines) == 3
     payload = json.loads((out / "noise.json").read_text())
     assert payload["results"]["span"] > 0
+
+
+def test_experiment_noise_default_t0_is_its_noise_span(tmp_path):
+    # the default t0 and the noise sigma's scale come from one span estimate
+    # on one stream, so the summary's two values agree exactly
+    for seed in (0, 5):
+        out = tmp_path / f"noise{seed}"
+        assert run(["experiment", "noise", "--n", 10, "--degree", 3, "--k", 6,
+                    "--levels", "0,0.05", "--iters", 50, "--runs", 2, "--seed", seed,
+                    "--out", out]) == EXIT_OK
+        results = json.loads((out / "noise.json").read_text())["results"]
+        assert results["span"] > 0
+        assert results["span"] == results["schedule"]["t0"], seed
 
 
 def test_experiment_noise_reports_each_level_once_in_order(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -57,28 +58,34 @@ def test_field_matches_analytic_fuzzed(rng):
 
 
 def test_field_config_capacity_guard():
-    cfg = MacropixelConfig(block=2, grid_rows=1, grid_cols=2, pad=4)
-    with pytest.raises(ValueError):
-        field_intensity([1, 1, 1], [1, 1, 1], cfg)
+    cfg = MacropixelConfig(side=2, block=2)
+    assert cfg.capacity == 4
+    with pytest.raises(ValueError, match="layout holds 4 spins, need 5"):
+        field_intensity([1] * 5, [1] * 5, cfg)
 
 
 def test_macropixel_config_validation():
-    with pytest.raises(ValueError):
-        MacropixelConfig(block=0, grid_rows=1, grid_cols=1, pad=1)
-    with pytest.raises(ValueError):
-        MacropixelConfig(block=4, grid_rows=2, grid_cols=2, pad=6)  # not power of two
-    with pytest.raises(ValueError):
-        MacropixelConfig(block=4, grid_rows=2, grid_cols=2, pad=4)  # too small
+    for side, block in ((0, 1), (1, 0), (-1, 2), (2, -3)):
+        with pytest.raises(ValueError, match="side and block must be >= 1"):
+            MacropixelConfig(side=side, block=block)
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0), (-1, 2)])
-def test_macropixel_config_needs_a_grid(rows, cols):
-    with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
-        MacropixelConfig(block=2, grid_rows=rows, grid_cols=cols, pad=4)
+def test_macropixel_layout_is_set_by_side_and_block():
+    assert [f.name for f in dataclasses.fields(MacropixelConfig)] == ["side", "block"]
+    for block in (1, 2, 3, 8):
+        for n in range(1, 301):
+            cfg = MacropixelConfig.for_spins(n, block)
+            assert cfg.side == math.isqrt(n - 1) + 1 == math.ceil(math.sqrt(n)), (n, block)
+            assert cfg.capacity == cfg.side ** 2 >= n > (cfg.side - 1) ** 2
+            # reference pad: double from 1 until it covers side * block
+            pad = 1
+            while pad < cfg.side * block:
+                pad *= 2
+            assert cfg.pad == pad, (n, block)
 
 
 def test_field_intensity_rejects_mismatched_shapes():
-    cfg = MacropixelConfig(block=2, grid_rows=2, grid_cols=2, pad=4)
+    cfg = MacropixelConfig(side=2, block=2)
     with pytest.raises(ValueError, match="shape mismatch"):
         field_intensity([1.0, 0.5], [1, -1, 1], cfg)
 
@@ -87,8 +94,8 @@ def test_field_layout_is_built_once_per_n():
     # the field backend asks for the layout on every read; a frozen layout
     # is shared, one per (n, block)
     assert MacropixelConfig.for_spins(22) is MacropixelConfig.for_spins(22)
-    assert MacropixelConfig.for_spins(22) == MacropixelConfig(block=8, grid_rows=5,
-                                                              grid_cols=5, pad=64)
+    assert MacropixelConfig.for_spins(22) == MacropixelConfig(side=5, block=8)
+    assert MacropixelConfig.for_spins(22).pad == 64
     assert MacropixelConfig.for_spins(22, block=4).pad == 32
 
 
@@ -182,6 +189,16 @@ def test_estimate_span_deterministic():
     assert a == b
 
 
+def test_estimate_span_refuses_an_overflowing_readout():
+    # |J| near the float limit: the frame intensities overflow to inf, so
+    # the span is not finite; no numpy warning escapes (the test settings
+    # make one an error)
+    m = IsingModel(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    ens = build_ensemble(eigendecompose(m), 2)
+    with pytest.raises(ValueError, match="the K=2 readout overflows the float range"):
+        estimate_span(ens, samples=50, rng=np.random.default_rng(0))
+
+
 def test_estimate_span_guards():
     ens = build_ensemble(eigendecompose(TWO_SPIN), 2)
     with pytest.raises(ValueError):
@@ -242,7 +259,7 @@ def _rfft2_field_frames(ens, X):
     # reference: every full pad x pad real plane, then one rfft2 over them
     X = np.asarray(X, dtype=float)
     cfg = MacropixelConfig.for_spins(ens.n)
-    rows, cols, b = cfg.grid_rows, cfg.grid_cols, cfg.block
+    rows, cols, b = cfg.side, cfg.side, cfg.block
     amp = ens.xi * X[..., None, :]
     lead = amp.shape[:-1]
     grid = np.zeros(lead + (cfg.capacity,))
@@ -286,7 +303,7 @@ def test_frames_field_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * n * cfg.grid_rows * cfg.pad * 8, n
+        assert peak <= 3.5 * n * cfg.side * cfg.pad * 8, n
 
 
 @pytest.mark.parametrize("backend", ["analytic", "field"])
