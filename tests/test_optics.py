@@ -70,6 +70,12 @@ def test_macropixel_config_validation():
             MacropixelConfig(side=side, block=block)
 
 
+@pytest.mark.parametrize("side, block", [(0, 1), (1, 0), (-1, 2)])
+def test_macropixel_config_needs_a_grid(side, block):
+    with pytest.raises(ValueError, match="side and block must be >= 1"):
+        MacropixelConfig(side=side, block=block)
+
+
 def test_macropixel_layout_is_set_by_side_and_block():
     assert [f.name for f in dataclasses.fields(MacropixelConfig)] == ["side", "block"]
     for block in (1, 2, 3, 8):
