@@ -7,7 +7,8 @@ One engine core, `_lockstep`, steps every run of a batch in lock-step; its
 docstring states which blocks step in windows, and `_LocalFields` its
 single-spin phase.  `anneal` records every iteration of one evaluator's runs.
 `optimal_hits` keeps only the final states of many (evaluator, seeds)
-cells, HIT_CHUNK runs per batch.
+cells, HIT_CHUNK runs per batch: a hit batch records no per-iteration
+readouts or states, only the states at each block's end.
 
 RNG contract (v3).  Run r draws from the three children of
 `SeedSequence(seed_r).spawn(3)`, child i built alone as
@@ -167,8 +168,11 @@ class _LocalFields:
 
     A batch of analytic evaluators with `stop_frozen` stops reading at the
     first block from which every move flips one spin.  A block is then decided in
-    rounds: the Metropolis rule over the live runs' rest of the block, then
-    each run's first accept flips its spin; the runs that accepted go again.
+    rounds, each reading the d_e of its runs' picks through their flat
+    indexes into D, fixed for the block: the first round applies the
+    Metropolis rule to every live run over the whole block, each later
+    round to the runs that accepted in the round before, over the
+    iterations after that accept.  Each run's first accept flips its spin.
     A noisy run decides with D_p + off - z, off its reading's noise, which
     an accept sets to that iteration's z.  A noiseless run retires at a
     block end once its row of D exceeds 40 * T for the largest T still to
@@ -218,15 +222,18 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     Yields, per block of BLOCK iterations, (slice of the block's
     iterations, hrv, accepted, delta_e, u, states), u the Metropolis draws
     floored at 2**-53: iteration-major (nb, R) and (nb, R, n) arrays that
-    the next block overwrites.  With `stop_frozen`, a batch of analytic
-    evaluators takes the single-spin phase (`_LocalFields`).  Both phases
-    draw through `fetch`, one row per run; the single-spin phase fetches n
-    blocks per call into the idle keys, signs and states buffers.  Only a
-    batch with noisy runs writes `states` there, and as noisy runs never
-    retire, it never stops early.  A block after the switch yields None for
-    hrv, accepted, delta_e and u, and as states the (1, R, n) view of the
-    states at its end.  The last block yielded ends where the last run
-    retired, or at `s.iters`, and its states are the final ones.
+    the next block overwrites.  A `stop_frozen` batch records no
+    per-iteration hrv or states: its hrv rows are left unwritten and only
+    the last row of its states, the states at the block's end, is written.
+    With `stop_frozen`, a batch of analytic evaluators takes the
+    single-spin phase (`_LocalFields`).  Both phases draw through `fetch`,
+    one row per run; the single-spin phase fetches n blocks per call into
+    the idle keys, signs and states buffers.  Only a batch with noisy runs
+    writes `states` there, and as noisy runs never retire, it never stops
+    early.  A block after the switch yields None for hrv, accepted, delta_e
+    and u, and as states the (1, R, n) view of the states at its end.  The
+    last block yielded ends where the last run retired, or at `s.iters`,
+    and its states are the final ones.
     """
     n = g.n
     R = len(runs)
@@ -357,8 +364,11 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
                 if np.count_nonzero(ok):
                     np.copyto(x, cand1, where=ok[:, None])
                     np.copyto(cur, hrv1, where=ok)
-                hrv[j] = cur
-                states[j] = x
+                if not stop_frozen:
+                    hrv[j] = cur
+                    states[j] = x
+            if stop_frozen:
+                states[nb - 1] = x
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
     if switch == s.iters:
@@ -376,6 +386,8 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     moves, unif, noise = (a.reshape(R, -1) for a in (keys, signs, states))
     if noisy:
         noise.fill(0.0)  # noiseless rows subtract 0
+    flat = fields.D.reshape(-1)  # a view: `flip` rewrites rows of D in place
+    later = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)  # later[f, j]: j > f
     live = np.arange(R)
     for b0 in range(switch, s.iters, BLOCK):
         bound = 40.0 * -float(neg_t[b0:].min())  # the largest T still to come
@@ -387,32 +399,35 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
         if not c:
             cols = min(moves.shape[1], -(-(s.iters - b0) // BLOCK) * BLOCK)  # whole blocks
             fetch(live, moves[:, :cols], unif[:, :cols], noise[:, :cols])
-        picks = _picks(moves[live, c:c + nb], n)
+        at = _picks(moves[live, c:c + nb], n)
+        at += (live * n)[:, None]  # each pick's index into the flattened D
         theta = unif[live, c:c + nb]
         _threshold(theta, neg_t[b0:b0 + nb], theta)
-        z = noise[:, c:c + nb]
-        # rounds: each run of `act`, a position in `live`, decides its
-        # iterations from nxt on and takes its first accept
-        nxt = np.zeros(live.size, dtype=np.intp)
-        act = np.arange(live.size)
-        while act.size:
-            j0 = int(nxt[act].min())
-            rr = live[act]
-            d_e = fields.D[rr[:, None], picks[act, j0:nb]]
+        if noisy:
+            z, o = noise[live, c:c + nb], off[live]
+        # rounds (`_LocalFields`); `mask` keeps a row's iterations after its last accept
+        mask = None
+        while len(at):
+            d_e = flat.take(at)
             if noisy:
-                d_e += off[rr, None]
-                d_e -= z[rr, j0:nb]
-            ok = d_e <= theta[act, j0:nb]
-            ok &= np.arange(j0, nb) >= nxt[act, None]
+                d_e += o[:, None]
+                d_e -= z
+            ok = d_e <= theta
+            if mask is not None:
+                ok &= mask
             first = ok.argmax(axis=1)
-            took = ok[np.arange(act.size), first]
-            act, first = act[took], first[took] + j0
-            rr = live[act]
-            fields.flip(rr, picks[act, first])
+            took = np.flatnonzero(ok.any(axis=1))
+            after = first[took]
+            rr, spins = np.divmod(at[took, after], n)
+            fields.flip(rr, spins)
             if noisy:
-                off[rr] = z[rr, first]
-            nxt[act] = first + 1
-            act = act[nxt[act] < nb]
+                o[took] = off[rr] = z[took, after]
+            go = after < nb - 1  # an accept in the block's last iteration ends its block
+            took, after = took[go], after[go]
+            at, theta = at.take(took, axis=0), theta.take(took, axis=0)
+            mask = later[:nb, :nb].take(after, axis=0)
+            if noisy:
+                z, o = z.take(took, axis=0), o[took]
         yield slice(b0, b0 + nb), None, None, None, None, x[None]
 
 

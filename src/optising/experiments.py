@@ -101,6 +101,27 @@ def readout_span(ensemble: IntensityEnsemble, seed: int, samples: int = SPAN_SAM
     return estimate_span(ensemble, samples=samples, rng=rng)
 
 
+def _in_float_range(m: IsingModel, squares: int = 0) -> IsingModel:
+    """m, refused when a study's arithmetic on it could overflow.
+
+    On +-1 states every readout at any K, local-field step, exact energy and
+    cut is at most B = 8 n sum|J_ij| in magnitude, as no |eigenvalue| and no
+    entry of a truncated J_K exceeds sum|J_ij|.  So B must be finite, and
+    squares * B**2 too for a study that sums `squares` squares of such
+    values: the matching study's residuals over its samples, the trace
+    study's final readouts and cuts over its runs."""
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
+        bound = 8.0 * m.n * float(np.abs(m.J).sum())
+    what = "8 n sum|J_ij|"
+    if squares:
+        bound *= squares * bound
+        what = f"{squares} * ({what})**2"
+    if not math.isfinite(bound):
+        raise ValueError(f"the readouts may overflow the float range, as {what} is not "
+                         "finite: scale the weights down")
+    return m
+
+
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion."""
     if trials < 1:
@@ -200,6 +221,7 @@ def rmse_vs_k(m: IsingModel, ks, samples: int, seed: int) -> MatchReport:
         raise ValueError("need at least 2 samples")
     n = m.n
     ks = _k_list(ks, n)
+    _in_float_range(m, samples)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, LBL_STATES]))
     X = random_states(n, samples, rng).astype(float)
@@ -398,8 +420,9 @@ def probability_vs_k(g: WeightedGraph, ks, schedules, runs: int, seed: int) -> P
     n = g.n
     ks = _k_list([*ks, n], n)
 
+    model = _in_float_range(from_graph(g))
     optimum, _ = brute_force_maxcut(g)
-    b = eigendecompose(from_graph(g))
+    b = eigendecompose(model)
     table = ProbTable(n=n, optimum=optimum, seed=seed,
                       split_cluster={K: int(splits_cluster(b, K)) for K in ks})
 
@@ -459,7 +482,7 @@ def noise_sweep(g: WeightedGraph, K: int, levels, schedule: Schedule, runs: int,
         raise ValueError("noise levels must be finite and non-negative")
 
     # the ensemble refuses a K outside 1..n before the oracle enumerates
-    b = eigendecompose(from_graph(g))
+    b = eigendecompose(_in_float_range(from_graph(g)))
     ens = build_ensemble(b, K)
     optimum, _ = brute_force_maxcut(g)
 
@@ -502,7 +525,7 @@ def anneal_trace_study(g: WeightedGraph, ks, schedule: Schedule, runs: int,
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ks = _k_list(ks, g.n)
-    model = from_graph(g)
+    model = _in_float_range(from_graph(g), runs)
     half_total = g.total_weight() / 2.0
     b = eigendecompose(model)
 

@@ -930,6 +930,66 @@ def test_fetches_of_n_blocks_step_like_single_runs(monkeypatch):
     assert 0 < sum(hits) < 20
 
 
+def _hit_batches_match_single_runs(monkeypatch, g, sizes, s):
+    """`optimal_hits` over `_hit_cells` of (K, noise level, runs) triples,
+    against single-run `anneal`: every run's final state and every cell's
+    hits.  Undoes every patch; returns the cells' single-run traces."""
+    best, _ = brute_force_maxcut(g)
+    span = estimate_span(make_evaluator(g).ensemble, samples=1000, rng=np.random.default_rng(1))
+    cells = _hit_cells(g, span, sizes)
+    finals = _spy_finals(monkeypatch)
+    hits = optimal_hits(cells, g, s(span), best)
+    monkeypatch.undo()
+    singles = [anneal(ev, g, s(span), seeds) for ev, seeds in cells]
+    assert np.array_equal(np.concatenate(finals), np.concatenate([tr.final_state for tr in singles]))
+    assert hits == [int(np.sum(np.abs(tr.final_cut - best) <= CUT_MATCH_TOL)) for tr in singles]
+    assert 0 < sum(hits) < sum(runs for *_, runs in sizes)  # both outcomes occur
+    return singles
+
+
+def _single_spin_start(s, n):
+    return next(b0 for b0 in range(0, s.iters, BLOCK) if s.flip_counts(n)[b0] == 1)
+
+
+def test_an_accept_in_a_blocks_last_iteration_ends_the_runs_rounds(monkeypatch):
+    # a run whose accept falls in its block's last iteration has nothing
+    # left to decide there and leaves the rounds; every cell has such
+    # accepts in the single-spin phase
+    g = gen_regular(8, 3, 0.0, 1.0, seed=0)
+    ends = _spy_batches(monkeypatch)
+    singles = _hit_batches_match_single_runs(
+        monkeypatch, g, [(4, 0.0, 12), (8, 0.0, 12)], lambda span: Schedule(span, 0.99, 1024))
+    k = np.arange(1024)
+    last = (k % BLOCK == BLOCK - 1) & (k >= _single_spin_start(Schedule(1.0, 0.99, 1024), g.n))
+    assert all(tr.accepted[:, last].sum() >= 4 for tr in singles)
+    assert ends[0] < 1024  # the batch retired, so every accept above was a live run's
+
+
+def test_a_partial_last_block_decides_noisy_and_noiseless_rows_together(monkeypatch):
+    # 500 iterations end in a block of 52; the noisy cell keeps the batch
+    # stepping into it, and runs of every cell, noiseless too, accept there
+    g = gen_regular(12, 3, 0.0, 1.0, seed=0)
+    ends = _spy_batches(monkeypatch)
+    singles = _hit_batches_match_single_runs(
+        monkeypatch, g, [(6, 0.0, 12), (12, 0.02, 12), (12, 0.0, 12)],
+        lambda span: Schedule(span, 0.99, 500))
+    assert ends == [500] and 500 % BLOCK == 52
+    assert _single_spin_start(Schedule(1.0, 0.99, 500), g.n) < 500 - 52
+    assert all(tr.accepted[:, -52:].any() for tr in singles)
+
+
+def test_a_cell_split_across_two_hit_batches(monkeypatch):
+    # HIT_CHUNK = 16 puts the first two cells and 2 runs of the third, three
+    # K groups, in one batch and the third cell's other 8 runs in a second;
+    # the split cell is noisy, so both batches step to the end
+    monkeypatch.setattr(engine, "HIT_CHUNK", 16)
+    ends = _spy_batches(monkeypatch)
+    _hit_batches_match_single_runs(
+        monkeypatch, gen_regular(20, 5, 0.0, 1.0, seed=0), [(3, 0.0, 6), (13, 0.0, 8), (20, 0.02, 10)],
+        lambda span: Schedule(span, 0.98, 600))
+    assert ends == [600, 600]
+
+
 def _paper_case():
     """The criterion-6 instance and the paper's schedule: t0 the full-K
     readout span, rate 0.995, 3000 iterations."""

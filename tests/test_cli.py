@@ -556,6 +556,29 @@ def test_overflowing_readout_span_is_refused(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_overflowing_readouts_are_refused_where_no_span_is_estimated(tmp_path, capsys):
+    # with t0 given, and in the matching study, no span is estimated: the
+    # studies' own bound on the readouts refuses the graph by name, and no
+    # numpy warning escapes (the test settings make one an error)
+    assert run(["gen", "--n", 6, "--degree", 3, "--wlow", "1e307", "--whigh", "1e308",
+                "--out", tmp_path, "--name", "g"]) == EXIT_OK
+    capsys.readouterr()
+    gpath = tmp_path / "g.rud"
+    bound = "8 n sum|J_ij|"
+    anneals = ["--iters", 20, "--t0", 1, "--runs", 2]
+    for study, extra, what in [("prob", anneals, bound), ("noise", anneals, bound),
+                               ("trace", anneals, f"2 * ({bound})**2"),
+                               ("rmse", ["--samples", 50], f"50 * ({bound})**2")]:
+        out = tmp_path / study
+        argv = ["experiment", study, "--instance", gpath, *extra, "--out", out]
+        assert run(argv) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the readouts may overflow the float range, as {what} "
+                                "is not finite: scale the weights down\n")
+        assert not out.exists()
+
+
 def test_non_finite_result_leaves_no_report(tmp_path, monkeypatch, capsys):
     # the JSON summary is checked before the report directory is made, so
     # a result it refuses leaves no half-written report behind

@@ -452,6 +452,46 @@ def test_studies_reject_no_runs_before_any_work(small_instance, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n, degree", [(2, 1), (6, 3)])
+def test_studies_refuse_readouts_that_may_overflow(n, degree, monkeypatch):
+    # the bound B = 8 n sum|J_ij|, and squares * B**2 for a study that sums
+    # squares: with the weights scaled to just inside it every study runs
+    # without a numpy warning (the test settings make one an error), and
+    # just past it each study refuses before it enumerates or decomposes
+    g0 = gen_regular(n, degree, 0.5, 1.0, seed=0)
+    S = float(np.abs(from_graph(g0).J).sum())
+    top = float(np.finfo(float).max)
+    work = []
+    for name in ("brute_force_maxcut", "eigendecompose"):
+        monkeypatch.setattr(experiments, name, lambda *a, f=getattr(experiments, name):
+                            work.append(1) or f(*a))
+
+    def schedule(g):
+        return Schedule(t0=g.total_weight(), rate=0.99, iters=200)
+
+    studies = [  # (squares summed, study)
+        (0, lambda g: probability_vs_k(g, range(1, n + 1), [schedule(g)], runs=4, seed=0)),
+        (0, lambda g: noise_sweep(g, n, [0.0, 0.05], schedule(g), runs=4, seed=0)),
+        (4, lambda g: anneal_trace_study(g, [1, n], schedule(g), runs=4, seed=0)),
+        (50, lambda g: rmse_vs_k(from_graph(g), range(1, n + 1), samples=50, seed=0)),
+    ]
+    for squares, study in studies:
+        edge = (math.sqrt(top / squares) if squares else top) / (8 * n * S)
+        what = f"{squares} * (8 n sum|J_ij|)**2" if squares else "8 n sum|J_ij|"
+        for frac in (0.999, 1.01):
+            g = WeightedGraph(n, tuple((u, v, w * frac * edge) for u, v, w in g0.edges))
+            work.clear()
+            if frac < 1:
+                study(g)
+                assert work
+            else:
+                message = (f"the readouts may overflow the float range, as {what} is not "
+                           "finite: scale the weights down")
+                with pytest.raises(ValueError) as err:
+                    study(g)
+                assert str(err.value) == message and not work
+
+
 def test_noise_sweep_checks_k_before_any_work(small_instance, monkeypatch):
     calls = []
 
