@@ -367,8 +367,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
                 if not stop_frozen:
                     hrv[j] = cur
                     states[j] = x
-            if stop_frozen:
-                states[nb - 1] = x
+            states[nb - 1] = x  # all a hit batch records of its block
         yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
                states[:nb])
     if switch == s.iters:
@@ -406,15 +405,14 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
         if noisy:
             z, o = noise[live, c:c + nb], off[live]
         # rounds (`_LocalFields`); `mask` keeps a row's iterations after its last accept
-        mask = None
+        mask = True
         while len(at):
             d_e = flat.take(at)
             if noisy:
                 d_e += o[:, None]
                 d_e -= z
             ok = d_e <= theta
-            if mask is not None:
-                ok &= mask
+            ok &= mask
             first = ok.argmax(axis=1)
             took = np.flatnonzero(ok.any(axis=1))
             after = first[took]
