@@ -7,8 +7,9 @@ One engine core, `_lockstep`, steps every run of a batch in lock-step; its
 docstring states which blocks step in windows, and `_LocalFields` its
 single-spin phase.  `anneal` records every iteration of one evaluator's runs.
 `optimal_hits` keeps only the final states of many (evaluator, seeds)
-cells, HIT_CHUNK runs per batch: a hit batch records no per-iteration
-readouts or states, only the states at each block's end.
+cells, HIT_CHUNK runs per batch, and scores them with `reaches_optimum`: a
+hit batch records no per-iteration readouts or states and hands out only
+its current states.
 
 RNG contract (v3).  Run r draws from the three children of
 `SeedSequence(seed_r).spawn(3)`, child i built alone as
@@ -61,6 +62,7 @@ __all__ = [
     "AnnealTrace",
     "anneal",
     "optimal_hits",
+    "reaches_optimum",
     "DEFAULT_ITERS",
     "CUT_MATCH_TOL",
     "BLOCK",
@@ -68,6 +70,8 @@ __all__ = [
 ]
 
 DEFAULT_ITERS = 3000
+# a cut reaches the optimum within CUT_MATCH_TOL times the largest |weight|:
+# a weight lighter than that share of the largest is below its resolution
 CUT_MATCH_TOL = 1e-9
 BLOCK = 64       # iterations per RNG draw; part of the RNG contract
 HIT_CHUNK = 256  # most runs a batch of `optimal_hits` holds
@@ -219,21 +223,19 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     one, so windows are bit-equal to one-iteration steps.  Every other
     block steps one iteration at a time through 2-D plane reads.
 
-    Yields, per block of BLOCK iterations, (slice of the block's
-    iterations, hrv, accepted, delta_e, u, states), u the Metropolis draws
-    floored at 2**-53: iteration-major (nb, R) and (nb, R, n) arrays that
-    the next block overwrites.  A `stop_frozen` batch records no
-    per-iteration hrv or states: its hrv rows are left unwritten and only
-    the last row of its states, the states at the block's end, is written.
+    Each block of BLOCK iterations yields a tuple whose first item is the
+    slice of its iterations.  A batch without `stop_frozen` yields (slice,
+    hrv, accepted, delta_e, u, states), u the Metropolis draws floored at
+    2**-53, as iteration-major (nb, R) and (nb, R, n) arrays that the next
+    block overwrites.  A `stop_frozen` batch yields (slice, None, None,
+    None, None, states), states the (1, R, n) view of the batch's states at
+    the block's end, until the next block steps them, and its last block
+    ends where its last run retired, or at `s.iters`.
+
     With `stop_frozen`, a batch of analytic evaluators takes the
     single-spin phase (`_LocalFields`).  Both phases draw through `fetch`,
     one row per run; the single-spin phase fetches n blocks per call into
-    the idle keys, signs and states buffers.  Only a batch with noisy runs
-    writes `states` there, and as noisy runs never retire, it never stops
-    early.  A block after the switch yields None for hrv, accepted, delta_e
-    and u, and as states the (1, R, n) view of the states at its end.  The
-    last block yielded ends where the last run retired, or at `s.iters`,
-    and its states are the final ones.
+    the keys, signs and states buffers, which it has no other use for.
     """
     n = g.n
     R = len(runs)
@@ -367,9 +369,11 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
                 if not stop_frozen:
                     hrv[j] = cur
                     states[j] = x
-            states[nb - 1] = x  # all a hit batch records of its block
-        yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
-               states[:nb])
+        if stop_frozen:
+            yield slice(b0, b0 + nb), None, None, None, None, x[None]
+        else:
+            yield (slice(b0, b0 + nb), hrv[:nb], accepted[:nb], delta_e[:nb], u[:, :nb].T,
+                   states[:nb])
     if switch == s.iters:
         return
 
@@ -392,7 +396,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
         bound = 40.0 * -float(neg_t[b0:].min())  # the largest T still to come
         live = live[~(noiseless[live] & (fields.D[live] > bound).all(axis=1))]
         if not live.size:
-            return  # a batch without noisy runs never wrote `states`, the final states
+            return
         nb = min(BLOCK, s.iters - b0)
         c = (b0 - switch) % moves.shape[1]  # this block's first column of the fetch
         if not c:
@@ -464,9 +468,17 @@ def anneal(evaluator: HrvEvaluator, g: WeightedGraph, s: Schedule, seed) -> Anne
     )
 
 
+def reaches_optimum(cut, optimum: float, g: WeightedGraph):
+    """Whether each cut of `cut`, a float or an array, equals `optimum`,
+    the maximum cut of g: |cut - optimum| <= CUT_MATCH_TOL * max_e |w_e|,
+    so a graph without edges, where every cut is 0, matches only 0."""
+    scale = max((abs(w) for *_, w in g.edges), default=0.0)
+    return np.abs(np.subtract(cut, optimum)) <= CUT_MATCH_TOL * scale
+
+
 def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[int]:
     """Hits per cell of `cells`, a list of (evaluator, seeds): how many of
-    the cell's runs, one per seed, end in a cut equal to `optimum`.
+    the cell's runs, one per seed, end in a cut that `reaches_optimum`.
 
     The runs of all cells are stepped together, HIT_CHUNK at a time, and
     only their final states are kept; a batch of analytic evaluators ends
@@ -481,5 +493,5 @@ def optimal_hits(cells, g: WeightedGraph, s: Schedule, optimum: float) -> list[i
         for *_, states in _lockstep(runs[i:i + HIT_CHUNK], g, s, stop_frozen=True):
             pass
         cut = half_total - hamiltonian(model, states[-1]) / 2.0
-        hit[i:i + HIT_CHUNK] = np.abs(cut - optimum) <= CUT_MATCH_TOL
+        hit[i:i + HIT_CHUNK] = reaches_optimum(cut, optimum, g)
     return np.bincount(owner, weights=hit, minlength=len(cells)).astype(int).tolist()

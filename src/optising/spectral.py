@@ -108,11 +108,17 @@ def build_ensemble(b: EigenBundle, K: int, P: float = 1.0) -> IntensityEnsemble:
 
 
 def error_ratio(b: EigenBundle, K: int) -> float:
-    """Spectral-mass truncation error: 1 - sum of K leading |lam| / sum of all |lam|."""
+    """Spectral-mass truncation error: 1 - sum of K leading |lam| / sum of all |lam|.
+
+    A sum of |lam| that overflows the float range is refused."""
     if not 0 <= K <= b.n:
         raise ValueError(f"K must lie in 0..{b.n}, got {K}")
     vals = np.abs(b.lam[b.order])
-    total = float(np.sum(vals))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(vals))
+    if not math.isfinite(total):
+        raise ValueError("the sum of |eigenvalue| overflows the float range, so the error "
+                         "ratio is not finite: scale the weights down")
     if total == 0.0:
         return 0.0
     return 1.0 - float(np.sum(vals[:K])) / total

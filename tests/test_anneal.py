@@ -1041,6 +1041,44 @@ def test_one_field_cell_steps_the_whole_batch_through_frames(monkeypatch):
     assert hits == [sum(next(per_run) for _ in seeds) for _, seeds in cells]
 
 
+@pytest.mark.parametrize("sizes, backend", [
+    ([(13, 0.0, 6), (20, 0.0, 6)], "analytic"),  # switches to local fields
+    ([(13, 0.0, 3), (20, 0.02, 3)], "analytic"),  # switches, and steps to the end
+    ([(13, 0.0, 3)], "field"),                    # never switches
+])
+def test_hit_batches_yield_only_their_states(monkeypatch, sizes, backend):
+    # every block of a hit batch yields its slice and the (1, R, n) states
+    # at its end, before the local-field switch as after it: the states a
+    # recording batch of the same runs holds there.  The last ones are
+    # those `optimal_hits` scores, the final states of single runs.
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    best, _ = brute_force_maxcut(g)
+    span = estimate_span(make_evaluator(g).ensemble, samples=1000, rng=np.random.default_rng(1))
+    s = Schedule(t0=span, rate=0.97, iters=600)
+    cells = [(make_evaluator(g, K, level * span, backend), seeds)
+             for (K, level, _), (_, seeds) in zip(sizes, _hit_cells(g, span, sizes))]
+    runs = [(ev, sd) for ev, seeds in cells for sd in seeds]
+    blocks = [(blk, rest, states.copy())
+              for blk, *rest, states in engine._lockstep(runs, g, s, stop_frozen=True)]
+    recorded = [states[-1].copy() for *_, states in engine._lockstep(runs, g, s)]
+    assert [blk for blk, *_ in blocks] == [slice(b0, min(b0 + BLOCK, s.iters))
+                                           for b0 in range(0, blocks[-1][0].stop, BLOCK)]
+    for (_, rest, states), want in zip(blocks, recorded):
+        assert all(item is None for item in rest) and states.shape == (1, len(runs), g.n)
+        assert np.array_equal(states[0], want)
+    switch = _single_spin_start(s, g.n)
+    assert blocks[0][0].start < switch < blocks[-1][0].start
+    noiseless = all(ev.sigma == 0 for ev, _ in cells)
+    assert (blocks[-1][0].stop < s.iters) == (noiseless and backend == "analytic")
+
+    finals = _spy_finals(monkeypatch)
+    optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    assert np.array_equal(finals[0], blocks[-1][2][0])
+    assert np.array_equal(finals[0], np.concatenate([anneal(ev, g, s, seeds).final_state
+                                                     for ev, seeds in cells]))
+
+
 def test_local_fields_track_the_frames_readout(monkeypatch):
     # after every accept of the single-spin phase, on a noiseless and a
     # noisy cell, each accepting run's h is x @ J_K and each entry p of its D

@@ -579,6 +579,63 @@ def test_overflowing_readouts_are_refused_where_no_span_is_estimated(tmp_path, c
         assert not out.exists()
 
 
+def test_field_readout_does_not_overflow_where_the_analytic_one_does_not(tmp_path, capsys):
+    # the plane sums are scaled by block^2 = 64 before they are squared, so
+    # the field readout of weights near 1e305 stays finite, with no numpy
+    # warning (the test settings make one an error)
+    assert run(["gen", "--n", 6, "--degree", 3, "--wlow", "1e304", "--whigh", "1e305",
+                "--out", tmp_path, "--name", "g"]) == EXIT_OK
+    solve = ["solve", "--graph", tmp_path / "g.rud"]
+    outs = []
+    for backend in ("analytic", "field"):
+        capsys.readouterr()
+        assert run([*solve, "--backend", backend]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(dict(line.split("=", 1) for line in captured.out.splitlines()))
+    assert np.isfinite(float(outs[1]["final_hrv"]))
+    for key in ("final_cut", "state"):
+        assert outs[1][key] == outs[0][key]
+
+
+def test_decompose_refuses_an_overflowing_error_ratio(tmp_path, capsys):
+    # the sum of |eigenvalue| overflows: decompose exits 4 before it prints
+    # a row or writes a file, instead of reporting NaN error ratios
+    assert run(["gen", "--n", 6, "--degree", 3, "--wlow", "1e307", "--whigh", "1e308",
+                "--out", tmp_path, "--name", "g"]) == EXIT_OK
+    m = from_graph(read_graph(tmp_path / "g.rud"))
+    mpath = tmp_path / "m.csv"
+    mpath.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in m.J.tolist()))
+    for source in (["--graph", tmp_path / "g.rud"], ["--matrix", mpath]):
+        capsys.readouterr()
+        out, bundle = tmp_path / "out", tmp_path / "bundle.json"
+        assert run(["decompose", *source, "--out", out, "--dump-bundle", bundle]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the sum of |eigenvalue| overflows the float range, so "
+                                "the error ratio is not finite: scale the weights down\n")
+        assert not (out / "spectrum.csv").exists() and not bundle.exists()
+
+
+@pytest.mark.parametrize("gen_args, solve_args, match", [
+    # weights below 1e-10: the cut the run ends in is less than half the
+    # optimum, both far below 1e-9
+    (["--n", 12, "--wlow", 0, "--whigh", 1e-10, "--seed", 3],
+     ["--iters", 3, "--t0", 1e-10, "--seed", 1], 0),
+    # unit weights, a run that ends in the optimum
+    (["--n", 8, "--wlow", 1, "--whigh", 1, "--seed", 2], ["--seed", 1], 1),
+])
+def test_optimal_match_is_relative_to_the_largest_weight(tmp_path, capsys, gen_args, solve_args,
+                                                         match):
+    assert run(["gen", "--degree", 3, *gen_args, "--out", tmp_path, "--name", "g"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["solve", "--graph", tmp_path / "g.rud", "--oracle", *solve_args]) == EXIT_OK
+    fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    cut, best = float(fields["final_cut"]), float(fields["optimal_cut"])
+    assert fields["optimal_match"] == str(match)
+    assert (cut == best) if match else (cut < best / 2)
+
+
 def test_non_finite_result_leaves_no_report(tmp_path, monkeypatch, capsys):
     # the JSON summary is checked before the report directory is made, so
     # a result it refuses leaves no half-written report behind

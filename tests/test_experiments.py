@@ -391,6 +391,21 @@ def test_probability_vs_k_deterministic(small_instance):
     assert [c.hits for c in t1.cells] == [c.hits for c in t2.cells]
 
 
+def test_probability_vs_k_hits_do_not_depend_on_the_weights_scale():
+    # scaling the weights and t0 by a power of two scales every readout and
+    # cut exactly, so the runs are the same: so must their hits be
+    base = gen_regular(20, 5, seed=0)
+    hits = []
+    for scale in (2.0 ** -40, 1.0, 2.0 ** 40):
+        g = WeightedGraph(base.n, tuple((u, v, w * scale) for u, v, w in base.edges))
+        span = experiments.readout_span(build_ensemble(eigendecompose(from_graph(g)), g.n), 0)
+        table = probability_vs_k(g, [4, 13, 20], [Schedule(t0=span, rate=0.99, iters=1000)],
+                                 runs=60, seed=0)
+        hits.append([c.hits for c in table.cells])
+    assert hits[0] == hits[1] == hits[2]
+    assert 0 < sum(hits[1]) < 180
+
+
 def test_noise_sweep_level_zero_reproduces_noiseless(small_instance):
     s = Schedule(t0=4.0, rate=0.99, iters=150)
     noisy = noise_sweep(small_instance, K=6, levels=[0.0, 0.05], schedule=s,
