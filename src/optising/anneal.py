@@ -31,9 +31,10 @@ only on seed_r, never on how many runs share its batch or on its position
 there.  The single-spin phase fetches up to n blocks per call, the same
 values, as `random` and `standard_normal` consume a stream in order; so a
 retired run's generator may have moved past its retirement, and nothing
-reads it there.  A batched readout is one matrix product, and a local-field
-d_e its own sum, whose rounding may differ from a single run's in the last
-bits; states, flips and acceptance decisions are the same.
+reads it there.  A batched readout is one matrix product, or one across
+the cells of an eigenbasis, and a local-field d_e its own sum, whose
+rounding may differ from a single run's in the last bits; states, flips
+and acceptance decisions are the same.
 
 Metropolis rule.  A move with energy step d_e at temperature T is accepted
 when u < exp(min(0, -d_e / T)), which in exact arithmetic holds when
@@ -135,16 +136,19 @@ def _flip_signs(keys: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     b, every run flips the m[b] spins with the smallest keys.  A key tied
     with the m[b]-th smallest ranks by position, so a move still flips
     exactly m[b] spins.  `out` may be any view of that shape; the engine
-    passes its iteration-major buffer transposed."""
-    np.copyto(out, keys)
-    out.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
-    flip = keys <= np.take_along_axis(out, (m - 1)[None, :, None], axis=-1)
+    passes its iteration-major buffer transposed.
+
+    Keys are >= 0, whose float64 bits, read as int64, order as the floats
+    do, so the keys are sorted and compared as int64."""
+    bits, ranked = keys.view(np.int64), out.view(np.int64)
+    np.copyto(ranked, bits)
+    ranked.sort(axis=-1)  # `out` holds the sorted keys until the signs overwrite them
+    flip = bits <= np.take_along_axis(ranked, (m - 1)[None, :, None], axis=-1)
     # every row marks at least its m[b] smallest keys, so the count is exact
     # only where no row ties at its threshold; stable ranks order the ties
     if np.count_nonzero(flip) != keys.shape[0] * m.sum():
         flip = keys.argsort(axis=-1, kind="stable").argsort(axis=-1, kind="stable") < m[:, None]
-    np.copyto(out, flip)  # 1 where a spin flips, then 1 - 2 * flip
-    out *= -2.0
+    np.multiply(flip, -2.0, out=out)  # -2 where a spin flips, then 1 - 2 * flip
     out += 1.0
     return out
 
@@ -181,25 +185,33 @@ class _LocalFields:
     an accept sets to that iteration's z.  A noiseless run retires at a
     block end once its row of D exceeds 40 * T for the largest T still to
     come, as exp(-d_e / T) < e**-40 < 2**-53 lies below every draw; at
-    T = 0.0 the bound is d_e > 0.  The last retirement ends the batch."""
+    T = 0.0 the bound is d_e > 0.  The last retirement ends the batch.
+
+    A flip gathers through flat indexes: x as one vector, and the rows of
+    2 J_K from one (groups * n, n) table, group k's from row k * n."""
 
     def __init__(self, groups, x):
         couplings = [(ev.ensemble.xi.T * ev.ensemble.g) @ ev.ensemble.xi for _, ev in groups]
+        n = x.shape[1]
         self.x = x
-        self.J = np.stack(couplings)
         self.group = np.repeat(np.arange(len(groups)), [r.stop - r.start for r, _ in groups])
+        self.first = self.group * n  # each run's first row in `twice`
+        self.twice = 2.0 * np.concatenate(couplings)
         self.h = np.empty_like(x)
         for (rows, _), J in zip(groups, couplings):
             np.matmul(x[rows], J, out=self.h[rows])
-        self.diag4 = 4.0 * np.diagonal(self.J, axis1=1, axis2=2)[self.group]
+        self.diag4 = 4.0 * np.stack([np.diagonal(J) for J in couplings])[self.group]
         self.D = 4.0 * x * self.h - self.diag4
 
     def flip(self, runs, spins):
         """Flip spin spins[i] of run runs[i] and update those runs' h and D."""
-        xp = self.x[runs, spins]
-        self.h[runs] -= 2.0 * xp[:, None] * self.J[self.group[runs], spins]
-        self.x[runs, spins] = -xp
-        self.D[runs] = 4.0 * self.x[runs] * self.h[runs] - self.diag4[runs]
+        at = runs * self.x.shape[1] + spins
+        x = self.x.reshape(-1)  # a view: x is C-contiguous
+        xp = x.take(at)
+        h = self.h.take(runs, axis=0) - xp[:, None] * self.twice.take(self.first[runs] + spins, axis=0)
+        self.h[runs] = h
+        x[at] = -xp
+        self.D[runs] = 4.0 * self.x.take(runs, axis=0) * h - self.diag4.take(runs, axis=0)
 
 
 def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
@@ -207,9 +219,15 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
 
     Every step reads each stretch of adjacent rows whose evaluators share
     the ensemble object, backend and noise sigma with one `frames` call and
-    adds noise to the rows of noisy evaluators only.  Each block's draws
-    are floored and turned into thresholds theta = -T ln u once, so a step
-    decides every run by one comparison d_e <= theta.
+    adds noise to the rows of noisy evaluators only.  A `stop_frozen` batch
+    of analytic evaluators in two or more stretches whose ensembles are all
+    the first rows of its widest one, as the cells of one eigendecomposition
+    are (`build_ensemble`), reads every row with one `frames` call on the
+    widest ensemble instead, and one per-row weighted sum whose weights are
+    the row's g, zero past its K; noise adds to every row, and is 0 on
+    noiseless ones.  Each block's draws are floored and turned into thresholds
+    theta = -T ln u once, so a step decides every run by one comparison
+    d_e <= theta.
 
     A single-spin block (first flip count 1) of a batch that records every
     iteration, all analytic and without `stop_frozen`, steps in windows,
@@ -284,12 +302,31 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
               for rows, intensities, ens, backend, noisy_rows in readers]
     cand1, hrv1 = cand[0], cand_hrv[0]
 
-    def read(j):
-        # readouts of `cand1` into `hrv1`, plus noise column j on noisy rows only
-        for X, intensities, out, noise, ens, backend, noisy_rows in planes:
-            np.matmul(frames(ens, X, backend, out=intensities), ens.g, out=out)
-            if noisy_rows:
-                out += noise[:, j]
+    # one read across the cells of an eigenbasis (docstring).  A zero weight
+    # would turn an overflowed intensity into NaN, and (x . xi_k)^2 is at
+    # most |xi_k|_1^2, so the last test rules every overflow out.
+    wide = max((ev.ensemble for _, ev in groups), key=lambda ens: ens.K)
+    if (stop_frozen and analytic and len(groups) > 1
+            and all(np.array_equal(ev.ensemble.xi, wide.xi[:ev.K])
+                    and np.array_equal(ev.ensemble.g, wide.g[:ev.K]) for _, ev in groups)
+            and np.abs(wide.xi).sum(axis=1).max() <= (np.finfo(float).max / wide.K) ** 0.5):
+        weights = np.zeros((R, wide.K))
+        for rows, ev in groups:
+            weights[rows, :ev.K] = ev.ensemble.g
+        wide_frames = np.empty((R, wide.K))
+
+        def read(j):
+            # readouts of `cand1` into `hrv1`, plus noise column j, 0 on noiseless rows
+            np.vecdot(frames(wide, cand1, out=wide_frames), weights, out=hrv1)
+            if noisy:
+                np.add(hrv1, z[:, j], out=hrv1)
+    else:
+        def read(j):
+            # readouts of `cand1` into `hrv1`, plus noise column j on noisy rows only
+            for X, intensities, out, noise, ens, backend, noisy_rows in planes:
+                np.matmul(frames(ens, X, backend, out=intensities), ens.g, out=out)
+                if noisy_rows:
+                    out += noise[:, j]
 
     def read_window(j, w):
         # readouts of cand[:w] into cand_hrv[:w], plus noise columns j..j+w-1
@@ -363,9 +400,8 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
                 read(j)
                 d_e = np.subtract(cur, hrv1, out=delta_e[j])  # energy = -readout
                 ok = np.less_equal(d_e, theta[j], out=accepted[j])
-                if np.count_nonzero(ok):
-                    np.copyto(x, cand1, where=ok[:, None])
-                    np.copyto(cur, hrv1, where=ok)
+                np.copyto(x, cand1, where=ok[:, None])
+                np.copyto(cur, hrv1, where=ok)
                 if not stop_frozen:
                     hrv[j] = cur
                     states[j] = x
@@ -418,7 +454,7 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
             ok = d_e <= theta
             ok &= mask
             first = ok.argmax(axis=1)
-            took = np.flatnonzero(ok.any(axis=1))
+            took = np.flatnonzero(np.logical_or.reduce(ok, axis=1))
             after = first[took]
             rr, spins = np.divmod(at[took, after], n)
             fields.flip(rr, spins)

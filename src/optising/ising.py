@@ -147,11 +147,12 @@ def ground_state(J):
     cols, rows = Xa.shape[0], 1 << (n - a)
     step = max(64, _GROUND_STATE_BLOCK // cols)
     best_val, best_idx = -np.inf, 0
+    block = np.empty((min(step, rows), cols))  # one energy block, reused by every pass
     for start in range(0, rows, step):
         # x_b reads the high index bits: drop the pinned column of an (n-a+1)-spin state
         Xb = _states_for_indices(np.arange(start, min(start + step, rows)), n - a + 1)[:, 1:]
         Xb = Xb.astype(float)
-        E = Xb @ cross
+        E = np.matmul(Xb, cross, out=block[:len(Xb)])
         E += Ea
         E += np.einsum("ij,ij->i", Xb @ J[a:, a:], Xb)[:, None]
         k = int(np.argmax(E))

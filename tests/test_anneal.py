@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from exact_chain import binomial_two_sided, hit_probability
 
 import optising.anneal as engine
 from optising.anneal import (
@@ -19,6 +20,7 @@ from optising.anneal import (
     _threshold,
     anneal,
     optimal_hits,
+    reaches_optimum,
 )
 from optising.cli import main
 from optising.experiments import LBL_SPAN, LBL_TRACE, RUN_CHUNK, anneal_trace_study, derive_seed
@@ -1169,3 +1171,125 @@ def test_pinned_decisions_are_far_from_the_readout_rounding(backend, level):
     assert uphill.sum() > 9000 and (~uphill).sum() > 3000
     assert np.abs(d_e[uphill] + t[uphill] * np.log(u[uphill])).min() > 1e4 * rounding
     assert np.abs(d_e[~uphill]).min() > rounding
+
+
+def _frames_calls(monkeypatch):
+    """Patch the engine's readout kernel to record the K of every call."""
+    ks = []
+    read = engine.frames
+    monkeypatch.setattr(engine, "frames", lambda ens, *a, **k: ks.append(ens.K) or read(ens, *a, **k))
+    return ks
+
+
+def test_cells_of_one_eigenbasis_share_one_read_per_step(monkeypatch):
+    # K = 3, 13 and 20 cut from one decomposition are the first rows of
+    # the K = 20 ensemble, so their hit batch reads every step with one
+    # `frames` call on that ensemble, as many calls as the K = 20 cell alone
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    b = eigendecompose(from_graph(g))
+    best, _ = brute_force_maxcut(g)
+    s = Schedule(t0=10.0, rate=0.97, iters=600)
+    cells = [(HrvEvaluator(build_ensemble(b, K)), range(100 * K, 100 * K + 12)) for K in (3, 13, 20)]
+    ks = _frames_calls(monkeypatch)
+    optimal_hits(cells[-1:], g, s, best)
+    alone = list(ks)
+    ks.clear()
+    finals = _spy_finals(monkeypatch)
+    optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    assert ks == alone and set(ks) == {20}
+    assert len(ks) == _single_spin_start(s, g.n) + 1  # the start and each frames-path step
+    assert np.array_equal(finals[0], np.concatenate([anneal(ev, g, s, seeds).final_state
+                                                     for ev, seeds in cells]))
+
+
+def test_a_cell_off_the_eigenbasis_reads_on_its_own(monkeypatch):
+    # P = 2.0 scales every xi, so that cell is no prefix of the widest
+    # ensemble: the batch reads each cell by itself, and still ends in the
+    # final states of single runs
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    b = eigendecompose(from_graph(g))
+    best, _ = brute_force_maxcut(g)
+    s = Schedule(t0=10.0, rate=0.97, iters=600)
+    evs = [HrvEvaluator(build_ensemble(b, 8, P=2.0)), HrvEvaluator(build_ensemble(b, 13)),
+           HrvEvaluator(build_ensemble(b, 20))]
+    cells = [(ev, range(40 * i, 40 * i + 10)) for i, ev in enumerate(evs)]
+    ks = _frames_calls(monkeypatch)
+    finals = _spy_finals(monkeypatch)
+    hits = optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    assert sorted(set(ks)) == [8, 13, 20] and len(ks) == 3 * (_single_spin_start(s, g.n) + 1)
+    singles = [anneal(ev, g, s, seeds) for ev, seeds in cells]
+    assert np.array_equal(finals[0], np.concatenate([tr.final_state for tr in singles]))
+    assert hits == [int(np.sum(reaches_optimum(tr.final_cut, best, g))) for tr in singles]
+
+
+def test_noise_levels_of_one_ensemble_share_one_read(monkeypatch):
+    # the noise study's batch: one ensemble object at a noiseless and two
+    # noisy levels.  Its one read adds each row's noise, 0 on noiseless rows.
+    g = gen_regular(20, 5, 0.0, 1.0, seed=0)
+    best, _ = brute_force_maxcut(g)
+    ens = make_evaluator(g, 13).ensemble
+    span = estimate_span(ens, samples=1000, rng=np.random.default_rng(1))
+    s = Schedule(t0=span, rate=0.97, iters=600)
+    cells = [(HrvEvaluator(ens, sigma=lv * span), range(100 * i, 100 * i + 10))
+             for i, lv in enumerate((0.0, 0.02, 0.05))]
+    ks = _frames_calls(monkeypatch)
+    finals = _spy_finals(monkeypatch)
+    hits = optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    assert len(ks) == _single_spin_start(s, g.n) + 1  # one read per frames-path step
+    singles = [anneal(ev, g, s, seeds) for ev, seeds in cells]
+    assert np.array_equal(finals[0], np.concatenate([tr.final_state for tr in singles]))
+    assert hits == [int(np.sum(reaches_optimum(tr.final_cut, best, g))) for tr in singles]
+    assert 0 < sum(hits) < 30
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("single_spin", [False, True])
+def test_flip_signs_order_keys_by_their_int64_bits(tied, single_spin):
+    # the smallest and largest keys a draw can give, 0.0 and 1 - 2**-53, and
+    # the smallest above 0, 2**-53: each row a shuffle of them and 17 other
+    # distinct keys, or, tied, a draw from them and two more values
+    rng = np.random.default_rng(12)
+    R, n = 16, 20
+    edges = [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53]
+    if tied:
+        keys = rng.choice(np.array(edges + [0.25, 0.5]), size=(R, BLOCK, n))
+    else:
+        keys = rng.permuted(np.broadcast_to(edges + list(rng.random(n - 3)), (R, BLOCK, n)), axis=-1)
+    m = np.ones(BLOCK, dtype=np.int64) if single_spin else rng.integers(1, n + 1, BLOCK)
+    signs = np.empty((BLOCK, R, n))
+    _flip_signs(keys, m, signs.transpose(1, 0, 2))
+    assert np.array_equal(signs, _parent_flip_signs(keys.transpose(1, 0, 2), m))
+
+
+def test_hit_batches_sample_the_exact_law_of_their_chain(monkeypatch):
+    # 3000 runs per cell against the chain of the module docstring, whose
+    # law `exact_chain` computes over all 256 states: a two-sided exact
+    # binomial test at 1e-6.  The schedule switches to local fields at
+    # iteration 128.  The K = 3 and K = 8 cells alternate in stretches of
+    # 128 runs, so every batch of 256 holds both and reads them in one
+    # product; the K = 5 cell is a batch of its own.  Seeds fixed in advance.
+    monkeypatch.setattr(engine, "HIT_CHUNK", 256)
+    runs = 3000
+    g = gen_regular(8, 5, 0.0, 1.0, seed=0)
+    b = eigendecompose(from_graph(g))
+    best, _ = brute_force_maxcut(g)
+    ens = {K: build_ensemble(b, K) for K in (3, 5, 8)}
+    s = Schedule(t0=estimate_span(ens[8], samples=200, rng=np.random.default_rng(0)),
+                 rate=0.98, iters=300)
+    assert s.flip_counts(g.n)[0] == g.n and _single_spin_start(s, g.n) == 128
+    mixed = [(HrvEvaluator(ens[K]), range(first + i, first + min(i + 128, runs)))
+             for i in range(0, runs, 128) for K, first in ((3, 10_000), (8, 20_000))]
+    ks = _frames_calls(monkeypatch)
+    hits = optimal_hits(mixed, g, s, best)
+    assert set(ks) == {8}
+    ks.clear()
+    hits5 = optimal_hits([(HrvEvaluator(ens[5]), range(30_000, 30_000 + runs))], g, s, best)
+    assert set(ks) == {5}
+    monkeypatch.undo()
+    for K, k in ((3, sum(hits[0::2])), (8, sum(hits[1::2])), (5, hits5[0])):
+        p = hit_probability(ens[K], g, s, best)
+        assert 0.4 < p < 0.7  # both outcomes are common
+        assert binomial_two_sided(k, runs, p) > 1e-6, (K, k, p)
