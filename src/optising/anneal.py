@@ -217,17 +217,18 @@ class _LocalFields:
 def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     """Step `runs`, a list of (evaluator, seed), as one batch, one row each.
 
-    Every step reads each stretch of adjacent rows whose evaluators share
-    the ensemble object, backend and noise sigma with one `frames` call and
-    adds noise to the rows of noisy evaluators only.  A `stop_frozen` batch
-    of analytic evaluators in two or more stretches whose ensembles are all
-    the first rows of its widest one, as the cells of one eigendecomposition
-    are (`build_ensemble`), reads every row with one `frames` call on the
-    widest ensemble instead, and one per-row weighted sum whose weights are
-    the row's g, zero past its K; noise adds to every row, and is 0 on
-    noiseless ones.  Each block's draws are floored and turned into thresholds
-    theta = -T ln u once, so a step decides every run by one comparison
-    d_e <= theta.
+    Every step reads through one list of read plans, each the rows it reads
+    with one `frames` call, its ensemble, backend, reduction and weights.  A
+    `stop_frozen` batch of analytic evaluators whose ensembles are all the
+    first rows of its widest one, as the cells of one eigendecomposition
+    are (`build_ensemble`), one cell included, has one plan: every row on
+    the widest ensemble, reduced by `np.vecdot` with the row's g, zero past
+    its K.  Every other batch has one plan per stretch of adjacent rows
+    whose evaluators share the ensemble object, backend and noise sigma,
+    reduced by `np.matmul` with that g.  A batch with any noisy run adds its
+    noise to every row, 0 on noiseless ones.  Each block's draws are floored
+    and turned into thresholds theta = -T ln u once, so a step decides every
+    run by one comparison d_e <= theta.
 
     A single-spin block (first flip count 1) of a batch that records every
     iteration, all analytic and without `stop_frozen`, steps in windows,
@@ -293,48 +294,42 @@ def _lockstep(runs, g: WeightedGraph, s: Schedule, stop_frozen: bool = False):
     deep = max(1, min(BLOCK, ROWS // R)) if analytic and not stop_frozen else 1
     cand = np.empty((deep, R, n))
     cand_hrv = np.empty((deep, R))
-    z = np.zeros((R, BLOCK))  # noise; the start readout's draws borrow column 0
-    readers = [(rows, np.empty((deep, rows.stop - rows.start, ev.K)), ev.ensemble, ev.backend,
-                ev.sigma > 0) for rows, ev in groups]
-    # one iteration reads through 2-D plane views: a stacked product on a
-    # (1, rows, n) view costs more per call
-    planes = [(cand[0, rows], intensities[0], cand_hrv[0, rows], z[rows], ens, backend, noisy_rows)
-              for rows, intensities, ens, backend, noisy_rows in readers]
-    cand1, hrv1 = cand[0], cand_hrv[0]
+    z = np.zeros((R, BLOCK))  # noise, 0 on noiseless rows; the start readout's draws borrow column 0
 
-    # one read across the cells of an eigenbasis (docstring).  A zero weight
-    # would turn an overflowed intensity into NaN, and (x . xi_k)^2 is at
-    # most |xi_k|_1^2, so the last test rules every overflow out.
+    # the read plans (docstring).  A zero weight would turn an overflowed
+    # intensity into NaN, and (x . xi_k)^2 is at most |xi_k|_1^2, so the
+    # last test rules every overflow out.
     wide = max((ev.ensemble for _, ev in groups), key=lambda ens: ens.K)
-    if (stop_frozen and analytic and len(groups) > 1
+    if (stop_frozen and analytic
             and all(np.array_equal(ev.ensemble.xi, wide.xi[:ev.K])
                     and np.array_equal(ev.ensemble.g, wide.g[:ev.K]) for _, ev in groups)
             and np.abs(wide.xi).sum(axis=1).max() <= (np.finfo(float).max / wide.K) ** 0.5):
         weights = np.zeros((R, wide.K))
         for rows, ev in groups:
             weights[rows, :ev.K] = ev.ensemble.g
-        wide_frames = np.empty((R, wide.K))
-
-        def read(j):
-            # readouts of `cand1` into `hrv1`, plus noise column j, 0 on noiseless rows
-            np.vecdot(frames(wide, cand1, out=wide_frames), weights, out=hrv1)
-            if noisy:
-                np.add(hrv1, z[:, j], out=hrv1)
+        plans = [(slice(0, R), wide, "analytic", np.vecdot, weights)]
     else:
-        def read(j):
-            # readouts of `cand1` into `hrv1`, plus noise column j on noisy rows only
-            for X, intensities, out, noise, ens, backend, noisy_rows in planes:
-                np.matmul(frames(ens, X, backend, out=intensities), ens.g, out=out)
-                if noisy_rows:
-                    out += noise[:, j]
+        plans = [(rows, ev.ensemble, ev.backend, np.matmul, ev.ensemble.g) for rows, ev in groups]
+    plans = [(rows, np.empty((deep, rows.stop - rows.start, ens.K)), ens, *rest)
+             for rows, ens, *rest in plans]
+    # one iteration reads through 2-D plane views, made once: a stacked
+    # (1, rows, n) product costs the same, but slicing it per call adds a cost
+    planes = [(cand[0, rows], buf[0], cand_hrv[0, rows], *plan) for rows, buf, *plan in plans]
+    cand1, hrv1 = cand[0], cand_hrv[0]
+
+    def read(j):
+        # readouts of `cand1` into `hrv1`, plus noise column j
+        for X, intensities, out, ens, backend, reduce, weights in planes:
+            reduce(frames(ens, X, backend, out=intensities), weights, out=out)
+        if noisy:
+            np.add(hrv1, z[:, j], out=hrv1)
 
     def read_window(j, w):
         # readouts of cand[:w] into cand_hrv[:w], plus noise columns j..j+w-1
-        for rows, intensities, ens, backend, noisy_rows in readers:
-            out = cand_hrv[:w, rows]
-            np.matmul(frames(ens, cand[:w, rows], backend, out=intensities[:w]), ens.g, out=out)
-            if noisy_rows:
-                out += z[rows, j:j + w].T
+        for rows, buf, ens, backend, reduce, weights in plans:
+            reduce(frames(ens, cand[:w, rows], backend, out=buf[:w]), weights, out=cand_hrv[:w, rows])
+        if noisy:
+            cand_hrv[:w] += z[:, j:j + w].T
 
     x = np.stack([random_state(n, rng) for rng in move_rngs]).astype(float)
     for rows, sigma, rngs in noisy:

@@ -2,7 +2,7 @@
 computed over all 2^n spin states without the engine.
 
 The chain: a uniform start; at iteration k a uniform m-subset of the spins,
-m = `Schedule.flip_counts(n)[k]`, is flipped; the move is accepted with
+m = max(1, round(n * T_k / t0)), is flipped; the move is accepted with
 probability min(1, exp((readout' - readout) / T_k)), and a move with
 readout' >= readout is always accepted, at T = 0.0 too.  The readout of a
 state x is the noiseless sum_k g_k (xi_k . x)^2 of its ensemble.
@@ -21,22 +21,29 @@ def all_states(n: int) -> np.ndarray:
 
 
 def end_distribution(ensemble, schedule) -> np.ndarray:
-    """P(the chain ends in state s), over the states of `all_states`."""
+    """P(the chain ends in state s), over the states of `all_states`.  The
+    flip count takes T_k / t0 as rate^k, so a T_k that underflowed to 0.0
+    keeps its m."""
     n = ensemble.n
     X = all_states(n)
     readout = ((X @ ensemble.xi.T) ** 2) @ ensemble.g
-    gain = readout[None, :] - readout[:, None]  # readout' - readout of the move s -> t
     index = np.arange(1 << n)
-    distance = np.bitwise_count(index[:, None] ^ index[None, :])
+    partners, gains = {}, {}  # per m: the states an m-subset flip reaches, and its readout gain
     p = np.full(1 << n, 1.0 / (1 << n))
-    for T, m in zip(schedule.temperatures(), schedule.flip_counts(n)):
+    for k, T in enumerate(schedule.temperatures()):
+        m = max(1, round(n * schedule.rate ** k))
+        if m not in partners:
+            # subset j of m spins takes s to s ^ masks[j], and s ^ masks[j] back to s
+            masks = index[np.bitwise_count(index) == m]
+            partners[m] = index[:, None] ^ masks
+            gains[m] = readout[partners[m]] - readout[:, None]
         if T > 0.0:
-            accept = np.exp(np.minimum(gain, 0.0) / T)
+            with np.errstate(over="ignore"):  # a subnormal T sends -gain / T to inf
+                accept = np.exp(np.minimum(gains[m], 0.0) / T)
         else:
-            accept = (gain >= 0.0).astype(float)
-        step = np.where(distance == m, accept, 0.0) / math.comb(n, m)
-        step[index, index] += 1.0 - step.sum(axis=1)
-        p = p @ step
+            accept = (gains[m] >= 0.0).astype(float)
+        flow = p[:, None] * accept / math.comb(n, m)  # flow[s, j]: s to partners[s, j]
+        p = p - flow.sum(axis=1) + flow[partners[m], np.arange(flow.shape[1])].sum(axis=1)
     return p
 
 

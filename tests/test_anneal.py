@@ -1293,3 +1293,104 @@ def test_hit_batches_sample_the_exact_law_of_their_chain(monkeypatch):
         p = hit_probability(ens[K], g, s, best)
         assert 0.4 < p < 0.7  # both outcomes are common
         assert binomial_two_sided(k, runs, p) > 1e-6, (K, k, p)
+
+
+def _exact_law_case(degree, seed, low=0.0):
+    """(graph, decomposition, maximum cut, K = 8 span) of gen_regular(8, degree, low, 1.0, seed)."""
+    g = gen_regular(8, degree, low, 1.0, seed=seed)
+    b = eigendecompose(from_graph(g))
+    span = estimate_span(build_ensemble(b, 8), samples=200, rng=np.random.default_rng(0))
+    return g, b, brute_force_maxcut(g)[0], span
+
+
+def _assert_exact_law(g, s, best, counts):
+    """Each (ensemble, hits, runs) of `counts` passes a two-sided exact
+    binomial test at 1e-6 against the chain's p, and both outcomes are common."""
+    for ens, k, runs in counts:
+        p = hit_probability(ens, g, s, best)
+        assert 0.05 < p < 0.95
+        assert binomial_two_sided(k, runs, p) > 1e-6, (ens.K, k, runs, p)
+
+
+# The cases below take their graphs and schedules from the chain's p alone,
+# and their run seeds were fixed before the engine first ran them.
+
+def test_hit_batches_sample_the_exact_law_where_t_reaches_zero(monkeypatch):
+    # t0 = 2**-1040 halves to 0.0 from iteration 35, inside the first block,
+    # so the frames path decides at T = 0.0 and the freeze bound at the
+    # switch is 0.0 itself, which only a run with a move of d_e <= 0
+    # outlives.  K = 5 and K = 8 alternate in stretches of 128 runs, so
+    # every batch reads both in one product; their p are 0.54 and 0.16.
+    monkeypatch.setattr(engine, "HIT_CHUNK", 256)
+    g, b, best, _ = _exact_law_case(3, 3)
+    s = Schedule(t0=2.0 ** -1040, rate=0.5, iters=100)
+    t = s.temperatures()
+    assert t[34] > 0.0 and t[35] == 0.0 and _single_spin_start(s, g.n) == BLOCK
+    ens = {K: build_ensemble(b, K) for K in (5, 8)}
+    cells = [(HrvEvaluator(ens[K]), range(first + i, first + i + 128))
+             for i in range(0, 2048, 128) for K, first in ((5, 40_000), (8, 45_000))]
+    ks = _frames_calls(monkeypatch)
+    ends = _spy_batches(monkeypatch)
+    hits = optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    _assert_exact_law(g, s, best, [(ens[5], sum(hits[0::2]), 2048), (ens[8], sum(hits[1::2]), 2048)])
+    assert set(ks) == {8} and min(ends) == BLOCK  # a batch whose every d_e > 0 at the switch
+
+
+def test_hit_batches_sample_the_exact_law_with_signed_weights(monkeypatch):
+    # weights in [-1, 1]; K = 3 and K = 8 alternate in stretches of 128 runs,
+    # so every batch of 256 reads both in one product, whose weights are zero
+    # past a row's K; their p are 0.42 and 0.92
+    monkeypatch.setattr(engine, "HIT_CHUNK", 256)
+    g, b, best, span = _exact_law_case(3, 0, low=-1.0)
+    s = Schedule(t0=span, rate=0.98, iters=300)
+    ens = {K: build_ensemble(b, K) for K in (3, 8)}
+    cells = [(HrvEvaluator(ens[K]), range(first + i, first + i + 128))
+             for i in range(0, 2048, 128) for K, first in ((3, 50_000), (8, 60_000))]
+    ks = _frames_calls(monkeypatch)
+    hits = optimal_hits(cells, g, s, best)
+    monkeypatch.undo()
+    assert set(ks) == {8}
+    _assert_exact_law(g, s, best, [(ens[3], sum(hits[0::2]), 2048), (ens[8], sum(hits[1::2]), 2048)])
+
+
+def test_a_cell_split_across_hit_batches_samples_the_exact_law(monkeypatch):
+    # HIT_CHUNK = 700 splits one cell of 2000 runs into batches of 700, 700
+    # and 600, each reading its one cell through the one-plan weighted sum
+    monkeypatch.setattr(engine, "HIT_CHUNK", 700)
+    g, b, best, span = _exact_law_case(3, 3)
+    s = Schedule(t0=span, rate=0.97, iters=300)
+    ens = build_ensemble(b, 5)
+    finals = _spy_finals(monkeypatch)
+    (hits,) = optimal_hits([(HrvEvaluator(ens), range(70_000, 72_000))], g, s, best)
+    monkeypatch.undo()
+    assert [len(x) for x in finals] == [700, 700, 600]
+    _assert_exact_law(g, s, best, [(ens, hits, 2000)])
+
+
+def test_a_field_cell_samples_the_exact_law(monkeypatch):
+    # the field backend reads every iteration through `frames`, to the end.
+    # The last move flips 2 spins (8 * 0.98**79 = 1.63), so the runs end at
+    # states no pair flip improves on, a law that single-spin moves miss.
+    g, b, best, span = _exact_law_case(3, 2)
+    s = Schedule(t0=0.1 * span, rate=0.98, iters=80)
+    assert round(g.n * s.rate ** 79) == 2  # the docstring's rule, as `exact_chain` applies it
+    ens = build_ensemble(b, 5)
+    ends = _spy_batches(monkeypatch)
+    (hits,) = optimal_hits([(HrvEvaluator(ens, backend="field"), range(80_000, 80_800))], g, s, best)
+    monkeypatch.undo()
+    assert ends == [80] * 4
+    _assert_exact_law(g, s, best, [(ens, hits, 800)])
+
+
+def test_runs_that_retire_early_sample_the_exact_law(monkeypatch):
+    # a degree-3 graph at rate 0.95 over 640 iterations: every run retires
+    # well before the last block, so the freeze bound decides where each ends
+    g, b, best, span = _exact_law_case(3, 3)
+    s = Schedule(t0=span, rate=0.95, iters=640)
+    ens = build_ensemble(b, 5)
+    ends = _spy_batches(monkeypatch)
+    (hits,) = optimal_hits([(HrvEvaluator(ens), range(90_000, 92_000))], g, s, best)
+    monkeypatch.undo()
+    assert max(ends) <= s.iters // 2
+    _assert_exact_law(g, s, best, [(ens, hits, 2000)])
